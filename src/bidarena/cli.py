@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mechanism", action="append",
                      help="restrict to a mechanism kind (repeatable; default all)")
     ver.add_argument("--max-rounds", type=int, default=50)
-    ver.add_argument("--tolerance", default="0", help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)
 
     gen = sub.add_parser("generate", help="write an instance file")

@@ -1,14 +1,16 @@
 """Auction rules: scoring, winner selection, payments, and win thresholds.
 
-Five rules share one shape: each bidder gets a score from its bid (possibly
-adjusted by user cost), the highest eligible score wins, and the winner pays
-the smallest bid that still wins. All ties break toward the lowest bidder
-index, so every outcome is deterministic.
+Every rule is VCG with user costs plus a cost multiplier, and differs from
+the others only in the reserve and the shift each bidder gets in each
+auction (`auction_terms`, the only rule-specific step of an auction). One
+kernel then runs them all: a bidder whose bid reaches its reserve competes
+with score bid - shift, the highest score wins, and the winner pays the
+smallest bid that still wins. All ties break toward the lowest bidder index,
+so every outcome is deterministic.
 
-`run_auction` applies each rule's payment formula directly; `min_winning_bid`
-derives the same number by analyzing the competition. The two paths are kept
-separate on purpose and cross-checked in tests: the winner's payment must
-always equal the threshold value.
+`run_auction` prices the winner and `min_winning_bid` gives any bidder's
+threshold from the same terms. The tests check both against an independent
+per-rule derivation (`tests/reference_mechanisms.py`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import Instance, MultiplierProfile, Outcome, ZERO, bids_from
-from .rationals import INF, ExtRational, Infinity, format_ratio, parse_rational
+from .rationals import (INF, ExtRational, Infinity, format_ratio, format_rational,
+                        parse_rational)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,11 +106,10 @@ MechanismSpec = (SecondPrice | GlobalCostMultiplier | SingleBidderCalibrated
 
 @dataclass(frozen=True, slots=True)
 class AuctionResult:
-    """Winner (None when nobody clears), its payment, and the runner-up."""
+    """Winner (None when nobody clears) and its payment."""
 
     winner: int | None
     payment: Fraction
-    runner_up: int | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,7 +203,7 @@ def calibrate_single_bidder(inst: Instance) -> SingleBidderCalibrated:
 
 
 # ---------------------------------------------------------------------------
-# Required-bid conventions (shared by payments, thresholds, and diagnostics)
+# Required-bid conventions (shared by the auction terms and the diagnostics)
 
 
 def auction_dep_required(alpha: ExtRational, cost: Fraction, rw_value: Fraction) -> ExtRational:
@@ -227,7 +229,79 @@ def single_required(alpha: ExtRational, cost: Fraction) -> ExtRational:
 
 
 # ---------------------------------------------------------------------------
-# Running one auction
+# Reserves and shifts: the only rule-specific step of an auction
+
+# Per auction, the column of reserves and the column of shifts, one entry per bidder.
+AuctionTerms = tuple[tuple[tuple[ExtRational, ...], tuple[ExtRational, ...]], ...]
+
+# The last (spec, instance, terms) built. Specs and instances are frozen, and
+# the entry keeps both alive, so an identity match can never be stale. It is
+# read and replaced as one tuple, never updated field by field.
+_last_terms: tuple[object, object, AuctionTerms] = (None, None, ())
+
+
+def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
+    """Per auction, each bidder's reserve (the least bid it may win with;
+    infinite when it can never win) and shift (what its score subtracts).
+
+    | rule | reserve | shift |
+    | second price | 0 | 0 |
+    | global:g | g * cost | the reserve |
+    | auction-dep | `auction_dep_required`, infinite without a rightful winner | the reserve |
+    | bidder-dep | `bidder_dep_required` | cost |
+    | single-bidder | `single_required` | 0 |
+    """
+    global _last_terms
+    last = _last_terms
+    if last[0] is spec and last[1] is inst:
+        return last[2]
+    n, m = inst.num_bidders, inst.num_auctions
+    cost_columns = [tuple(row[j] for row in inst.costs) for j in range(m)]
+    zeros = (ZERO,) * n
+    if isinstance(spec, SecondPrice):
+        terms = [(zeros, zeros)] * m
+    elif isinstance(spec, GlobalCostMultiplier):
+        gamma = spec.gamma
+        terms = []
+        for costs in cost_columns:
+            reserves = tuple(gamma * c if c else ZERO for c in costs)
+            terms.append((reserves, reserves))
+    elif isinstance(spec, SingleBidderCalibrated):
+        alpha = spec.cost_multiplier
+        terms = [((single_required(alpha, costs[0]),), zeros) for costs in cost_columns]
+    elif isinstance(spec, AuctionDependent):
+        terms = []
+        for j, (rw, alpha, costs) in enumerate(zip(spec.rightful_winner, spec.cost_multiplier,
+                                                   cost_columns)):
+            if rw is None:
+                reserves: tuple[ExtRational, ...] = (INF,) * n
+            else:
+                reserves = tuple(auction_dep_required(alpha, c, inst.values[rw][j])
+                                 for c in costs)
+            terms.append((reserves, reserves))
+    elif isinstance(spec, BidderDependent):
+        terms = []
+        for costs in cost_columns:
+            reserves = tuple(bidder_dep_required(a, c) for a, c in zip(spec.cost_multiplier, costs))
+            terms.append((reserves, costs))
+    else:
+        raise TypeError(f"unknown mechanism: {spec!r}")
+    # Every zero term becomes the ZERO object, which the kernel tests by
+    # identity to skip a comparison or a subtraction.
+    canonical = tuple((tuple(r or ZERO for r in reserves), tuple(s or ZERO for s in shifts))
+                      for reserves, shifts in terms)
+    _last_terms = (spec, inst, canonical)
+    return canonical
+
+
+# ---------------------------------------------------------------------------
+# The auction kernel
+#
+# Bidder i is eligible when its bid reaches its reserve r_i; its score is
+# bid - s_i. The highest score wins, ties to the lowest index, and the winner
+# pays max(r_w, s_w + best rival score): the least bid that still wins. Bids
+# are nonnegative, so a zero reserve admits every bid without a comparison,
+# and a zero shift is not subtracted; any other zero just takes the long way.
 
 
 def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
@@ -235,96 +309,24 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
     """Resolve auction `auction` under `spec` for the given bid column."""
     if len(bids) != inst.num_bidders:
         raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
-
-    if isinstance(spec, SecondPrice):
-        best = 0
-        runner: int | None = None
-        for i in range(1, len(bids)):
-            if bids[i] > bids[best]:
-                runner = best
-                best = i
-            elif runner is None or bids[i] > bids[runner]:
-                runner = i
-        payment = bids[runner] if runner is not None else ZERO
-        return AuctionResult(best, payment, runner)
-
-    if isinstance(spec, GlobalCostMultiplier):
-        gamma = spec.gamma
-        best = runner = None
-        best_s = runner_s = ZERO
-        for i, bid in enumerate(bids):
-            cost = inst.costs[i][auction]
-            score = bid - gamma * cost if cost else bid
-            if score < 0:
-                continue
-            if best is None or score > best_s:
-                runner, runner_s = best, best_s
-                best, best_s = i, score
-            elif runner is None or score > runner_s:
-                runner, runner_s = i, score
-        if best is None:
-            return AuctionResult(None, ZERO, None)
-        payment = spec.gamma * inst.costs[best][auction] + (runner_s if runner is not None else ZERO)
-        return AuctionResult(best, payment, runner)
-
-    if isinstance(spec, SingleBidderCalibrated):
-        required = single_required(spec.cost_multiplier, inst.costs[0][auction])
-        if isinstance(required, Infinity) or bids[0] < required:
-            return AuctionResult(None, ZERO, None)
-        return AuctionResult(0, required, None)
-
-    if isinstance(spec, AuctionDependent):
-        rw = spec.rightful_winner[auction]
-        if rw is None:
-            return AuctionResult(None, ZERO, None)
-        alpha = spec.cost_multiplier[auction]
-        assert alpha is not None
-        rw_value = inst.values[rw][auction]
-        best = runner = None
-        best_s = runner_s = ZERO
-        for i, bid in enumerate(bids):
-            required = auction_dep_required(alpha, inst.costs[i][auction], rw_value)
-            if isinstance(required, Infinity):
-                continue
-            score = bid - required
-            if best is None or score > best_s:
-                runner, runner_s = best, best_s
-                best, best_s = i, score
-            elif runner is None or score > runner_s:
-                runner, runner_s = i, score
-        if best is None or best_s < 0:
-            return AuctionResult(None, ZERO, None)
-        required = auction_dep_required(alpha, inst.costs[best][auction], rw_value)
-        assert isinstance(required, Fraction)
-        rival = runner_s if runner is not None and runner_s > 0 else ZERO
-        return AuctionResult(best, required + rival, runner)
-
-    if isinstance(spec, BidderDependent):
-        best = runner = None
-        best_s = runner_s = ZERO
-        for i, bid in enumerate(bids):
-            required = bidder_dep_required(spec.cost_multiplier[i], inst.costs[i][auction])
-            if isinstance(required, Infinity) or bid < required:
-                continue
-            score = bid - inst.costs[i][auction]
-            if best is None or score > best_s:
-                runner, runner_s = best, best_s
-                best, best_s = i, score
-            elif runner is None or score > runner_s:
-                runner, runner_s = i, score
-        if best is None:
-            return AuctionResult(None, ZERO, None)
-        required = bidder_dep_required(spec.cost_multiplier[best], inst.costs[best][auction])
-        assert isinstance(required, Fraction)
-        if runner is not None:
-            required = max(required, runner_s + inst.costs[best][auction])
-        return AuctionResult(best, required, runner)
-
-    raise TypeError(f"unknown mechanism: {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# Win thresholds
+    reserves, shifts = auction_terms(spec, inst)[auction]
+    best: int | None = None
+    best_s = rival_s = None
+    for i, (bid, reserve, shift) in enumerate(zip(bids, reserves, shifts)):
+        if reserve is not ZERO and bid < reserve:
+            continue
+        score = bid if shift is ZERO else bid - shift
+        if best is None or score > best_s:
+            best, best_s, rival_s = i, score, best_s
+        elif rival_s is None or score > rival_s:
+            rival_s = score
+    if best is None:
+        return AuctionResult(None, ZERO)
+    reserve, shift = reserves[best], shifts[best]
+    if rival_s is None:
+        return AuctionResult(best, reserve)
+    pay = rival_s if shift is ZERO else shift + rival_s
+    return AuctionResult(best, pay if reserve is ZERO else max(reserve, pay))
 
 
 def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: int,
@@ -334,90 +336,25 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
     Entry `bidder` of `bids` is ignored. The value is infinite when the
     bidder can never win; `inclusive` follows the lowest-index tie-break.
     """
-    if isinstance(spec, SecondPrice):
-        best: Fraction | None = None
-        best_i = 0
-        for i, bid in enumerate(bids):
-            if i == bidder:
-                continue
-            if best is None or bid > best:
-                best, best_i = bid, i
-        if best is None:
-            return Threshold(ZERO, True)
-        return Threshold(best, bidder < best_i)
-
-    if isinstance(spec, GlobalCostMultiplier):
-        gamma = spec.gamma
-        own = gamma * inst.costs[bidder][auction]
-        best = None
-        best_i = 0
-        for i, bid in enumerate(bids):
-            if i == bidder:
-                continue
-            cost = inst.costs[i][auction]
-            score = bid - gamma * cost if cost else bid
-            if score < 0:
-                continue
-            if best is None or score > best:
-                best, best_i = score, i
-        if best is None:
-            return Threshold(own, True)
-        return Threshold(own + best, bidder < best_i)
-
-    if isinstance(spec, SingleBidderCalibrated):
-        required = single_required(spec.cost_multiplier, inst.costs[0][auction])
-        if isinstance(required, Infinity):
-            return NEVER
-        return Threshold(required, True)
-
-    if isinstance(spec, AuctionDependent):
-        rw = spec.rightful_winner[auction]
-        if rw is None:
-            return NEVER
-        alpha = spec.cost_multiplier[auction]
-        assert alpha is not None
-        rw_value = inst.values[rw][auction]
-        own = auction_dep_required(alpha, inst.costs[bidder][auction], rw_value)
-        if isinstance(own, Infinity):
-            return NEVER
-        best = None
-        best_i = 0
-        for i, bid in enumerate(bids):
-            if i == bidder:
-                continue
-            required = auction_dep_required(alpha, inst.costs[i][auction], rw_value)
-            if isinstance(required, Infinity):
-                continue
-            score = bid - required
-            if best is None or score > best:
-                best, best_i = score, i
-        if best is None or best < 0:
-            return Threshold(own, True)
-        return Threshold(own + best, bidder < best_i)
-
-    if isinstance(spec, BidderDependent):
-        own = bidder_dep_required(spec.cost_multiplier[bidder], inst.costs[bidder][auction])
-        if isinstance(own, Infinity):
-            return NEVER
-        best = None
-        best_i = 0
-        for i, bid in enumerate(bids):
-            if i == bidder:
-                continue
-            required = bidder_dep_required(spec.cost_multiplier[i], inst.costs[i][auction])
-            if isinstance(required, Infinity) or bid < required:
-                continue
-            score = bid - inst.costs[i][auction]
-            if best is None or score > best:
-                best, best_i = score, i
-        if best is None:
-            return Threshold(own, True)
-        rival = best + inst.costs[bidder][auction]
-        if own > rival:
-            return Threshold(own, True)
-        return Threshold(rival, bidder < best_i)
-
-    raise TypeError(f"unknown mechanism: {spec!r}")
+    reserves, shifts = auction_terms(spec, inst)[auction]
+    own = reserves[bidder]
+    if isinstance(own, Infinity):
+        return NEVER
+    best = None
+    best_i = 0
+    for i, (bid, reserve, shift) in enumerate(zip(bids, reserves, shifts)):
+        if i == bidder or (reserve is not ZERO and bid < reserve):
+            continue
+        score = bid if shift is ZERO else bid - shift
+        if best is None or score > best:
+            best, best_i = score, i
+    if best is None:
+        return Threshold(own, True)
+    shift = shifts[bidder]
+    rival = best if shift is ZERO else shift + best
+    if own is not ZERO and own > rival:
+        return Threshold(own, True)
+    return Threshold(rival, bidder < best_i)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +388,7 @@ def mechanism_label(spec: MechanismSpec) -> str:
     if isinstance(spec, SecondPrice):
         return "second-price"
     if isinstance(spec, GlobalCostMultiplier):
-        return f"global:{format_rational_label(spec.gamma)}"
+        return f"global:{format_rational(spec.gamma)}"
     if isinstance(spec, SingleBidderCalibrated):
         return "single-bidder"
     if isinstance(spec, AuctionDependent):
@@ -459,10 +396,6 @@ def mechanism_label(spec: MechanismSpec) -> str:
     if isinstance(spec, BidderDependent):
         return "bidder-dep"
     raise TypeError(f"unknown mechanism: {spec!r}")
-
-
-def format_rational_label(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def mechanism_from_label(label: str, inst: Instance) -> MechanismSpec:
@@ -493,25 +426,3 @@ def mechanism_to_json(spec: MechanismSpec) -> dict:
     if isinstance(spec, BidderDependent):
         return {"kind": "bidder-dep"}
     raise TypeError(f"unknown mechanism: {spec!r}")
-
-
-def mechanism_from_json(obj: dict, inst: Instance) -> MechanismSpec:
-    """Rebuild a mechanism from JSON. Calibrated parameters are recomputed
-    from the instance and validated against the stored ones, never trusted."""
-    kind = obj.get("kind")
-    if kind == "second-price":
-        return SecondPrice()
-    if kind == "global":
-        return GlobalCostMultiplier(parse_rational(obj["gamma"]))
-    if kind == "single-bidder":
-        spec = calibrate_single_bidder(inst)
-        stored = obj.get("alpha")
-        if stored is not None and stored != format_ratio(spec.cost_multiplier):
-            raise ValueError(f"stored alpha {stored!r} does not match the instance "
-                             f"({format_ratio(spec.cost_multiplier)})")
-        return spec
-    if kind == "auction-dep":
-        return compute_auction_params(inst)
-    if kind == "bidder-dep":
-        return compute_bidder_params(inst)
-    raise ValueError(f"unknown mechanism kind {obj!r}")

@@ -47,10 +47,6 @@ INF = Infinity()
 ExtRational = Fraction | Infinity
 
 
-def is_finite(x: ExtRational) -> bool:
-    return not isinstance(x, Infinity)
-
-
 def as_fraction(x: int | str | Fraction) -> Fraction:
     """Convert exact input to Fraction. Floats are rejected on purpose."""
     if isinstance(x, Fraction):

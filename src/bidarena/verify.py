@@ -19,7 +19,8 @@ from .instances import RandomFamilyParams, instance_to_json, random_instance
 from .mechanisms import (GlobalCostMultiplier, MechanismSpec, SecondPrice,
                          bidder_dep_required, compute_auction_params,
                          compute_bidder_params, calibrate_single_bidder,
-                         mechanism_label, min_winning_bid, run_all, run_auction)
+                         mechanism_from_label, mechanism_label, min_winning_bid, run_all,
+                         run_auction)
 from .model import (Instance, MultiplierProfile, ZERO, bids_from, optimal_welfare,
                     roi_satisfied, welfare)
 from .rationals import Infinity
@@ -59,21 +60,6 @@ def standard_specs(inst: Instance) -> list[MechanismSpec]:
     return specs
 
 
-def build_spec(kind: str, inst: Instance) -> MechanismSpec:
-    if kind == "second-price":
-        return SecondPrice()
-    if kind == "auction-dep":
-        return compute_auction_params(inst)
-    if kind == "bidder-dep":
-        return compute_bidder_params(inst)
-    if kind == "single-bidder":
-        return calibrate_single_bidder(inst)
-    if kind.startswith("global:"):
-        from .rationals import parse_rational
-        return GlobalCostMultiplier(parse_rational(kind.split(":", 1)[1]))
-    raise ValueError(f"unknown mechanism kind {kind!r}")
-
-
 def _describe(seed: int, inst: Instance, detail: str) -> str:
     return f"seed={seed} {detail} instance={json.dumps(instance_to_json(inst))}"
 
@@ -99,7 +85,7 @@ def equilibrium_family(kind: str, seeds: Iterable[int], *, welfare_floor: Fracti
     stats = FamilyStats()
     for seed in seeds:
         inst = family_instance(seed, zero_cost_probability=zero_cost_probability)
-        spec = build_spec(kind, inst)
+        spec = mechanism_from_label(kind, inst)
         report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=max_rounds))
         stats.runs += 1
         if report.converged:

@@ -1,0 +1,204 @@
+"""Per-rule reference for the auction kernel in `bidarena.mechanisms`.
+
+Each rule's winner, payment and minimum winning bid, derived separately from
+that rule's own definition rather than from reserves and shifts. The tests
+compare the kernel against these functions; the package never imports them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, BidderDependent,
+                                 GlobalCostMultiplier, MechanismSpec, SecondPrice,
+                                 SingleBidderCalibrated, Threshold, auction_dep_required,
+                                 bidder_dep_required, single_required)
+from bidarena.model import ZERO, Instance
+from bidarena.rationals import Infinity
+
+
+def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
+                bids: Sequence[Fraction]) -> AuctionResult:
+    """Resolve auction `auction` under `spec` for the given bid column."""
+    if len(bids) != inst.num_bidders:
+        raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
+
+    if isinstance(spec, SecondPrice):
+        best = 0
+        runner: int | None = None
+        for i in range(1, len(bids)):
+            if bids[i] > bids[best]:
+                runner = best
+                best = i
+            elif runner is None or bids[i] > bids[runner]:
+                runner = i
+        payment = bids[runner] if runner is not None else ZERO
+        return AuctionResult(best, payment)
+
+    if isinstance(spec, GlobalCostMultiplier):
+        gamma = spec.gamma
+        best = runner = None
+        best_s = runner_s = ZERO
+        for i, bid in enumerate(bids):
+            cost = inst.costs[i][auction]
+            score = bid - gamma * cost if cost else bid
+            if score < 0:
+                continue
+            if best is None or score > best_s:
+                runner, runner_s = best, best_s
+                best, best_s = i, score
+            elif runner is None or score > runner_s:
+                runner, runner_s = i, score
+        if best is None:
+            return AuctionResult(None, ZERO)
+        payment = spec.gamma * inst.costs[best][auction] + (runner_s if runner is not None else ZERO)
+        return AuctionResult(best, payment)
+
+    if isinstance(spec, SingleBidderCalibrated):
+        required = single_required(spec.cost_multiplier, inst.costs[0][auction])
+        if isinstance(required, Infinity) or bids[0] < required:
+            return AuctionResult(None, ZERO)
+        return AuctionResult(0, required)
+
+    if isinstance(spec, AuctionDependent):
+        rw = spec.rightful_winner[auction]
+        if rw is None:
+            return AuctionResult(None, ZERO)
+        alpha = spec.cost_multiplier[auction]
+        assert alpha is not None
+        rw_value = inst.values[rw][auction]
+        best = runner = None
+        best_s = runner_s = ZERO
+        for i, bid in enumerate(bids):
+            required = auction_dep_required(alpha, inst.costs[i][auction], rw_value)
+            if isinstance(required, Infinity):
+                continue
+            score = bid - required
+            if best is None or score > best_s:
+                runner, runner_s = best, best_s
+                best, best_s = i, score
+            elif runner is None or score > runner_s:
+                runner, runner_s = i, score
+        if best is None or best_s < 0:
+            return AuctionResult(None, ZERO)
+        required = auction_dep_required(alpha, inst.costs[best][auction], rw_value)
+        assert isinstance(required, Fraction)
+        rival = runner_s if runner is not None and runner_s > 0 else ZERO
+        return AuctionResult(best, required + rival)
+
+    if isinstance(spec, BidderDependent):
+        best = runner = None
+        best_s = runner_s = ZERO
+        for i, bid in enumerate(bids):
+            required = bidder_dep_required(spec.cost_multiplier[i], inst.costs[i][auction])
+            if isinstance(required, Infinity) or bid < required:
+                continue
+            score = bid - inst.costs[i][auction]
+            if best is None or score > best_s:
+                runner, runner_s = best, best_s
+                best, best_s = i, score
+            elif runner is None or score > runner_s:
+                runner, runner_s = i, score
+        if best is None:
+            return AuctionResult(None, ZERO)
+        required = bidder_dep_required(spec.cost_multiplier[best], inst.costs[best][auction])
+        assert isinstance(required, Fraction)
+        if runner is not None:
+            required = max(required, runner_s + inst.costs[best][auction])
+        return AuctionResult(best, required)
+
+    raise TypeError(f"unknown mechanism: {spec!r}")
+
+
+def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: int,
+                    bids: Sequence[Fraction]) -> Threshold:
+    """Smallest bid with which `bidder` wins `auction`, rivals' bids fixed.
+
+    Entry `bidder` of `bids` is ignored. The value is infinite when the
+    bidder can never win; `inclusive` follows the lowest-index tie-break.
+    """
+    if isinstance(spec, SecondPrice):
+        best: Fraction | None = None
+        best_i = 0
+        for i, bid in enumerate(bids):
+            if i == bidder:
+                continue
+            if best is None or bid > best:
+                best, best_i = bid, i
+        if best is None:
+            return Threshold(ZERO, True)
+        return Threshold(best, bidder < best_i)
+
+    if isinstance(spec, GlobalCostMultiplier):
+        gamma = spec.gamma
+        own = gamma * inst.costs[bidder][auction]
+        best = None
+        best_i = 0
+        for i, bid in enumerate(bids):
+            if i == bidder:
+                continue
+            cost = inst.costs[i][auction]
+            score = bid - gamma * cost if cost else bid
+            if score < 0:
+                continue
+            if best is None or score > best:
+                best, best_i = score, i
+        if best is None:
+            return Threshold(own, True)
+        return Threshold(own + best, bidder < best_i)
+
+    if isinstance(spec, SingleBidderCalibrated):
+        required = single_required(spec.cost_multiplier, inst.costs[0][auction])
+        if isinstance(required, Infinity):
+            return NEVER
+        return Threshold(required, True)
+
+    if isinstance(spec, AuctionDependent):
+        rw = spec.rightful_winner[auction]
+        if rw is None:
+            return NEVER
+        alpha = spec.cost_multiplier[auction]
+        assert alpha is not None
+        rw_value = inst.values[rw][auction]
+        own = auction_dep_required(alpha, inst.costs[bidder][auction], rw_value)
+        if isinstance(own, Infinity):
+            return NEVER
+        best = None
+        best_i = 0
+        for i, bid in enumerate(bids):
+            if i == bidder:
+                continue
+            required = auction_dep_required(alpha, inst.costs[i][auction], rw_value)
+            if isinstance(required, Infinity):
+                continue
+            score = bid - required
+            if best is None or score > best:
+                best, best_i = score, i
+        if best is None or best < 0:
+            return Threshold(own, True)
+        return Threshold(own + best, bidder < best_i)
+
+    if isinstance(spec, BidderDependent):
+        own = bidder_dep_required(spec.cost_multiplier[bidder], inst.costs[bidder][auction])
+        if isinstance(own, Infinity):
+            return NEVER
+        best = None
+        best_i = 0
+        for i, bid in enumerate(bids):
+            if i == bidder:
+                continue
+            required = bidder_dep_required(spec.cost_multiplier[i], inst.costs[i][auction])
+            if isinstance(required, Infinity) or bid < required:
+                continue
+            score = bid - inst.costs[i][auction]
+            if best is None or score > best:
+                best, best_i = score, i
+        if best is None:
+            return Threshold(own, True)
+        rival = best + inst.costs[bidder][auction]
+        if own > rival:
+            return Threshold(own, True)
+        return Threshold(rival, bidder < best_i)
+
+    raise TypeError(f"unknown mechanism: {spec!r}")

@@ -8,9 +8,8 @@ from bidarena.mechanisms import (AuctionDependent, AuctionResult,
                                  SingleBidderCalibrated, Threshold,
                                  auction_dep_required, bidder_dep_required,
                                  calibrate_single_bidder, compute_auction_params,
-                                 compute_bidder_params, mechanism_from_json,
-                                 mechanism_from_label, mechanism_label,
-                                 mechanism_to_json, min_winning_bid, rightful_winners,
+                                 compute_bidder_params, mechanism_from_label,
+                                 mechanism_label, min_winning_bid, rightful_winners,
                                  run_all, run_auction)
 from bidarena.model import (Instance, MultiplierProfile, bids_from,
                             optimal_welfare, welfare)
@@ -29,18 +28,18 @@ def one_auction(values, costs):
 
 def test_second_price_lone_bidder_pays_zero():
     inst = one_auction([7], [0])
-    assert run_auction(SecondPrice(), inst, 0, [F(7)]) == AuctionResult(0, F(0), None)
+    assert run_auction(SecondPrice(), inst, 0, [F(7)]) == AuctionResult(0, F(0))
 
 
 def test_second_price_pays_second_highest():
     inst = one_auction([3, 5, 4], [0, 0, 0])
     result = run_auction(SecondPrice(), inst, 0, [F(3), F(5), F(4)])
-    assert result == AuctionResult(1, F(4), 2)
+    assert result == AuctionResult(1, F(4))
 
 
 def test_second_price_tie_goes_to_lowest_index():
     inst = one_auction([5, 5], [0, 0])
-    assert run_auction(SecondPrice(), inst, 0, [F(5), F(5)]) == AuctionResult(0, F(5), 1)
+    assert run_auction(SecondPrice(), inst, 0, [F(5), F(5)]) == AuctionResult(0, F(5))
 
 
 def test_second_price_threshold_side_depends_on_index():
@@ -63,19 +62,19 @@ def test_cost_adjusted_second_price_golden():
     # the lowest bid that still tops the field, 4.
     inst = one_auction([5, 3, 4], [1, 2, 1])
     result = run_auction(GlobalCostMultiplier(F(1)), inst, 0, [F(5), F(3), F(4)])
-    assert result == AuctionResult(0, F(4), 2)
+    assert result == AuctionResult(0, F(4))
 
 
 def test_global_discards_negative_scores():
     inst = one_auction([1, 2], [3, 5])
     assert run_auction(GlobalCostMultiplier(F(1)), inst, 0, [F(1), F(2)]) == \
-        AuctionResult(None, F(0), None)
+        AuctionResult(None, F(0))
 
 
 def test_global_payment_includes_own_cost_share():
     inst = one_auction([5, 3], [1, 2])
     result = run_auction(GlobalCostMultiplier(F(2)), inst, 0, [F(5), F(3)])
-    assert result == AuctionResult(0, F(2), None)  # rival score is negative
+    assert result == AuctionResult(0, F(2))  # rival score is negative
 
 
 def test_global_threshold_adds_best_rival_score():
@@ -200,19 +199,19 @@ def test_auction_dep_truthful_run():
     result = run_auction(spec, inst, 0, [F(4), F(3)])
     # Required bids are 5/2 and 5; scores 3/2 and -2; the rival's negative
     # score is floored at zero in the payment.
-    assert result == AuctionResult(0, F(5, 2), 1)
+    assert result == AuctionResult(0, F(5, 2))
 
 
 def test_auction_dep_no_winner_when_top_score_negative():
     inst = one_auction([4, 3], [1, 2])
     spec = compute_auction_params(inst)
-    assert run_auction(spec, inst, 0, [F(2), F(1)]) == AuctionResult(None, F(0), None)
+    assert run_auction(spec, inst, 0, [F(2), F(1)]) == AuctionResult(None, F(0))
 
 
 def test_auction_dep_rw_absent_means_nobody_wins():
     inst = one_auction([1], [2])
     spec = compute_auction_params(inst)
-    assert run_auction(spec, inst, 0, [F(100)]) == AuctionResult(None, F(0), None)
+    assert run_auction(spec, inst, 0, [F(100)]) == AuctionResult(None, F(0))
     assert min_winning_bid(spec, inst, 0, 0, [F(0)]) == Threshold(INF, False)
 
 
@@ -220,7 +219,7 @@ def test_auction_dep_zero_cost_auction_prices_at_half_value():
     inst = one_auction([4, 2], [0, 0])
     spec = compute_auction_params(inst)
     result = run_auction(spec, inst, 0, [F(4), F(2)])
-    assert result == AuctionResult(0, F(2), 1)  # rival score 0, required bid 2
+    assert result == AuctionResult(0, F(2))  # rival score 0, required bid 2
     # A positive-cost bidder can never clear an infinite-alpha auction.
     inst = one_auction([4, 2], [0, 1])
     spec = compute_auction_params(inst)
@@ -258,16 +257,16 @@ def test_bidder_dep_truthful_run():
     spec = compute_bidder_params(inst)
     assert spec.cost_multiplier == (F(3, 2), F(1))
     # Auction 0: both survive their prescreens (5/2 and 2); scores 3 and 1.
-    assert run_auction(spec, inst, 0, [F(4), F(2)]) == AuctionResult(0, F(5, 2), 1)
+    assert run_auction(spec, inst, 0, [F(4), F(2)]) == AuctionResult(0, F(5, 2))
     # Auction 1: bidder 0 is prescreened out (1 < 5/2); bidder 1 pays its own floor.
-    assert run_auction(spec, inst, 1, [F(1), F(3)]) == AuctionResult(1, F(2), None)
+    assert run_auction(spec, inst, 1, [F(1), F(3)]) == AuctionResult(1, F(2))
 
 
 def test_bidder_dep_payment_rises_with_surviving_rival():
     inst = bdep_inst()
     spec = compute_bidder_params(inst)
     # Rival bid 3 survives with score 2, so the winner pays 2 + 1 > its floor.
-    assert run_auction(spec, inst, 0, [F(4), F(3)]) == AuctionResult(0, F(3), 1)
+    assert run_auction(spec, inst, 0, [F(4), F(3)]) == AuctionResult(0, F(3))
 
 
 def test_bidder_dep_threshold_example():
@@ -284,8 +283,8 @@ def test_bidder_dep_infinite_alpha_blocks_costly_bids_only():
     spec = compute_bidder_params(inst)
     assert spec.rightful_auctions == (frozenset({0}),)
     assert spec.cost_multiplier[0] is INF
-    assert run_auction(spec, inst, 0, [F(5)]) == AuctionResult(0, F(0), None)
-    assert run_auction(spec, inst, 1, [F(5)]) == AuctionResult(None, F(0), None)
+    assert run_auction(spec, inst, 0, [F(5)]) == AuctionResult(0, F(0))
+    assert run_auction(spec, inst, 1, [F(5)]) == AuctionResult(None, F(0))
 
 
 # --- single-bidder mechanism ------------------------------------------------
@@ -309,8 +308,8 @@ def test_single_bidder_infinite_reserve_blocks_costly_auctions():
     inst = Instance.from_rows([[1, 1]], [[0, 2]])
     spec = calibrate_single_bidder(inst)
     assert spec.cost_multiplier is INF
-    assert run_auction(spec, inst, 0, [F(1)]) == AuctionResult(0, F(0), None)
-    assert run_auction(spec, inst, 1, [F(100)]) == AuctionResult(None, F(0), None)
+    assert run_auction(spec, inst, 0, [F(1)]) == AuctionResult(0, F(0))
+    assert run_auction(spec, inst, 1, [F(100)]) == AuctionResult(None, F(0))
 
 
 # --- labels and serialization -----------------------------------------------
@@ -326,21 +325,6 @@ def test_mechanism_from_label_rejects_unknown():
     inst = Instance.from_rows([[1]], [[1]])
     with pytest.raises(ValueError, match="unknown mechanism"):
         mechanism_from_label("first-price", inst)
-
-
-def test_mechanism_json_round_trip():
-    inst = Instance.from_rows([[2, 1]], [[1, 1]])
-    for label in ["second-price", "global:2", "auction-dep", "bidder-dep"]:
-        spec = mechanism_from_label(label, inst)
-        assert mechanism_from_json(mechanism_to_json(spec), inst) == spec
-
-
-def test_mechanism_json_revalidates_single_bidder_alpha():
-    inst = Instance.from_rows([[2, 1]], [[1, 1]])
-    spec = calibrate_single_bidder(inst)
-    assert mechanism_from_json(mechanism_to_json(spec), inst) == spec
-    with pytest.raises(ValueError, match="does not match"):
-        mechanism_from_json({"kind": "single-bidder", "alpha": "7/1"}, inst)
 
 
 # --- cross-mechanism properties ----------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from bidarena.rationals import (INF, as_fraction, decimal_text, format_ratio,
-                                format_rational, is_finite, parse_rational)
+                                format_rational, parse_rational)
 
 
 def test_parse_ratio_text():
@@ -48,7 +48,6 @@ def test_infinity_ordering():
     assert INF > Fraction(10**9)
     assert not INF <= Fraction(10**9)
     assert INF >= INF and INF <= INF
-    assert is_finite(Fraction(1)) and not is_finite(INF)
 
 
 def test_infinity_is_a_singleton():

@@ -1,12 +1,10 @@
 from fractions import Fraction
 
-import pytest
-
 from bidarena.mechanisms import (AuctionDependent, BidderDependent,
                                  GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated)
 from bidarena.model import MultiplierProfile
-from bidarena.verify import (build_spec, equilibrium_family, family_instance,
+from bidarena.verify import (equilibrium_family, family_instance,
                              accounting_checks, myerson_checks, oracle_agreement,
                              probe_profile, run_verify_suite,
                              single_bidder_family, standard_specs,
@@ -37,17 +35,6 @@ def test_standard_specs_cover_every_mechanism():
     single = standard_specs(family_instance(1, num_bidders=1))
     assert isinstance(single[-1], SingleBidderCalibrated)
     assert len(single) == 6
-
-
-def test_build_spec_labels():
-    inst = family_instance(3, num_bidders=1)
-    assert isinstance(build_spec("second-price", inst), SecondPrice)
-    assert build_spec("global:3/2", inst) == GlobalCostMultiplier(F(3, 2))
-    assert isinstance(build_spec("auction-dep", inst), AuctionDependent)
-    assert isinstance(build_spec("bidder-dep", inst), BidderDependent)
-    assert isinstance(build_spec("single-bidder", inst), SingleBidderCalibrated)
-    with pytest.raises(ValueError, match="unknown mechanism"):
-        build_spec("posted-price", inst)
 
 
 def test_equilibrium_family_smoke():
