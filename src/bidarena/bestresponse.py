@@ -150,9 +150,9 @@ def best_response_oracle(problem: ResponseProblem, grid_size: int = 50) -> Respo
         outcome = run_all(spec, inst, MultiplierProfile(tuple(rivals)))
         value = payment = ZERO
         won = []
-        for j, flag in enumerate(outcome.allocation[bidder]):
-            if flag:
-                payment += outcome.payments[bidder][j]
+        for j, (winner, price) in enumerate(zip(outcome.winners, outcome.prices)):
+            if winner == bidder:
+                payment += price
                 if inst.values[bidder][j]:
                     value += inst.values[bidder][j]
                     won.append(j)

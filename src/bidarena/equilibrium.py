@@ -5,8 +5,10 @@ bidders update to their exact best response in index order. The dynamics
 converge when a full pass changes nobody. Convergence is then re-checked
 independently (`verified`): every bidder's best-response value may exceed its
 achieved value by at most `value_tolerance`, and every bidder's ROI
-constraint must hold in the realized outcome. Non-convergence within
-`max_rounds` is reported, never raised.
+constraint must hold in the realized outcome. A reply computed since the
+last move is still the best response to the final bids, so verification
+reuses it and recomputes only the rest. Non-convergence within `max_rounds`
+is reported, never raised.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bestresponse import best_response_against_bids
+from .bestresponse import ResponseResult, best_response_against_bids
 from .mechanisms import (BidderDependent, MechanismSpec, bidder_dep_required, run_all)
 from .model import (Instance, MultiplierProfile, Outcome, ZERO, bidder_payment,
                     bidder_value, optimal_welfare, welfare)
@@ -43,7 +45,7 @@ class Diagnostics:
     their calibrated one: `aggressive` bid at or above it, `conservative`
     below (an infinite calibration is never reached, so those bidders are
     conservative). `core_welfare` adds up allocated value minus cost on
-    conservative bidders' core auctions; `payment_surplus` adds payments
+    conservative bidders' core auctions; `payment_surplus` adds prices
     minus winner costs over aggressive bidders' rightful auctions and over
     core auctions lost by their conservative owner. At a verified
     equilibrium each is a welfare lower bound.
@@ -81,6 +83,9 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
         theta = [Fraction(1)] * n
 
     bid_rows = [[t * v if v else v for v in inst.values[i]] for i, t in enumerate(theta)]
+    # replies[i] is i's best response to the current bids, or None once a
+    # rival has moved since it was computed (a reply ignores its own row).
+    replies: list[ResponseResult | None] = [None] * n
     converged = False
     rounds_used = 0
     for _ in range(config.max_rounds):
@@ -91,7 +96,9 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
             if reply.multiplier != theta[i]:
                 theta[i] = reply.multiplier
                 bid_rows[i] = [theta[i] * v if v else v for v in inst.values[i]]
+                replies = [None] * n
                 changed = True
+            replies[i] = reply
         if not changed:
             converged = True
             break
@@ -100,13 +107,12 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     outcome = run_all(spec, inst, profile)
 
     verified = True
-    for i in range(n):
-        reply = best_response_against_bids(inst, spec, i, bid_rows)
+    for i, reply in enumerate(replies):
+        if reply is None:
+            reply = best_response_against_bids(inst, spec, i, bid_rows)
         achieved = bidder_value(inst, outcome, i)
-        if reply.total_value - achieved > config.value_tolerance:
-            verified = False
-            break
-        if bidder_value(inst, outcome, i) < bidder_payment(outcome, i):
+        if (reply.total_value - achieved > config.value_tolerance
+                or achieved < bidder_payment(outcome, i)):
             verified = False
             break
 
@@ -126,20 +132,21 @@ def poa_ratio(inst: Instance, outcome: Outcome) -> Fraction:
     return welfare(inst, outcome) / opt
 
 
+def core_auctions(inst: Instance, spec: BidderDependent) -> tuple[frozenset[int], ...]:
+    """Per bidder, its rightful auctions whose value reaches its own
+    prescreen level (1 + alpha) * cost."""
+    return tuple(
+        frozenset(j for j in rightful
+                  if inst.values[i][j] >= bidder_dep_required(alpha, inst.costs[i][j]))
+        for i, (rightful, alpha) in enumerate(zip(spec.rightful_auctions,
+                                                  spec.cost_multiplier)))
+
+
 def diagnostics(inst: Instance, spec: BidderDependent, profile: MultiplierProfile,
                 outcome: Outcome) -> Diagnostics:
     """Accounting described on `Diagnostics`; `outcome` must come from `spec`."""
     n = inst.num_bidders
-    core: list[frozenset[int]] = []
-    for i in range(n):
-        alpha = spec.cost_multiplier[i]
-        members = set()
-        for j in spec.rightful_auctions[i]:
-            required = bidder_dep_required(alpha, inst.costs[i][j])
-            if not isinstance(required, Infinity) and inst.values[i][j] >= required:
-                members.add(j)
-        core.append(frozenset(members))
-
+    core = core_auctions(inst, spec)
     aggressive = frozenset(
         i for i in range(n)
         if not isinstance(spec.cost_multiplier[i], Infinity)
@@ -147,30 +154,19 @@ def diagnostics(inst: Instance, spec: BidderDependent, profile: MultiplierProfil
     )
     conservative = frozenset(range(n)) - aggressive
 
-    # Per auction: total payment minus the winner's cost.
-    paid_minus_cost = []
-    for j in range(inst.num_auctions):
-        total = ZERO
-        for i in range(n):
-            total += outcome.payments[i][j]
-            if outcome.allocation[i][j]:
-                total -= inst.costs[i][j]
-        paid_minus_cost.append(total)
+    winners = outcome.winners
+    # Per auction: the price minus the winner's cost (zero when unsold).
+    paid_minus_cost = [ZERO if w is None else price - inst.costs[w][j]
+                       for j, (w, price) in enumerate(zip(winners, outcome.prices))]
 
-    core_welfare = ZERO
-    for i in conservative:
-        for j in core[i]:
-            if outcome.allocation[i][j]:
-                core_welfare += inst.values[i][j] - inst.costs[i][j]
-
-    payment_surplus = ZERO
+    core_welfare = payment_surplus = ZERO
     for i in aggressive:
         for j in spec.rightful_auctions[i]:
             payment_surplus += paid_minus_cost[j]
     for i in conservative:
         for j in core[i]:
-            own = outcome.payments[i][j]
-            if outcome.allocation[i][j]:
-                own -= inst.costs[i][j]
-            payment_surplus += paid_minus_cost[j] - own
-    return Diagnostics(tuple(core), aggressive, conservative, core_welfare, payment_surplus)
+            if winners[j] == i:
+                core_welfare += inst.values[i][j] - inst.costs[i][j]
+            else:
+                payment_surplus += paid_minus_cost[j]
+    return Diagnostics(core, aggressive, conservative, core_welfare, payment_surplus)

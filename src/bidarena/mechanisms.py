@@ -364,20 +364,8 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
 def run_all(spec: MechanismSpec, inst: Instance, profile: MultiplierProfile) -> Outcome:
     """Run every auction under uniform bids derived from `profile`."""
     bids = bids_from(profile, inst)
-    n, m = inst.num_bidders, inst.num_auctions
-    allocation = [[0] * m for _ in range(n)]
-    payments = [[ZERO] * m for _ in range(n)]
-    winners: list[int | None] = []
-    for j in range(m):
-        column = [bids[i][j] for i in range(n)]
-        result = run_auction(spec, inst, j, column)
-        winners.append(result.winner)
-        if result.winner is not None:
-            allocation[result.winner][j] = 1
-            payments[result.winner][j] = result.payment
-    return Outcome(tuple(tuple(row) for row in allocation),
-                   tuple(tuple(row) for row in payments),
-                   tuple(winners))
+    results = [run_auction(spec, inst, j, column) for j, column in enumerate(zip(*bids))]
+    return Outcome(tuple(r.winner for r in results), tuple(r.payment for r in results))
 
 
 # ---------------------------------------------------------------------------

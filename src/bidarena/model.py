@@ -1,10 +1,11 @@
-"""Market model: bidders, auctions, values, user costs, allocations.
+"""Market model: bidders, auctions, values, user costs, outcomes.
 
 Bidder i has value values[i][j] and imposes user cost costs[i][j] when it
 wins auction j. Bidders are ROI-constrained value maximizers: they maximize
 won value subject to total payment not exceeding total won value. Welfare
 counts value minus user cost, so an allocation can destroy welfare even
-though every bid is nonnegative.
+though every bid is nonnegative. Every rule sells each auction to at most one
+bidder at one price, so an outcome is one (winner, price) pair per auction.
 """
 
 from __future__ import annotations
@@ -93,29 +94,18 @@ class MultiplierProfile:
 
 @dataclass(frozen=True, slots=True)
 class Outcome:
-    """Allocation and payments across all auctions.
+    """Per auction j, its winner winners[j] (None when nobody clears) and the
+    price prices[j] that winner pays (zero when there is no winner)."""
 
-    allocation[i][j] is 0/1, payments[i][j] is 0 for losers, and winners[j]
-    names the (at most one) winner of auction j.
-    """
-
-    allocation: tuple[tuple[int, ...], ...]
-    payments: Matrix
     winners: tuple[int | None, ...]
+    prices: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        m = len(self.winners)
-        for j in range(m):
-            column = [i for i in range(len(self.allocation)) if self.allocation[i][j]]
-            if len(column) > 1:
-                raise ValueError(f"auction {j} has multiple winners: {column}")
-            winner = column[0] if column else None
-            if winner != self.winners[j]:
-                raise ValueError(f"auction {j}: winners[{j}]={self.winners[j]} "
-                                 f"but allocation says {winner}")
-            for i, row in enumerate(self.payments):
-                if i != winner and row[j] != 0:
-                    raise ValueError(f"auction {j}: loser {i} has nonzero payment {row[j]}")
+        if len(self.prices) != len(self.winners):
+            raise ValueError(f"{len(self.winners)} winners but {len(self.prices)} prices")
+        for j, (winner, price) in enumerate(zip(self.winners, self.prices)):
+            if winner is None and price != 0:
+                raise ValueError(f"auction {j} has no winner but price {price}")
 
 
 def bids_from(profile: MultiplierProfile, inst: Instance) -> Matrix:
@@ -134,12 +124,8 @@ def bids_from(profile: MultiplierProfile, inst: Instance) -> Matrix:
 
 def welfare(inst: Instance, outcome: Outcome) -> Fraction:
     """Total value minus user cost of the allocation. Can be negative."""
-    total = ZERO
-    for i, row in enumerate(outcome.allocation):
-        for j, won in enumerate(row):
-            if won:
-                total += inst.values[i][j] - inst.costs[i][j]
-    return total
+    return sum((inst.values[i][j] - inst.costs[i][j]
+                for j, i in enumerate(outcome.winners) if i is not None), ZERO)
 
 
 def optimal_welfare(inst: Instance) -> Fraction:
@@ -154,12 +140,12 @@ def optimal_welfare(inst: Instance) -> Fraction:
 
 
 def bidder_value(inst: Instance, outcome: Outcome, bidder: int) -> Fraction:
-    return sum((inst.values[bidder][j] for j, won in enumerate(outcome.allocation[bidder]) if won),
+    return sum((inst.values[bidder][j] for j, i in enumerate(outcome.winners) if i == bidder),
                ZERO)
 
 
 def bidder_payment(outcome: Outcome, bidder: int) -> Fraction:
-    return sum(outcome.payments[bidder], ZERO)
+    return sum((p for i, p in zip(outcome.winners, outcome.prices) if i == bidder), ZERO)
 
 
 def roi_satisfied(inst: Instance, outcome: Outcome, bidder: int) -> bool:

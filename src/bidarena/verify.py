@@ -14,16 +14,14 @@ from typing import Iterable, Sequence
 
 from .bestresponse import (ResponseProblem, best_response, best_response_oracle,
                            quasilinear_best_bid_check)
-from .equilibrium import DynamicsConfig, diagnostics, run_dynamics
+from .equilibrium import DynamicsConfig, core_auctions, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, instance_to_json, random_instance
 from .mechanisms import (GlobalCostMultiplier, MechanismSpec, SecondPrice,
-                         bidder_dep_required, compute_auction_params,
-                         compute_bidder_params, calibrate_single_bidder,
-                         mechanism_from_label, mechanism_label, min_winning_bid, run_all,
-                         run_auction)
+                         compute_auction_params, compute_bidder_params,
+                         calibrate_single_bidder, mechanism_from_label, mechanism_label,
+                         min_winning_bid, run_all, run_auction)
 from .model import (Instance, MultiplierProfile, ZERO, bids_from, optimal_welfare,
                     roi_satisfied, welfare)
-from .rationals import Infinity
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -150,17 +148,11 @@ def accounting_checks(seeds: Iterable[int], *, max_rounds: int = 50) -> CheckSta
         inst = family_instance(seed)
         spec = compute_bidder_params(inst)
 
-        for i in range(inst.num_bidders):
-            alpha = spec.cost_multiplier[i]
-            rightful = spec.rightful_auctions[i]
-            core_total = ZERO
-            full_total = ZERO
-            for j in rightful:
-                margin = inst.values[i][j] - inst.costs[i][j]
-                full_total += margin
-                required = bidder_dep_required(alpha, inst.costs[i][j])
-                if not isinstance(required, Infinity) and inst.values[i][j] >= required:
-                    core_total += margin
+        for i, core in enumerate(core_auctions(inst, spec)):
+            margins = {j: inst.values[i][j] - inst.costs[i][j]
+                       for j in spec.rightful_auctions[i]}
+            core_total = sum((margins[j] for j in core), ZERO)
+            full_total = sum(margins.values(), ZERO)
             stats.checks += 1
             if 2 * core_total < full_total:
                 stats.violations.append(_describe(
@@ -225,11 +217,11 @@ def myerson_checks(seeds: Iterable[int]) -> CheckStats:
                     column = [bids[i][j] for i in range(inst.num_bidders)]
                     t = min_winning_bid(spec, inst, j, winner, column)
                     stats.checks += 1
-                    if t.value != outcome.payments[winner][j] or not t.admits(column[winner]):
+                    if t.value != outcome.prices[j] or not t.admits(column[winner]):
                         stats.violations.append(_describe(
                             seed, inst,
                             f"{mechanism_label(spec)}: auction {j} payment "
-                            f"{outcome.payments[winner][j]} vs threshold {t}"))
+                            f"{outcome.prices[j]} vs threshold {t}"))
                         continue
                     for raised in (column[winner] + 1, 2 * column[winner] + 1):
                         bumped = list(column)

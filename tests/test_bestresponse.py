@@ -104,11 +104,12 @@ def test_best_response_is_feasible_and_replayable(pair):
             played = list(profile.multipliers)
             played[bidder] = result.multiplier
             outcome = run_all(spec, inst, MultiplierProfile(tuple(played)))
-            won = frozenset(j for j, flag in enumerate(outcome.allocation[bidder])
-                            if flag and inst.values[bidder][j])
+            won = frozenset(j for j, winner in enumerate(outcome.winners)
+                            if winner == bidder and inst.values[bidder][j])
             assert won == result.won_auctions
             assert sum((inst.values[bidder][j] for j in won), F(0)) == result.total_value
-            assert sum(outcome.payments[bidder], F(0)) == result.total_payment
+            assert sum((p for w, p in zip(outcome.winners, outcome.prices) if w == bidder),
+                       F(0)) == result.total_payment
 
 
 @settings(max_examples=50, deadline=None)
@@ -129,10 +130,10 @@ def test_best_response_beats_truthful_bidding(pair):
             outcome = run_all(spec, inst, MultiplierProfile(tuple(played)))
             base_value = F(0)
             base_payment = F(0)
-            for j, flag in enumerate(outcome.allocation[bidder]):
-                if flag:
+            for j, (winner, price) in enumerate(zip(outcome.winners, outcome.prices)):
+                if winner == bidder:
                     base_value += inst.values[bidder][j]
-                    base_payment += outcome.payments[bidder][j]
+                    base_payment += price
             if base_value >= base_payment:
                 assert result.total_value >= base_value
 

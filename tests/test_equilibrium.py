@@ -3,13 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from bidarena import equilibrium
+from bidarena.bestresponse import ResponseProblem, best_response
 from bidarena.equilibrium import (Diagnostics, DynamicsConfig, diagnostics,
                                   poa_ratio, run_dynamics)
 from bidarena.mechanisms import (SecondPrice, calibrate_single_bidder,
                                  compute_auction_params, compute_bidder_params,
                                  run_all)
-from bidarena.model import Instance, MultiplierProfile
+from bidarena.model import Instance, MultiplierProfile, bidder_value, roi_satisfied
 from bidarena.rationals import parse_rational
+from bidarena.verify import family_instance, standard_specs
 
 from conftest import all_specs, small_instances
 
@@ -160,3 +163,50 @@ def test_bidder_dependent_bound_holds_at_equilibrium(inst):
     if report.converged and report.verified:
         diag = report.diagnostics
         assert max(diag.core_welfare, diag.payment_surplus) <= report.welfare
+
+
+def independently_verified(inst, spec, report) -> bool:
+    """The `verified` rule recomputed from scratch: every bidder's best
+    response to the final profile gains it no value, and ROI holds."""
+    for i in range(inst.num_bidders):
+        achieved = bidder_value(inst, report.outcome, i)
+        reply = best_response(ResponseProblem(i, inst, spec, report.profile))
+        if reply.total_value > achieved or not roi_satisfied(inst, report.outcome, i):
+            return False
+    return True
+
+
+def test_verification_with_reused_replies_matches_a_fresh_recompute():
+    # Cut-off runs (one to three rounds) end with replies computed against
+    # older bids, so any reply kept past a rival's move would show up here.
+    mismatches = []
+    for seed in range(60):
+        inst = family_instance(seed)
+        for spec in standard_specs(inst):
+            for rounds in (1, 2, 3):
+                report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=rounds))
+                if report.verified != independently_verified(inst, spec, report):
+                    mismatches.append((seed, spec, rounds))
+    assert mismatches == []
+
+
+def test_converged_run_verifies_without_extra_best_responses(monkeypatch):
+    calls = 0
+    original = equilibrium.best_response_against_bids
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(equilibrium, "best_response_against_bids", counted)
+    checked = 0
+    for seed in range(40):
+        inst = family_instance(seed)
+        for spec in standard_specs(inst):
+            calls = 0
+            report = run_dynamics(inst, spec)
+            if report.converged:
+                checked += 1
+                assert calls == report.rounds_used * inst.num_bidders
+    assert checked > 100

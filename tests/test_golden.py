@@ -19,6 +19,7 @@ RUN_DIGESTS = {
 }
 SWEEP_DIGEST = "162aab3a57841890ec14826e3f1ed39e94a9b50caaaaae4e3ab99b18a44f10c9"
 DEBUG_BR_DIGEST = "9d8f176a7621f2754604b38acec70672218924663d0d62dc495f63093be6a259"
+VERIFY_DIGEST = "7fd811aa198a40e3630e1fadc001d9f4bdd81dbd8afba4d0ee376ca5bef7c54c"
 
 
 def stdout_digest(capsys, argv: list[str]) -> str:
@@ -55,3 +56,7 @@ def test_debug_br_output_is_pinned(capsys, markets):
     argv = ["debug-br", markets["multi"], "--mechanism", "bidder-dep", "--bidder", "2",
             "--profile", "1,3/2,2,1,5/4,1"]
     assert stdout_digest(capsys, argv) == DEBUG_BR_DIGEST
+
+
+def test_verify_output_is_pinned(capsys):
+    assert stdout_digest(capsys, ["verify", "--seeds", "24"]) == VERIFY_DIGEST

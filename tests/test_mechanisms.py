@@ -294,7 +294,7 @@ def test_single_bidder_reserves_and_run():
     spec = calibrate_single_bidder(inst)
     out = run_all(spec, inst, MultiplierProfile.of(["3/2"]))
     assert out.winners == (0, 0, None)
-    assert out.payments[0] == (F(3, 2), F(3, 2), F(0))
+    assert out.prices == (F(3, 2), F(3, 2), F(0))
 
 
 def test_single_bidder_thresholds_are_reserves():
@@ -341,7 +341,7 @@ def test_winner_pays_its_threshold_and_clears_it(pair):
                 continue
             column = [bids[i][j] for i in range(inst.num_bidders)]
             t = min_winning_bid(spec, inst, j, winner, column)
-            assert t.value == out.payments[winner][j]
+            assert t.value == out.prices[j]
             assert not isinstance(t.value, Infinity)
             assert t.admits(column[winner])
 

@@ -85,13 +85,10 @@ def test_bids_dominate_values(pair):
 
 
 def outcome_single_winner(inst, winner, auction, payment):
-    n, m = inst.num_bidders, inst.num_auctions
-    allocation = tuple(tuple(1 if (i == winner and j == auction) else 0 for j in range(m))
-                       for i in range(n))
-    payments = tuple(tuple(payment if (i == winner and j == auction) else Fraction(0)
-                           for j in range(m)) for i in range(n))
+    m = inst.num_auctions
     winners = tuple(winner if j == auction else None for j in range(m))
-    return Outcome(allocation, payments, winners)
+    prices = tuple(payment if j == auction else Fraction(0) for j in range(m))
+    return Outcome(winners, prices)
 
 
 def test_welfare_counts_value_minus_cost():
@@ -108,8 +105,7 @@ def test_welfare_can_be_negative():
 
 def test_welfare_of_empty_allocation_is_zero():
     inst = inst_2x2()
-    empty = Outcome(((0, 0), (0, 0)),
-                    ((Fraction(0),) * 2,) * 2, (None, None))
+    empty = Outcome((None, None), (Fraction(0),) * 2)
     assert welfare(inst, empty) == 0
 
 
@@ -127,9 +123,7 @@ def test_optimal_welfare_is_invariant_under_bidder_order(inst):
 
 def test_roi_compares_value_to_payment():
     inst = Instance.from_rows([[2, 1, 1]], [[0, 0, 0]])
-    out = Outcome(((1, 1, 0),),
-                  ((Fraction(3), Fraction(1), Fraction(0)),),
-                  (0, 0, None))
+    out = Outcome((0, 0, None), (Fraction(3), Fraction(1), Fraction(0)))
     assert bidder_value(inst, out, 0) == 3
     assert bidder_payment(out, 0) == 4
     assert not roi_satisfied(inst, out, 0)
@@ -138,23 +132,21 @@ def test_roi_compares_value_to_payment():
 def test_roi_holds_on_boundary_and_without_wins():
     inst = Instance.from_rows([[2]], [[0]])
     assert roi_satisfied(inst, outcome_single_winner(inst, 0, 0, Fraction(2)), 0)
-    empty = Outcome(((0,),), ((Fraction(0),),), (None,))
+    empty = Outcome((None,), (Fraction(0),))
     assert roi_satisfied(inst, empty, 0)
 
 
-def test_outcome_rejects_two_winners():
-    with pytest.raises(ValueError, match="multiple winners"):
-        Outcome(((1,), (1,)), ((Fraction(0),), (Fraction(0),)), (0,))
+def test_outcome_rejects_price_without_winner():
+    Outcome((0, None), (Fraction(2), Fraction(0)))
+    with pytest.raises(ValueError, match="auction 1 has no winner but price 2"):
+        Outcome((0, None), (Fraction(0), Fraction(2)))
 
 
-def test_outcome_rejects_paying_loser():
-    with pytest.raises(ValueError, match="nonzero payment"):
-        Outcome(((1,), (0,)), ((Fraction(0),), (Fraction(2),)), (0,))
-
-
-def test_outcome_rejects_winner_mismatch():
-    with pytest.raises(ValueError):
-        Outcome(((1,),), ((Fraction(0),),), (None,))
+def test_outcome_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="2 winners but 1 prices"):
+        Outcome((0, None), (Fraction(0),))
+    with pytest.raises(ValueError, match="1 winners but 2 prices"):
+        Outcome((0,), (Fraction(0), Fraction(0)))
 
 
 def test_public_api_exports_resolve():
