@@ -5,12 +5,12 @@ and welfare ratios are computed with `fractions.Fraction`, so every reported
 number is an exact fact about the instance, not an approximation.
 """
 
-from .bestresponse import (ResponseProblem, ResponseResult, best_response,
-                           best_response_oracle, quasilinear_best_bid_check, thresholds)
+from .bestresponse import (ResponseResult, best_response_against_bids,
+                           best_response_oracle, quasilinear_best_bid_check,
+                           threshold_table)
 from .equilibrium import (Diagnostics, DynamicsConfig, EquilibriumReport, diagnostics,
-                          poa_ratio, run_dynamics)
-from .instances import (CounterexampleParams, RandomFamilyParams, counterexample,
-                        load, random_instance, save)
+                          run_dynamics)
+from .instances import RandomFamilyParams, counterexample, load, random_instance, save
 from .mechanisms import (AuctionDependent, AuctionResult, BidderDependent,
                          GlobalCostMultiplier, MechanismSpec, SecondPrice,
                          SingleBidderCalibrated, Threshold, calibrate_single_bidder,
@@ -24,16 +24,16 @@ from .rationals import INF, ExtRational, Infinity, as_fraction, parse_rational
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuctionDependent", "AuctionResult", "BidderDependent", "CounterexampleParams",
+    "AuctionDependent", "AuctionResult", "BidderDependent",
     "Diagnostics", "DynamicsConfig", "EquilibriumReport", "ExtRational",
     "GlobalCostMultiplier", "INF", "Infinity", "Instance", "MechanismSpec",
-    "MultiplierProfile", "Outcome", "RandomFamilyParams", "ResponseProblem",
+    "MultiplierProfile", "Outcome", "RandomFamilyParams",
     "ResponseResult", "SecondPrice", "SingleBidderCalibrated", "Threshold",
-    "as_fraction", "best_response", "best_response_oracle", "bids_from",
+    "as_fraction", "best_response_against_bids", "best_response_oracle", "bids_from",
     "calibrate_single_bidder", "compute_auction_params", "compute_bidder_params",
     "counterexample", "diagnostics", "load", "mechanism_from_label",
-    "min_winning_bid", "optimal_welfare", "parse_rational", "poa_ratio",
+    "min_winning_bid", "optimal_welfare", "parse_rational",
     "quasilinear_best_bid_check", "random_instance", "rightful_winners",
     "roi_satisfied", "run_all", "run_auction", "run_dynamics", "save",
-    "thresholds", "welfare",
+    "threshold_table", "welfare",
 ]

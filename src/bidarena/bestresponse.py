@@ -1,17 +1,18 @@
 """Exact best responses for ROI-constrained uniform bidders.
 
-Fixing rival multipliers fixes, for each auction, the minimum bid that wins.
-Dividing by the bidder's value turns each threshold into a multiplier ratio,
-and the set of auctions won is a prefix of the ratio order: it only grows as
-the multiplier climbs. The best response therefore lives on finitely many
-candidates (each ratio, the midpoints between consecutive ratios, 1, and one
-point past the largest ratio), and each candidate is scored exactly: value is
-the sum of won values, payment the sum of won threshold values, and the
-candidate is feasible when value covers payment.
+Fixing rival bids fixes, for each auction, the minimum bid that wins.
+Dividing by the bidder's value turns each threshold into a multiplier ratio;
+`threshold_table` lists them for the auctions worth contesting. The set of
+auctions won is a prefix of the ratio order: it only grows as the multiplier
+climbs. The best response therefore lives on finitely many candidates (each
+ratio, the midpoints between consecutive ratios, 1, and one point past the
+largest ratio), and each candidate is scored exactly: value is the sum of won
+values, payment the sum of won threshold values, and the candidate is
+feasible when value covers payment.
 
-`best_response_oracle` answers the same question by brute force, simulating
-the full mechanism on a dense multiplier grid. It exists so tests can check
-the two routes agree; it never feeds the dynamics.
+`best_response_oracle` answers the same question by brute force, resolving
+every auction on a dense multiplier grid. It exists so tests can check the
+two routes agree; it never feeds the dynamics.
 """
 
 from __future__ import annotations
@@ -20,28 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .mechanisms import MechanismSpec, Threshold, min_winning_bid, run_auction, run_all
-from .model import Instance, MultiplierProfile, ONE, ZERO, bids_from
+from .mechanisms import MechanismSpec, Threshold, min_winning_bid, run_auction
+from .model import Instance, ONE, ZERO
 from .rationals import Infinity
-
-
-@dataclass(frozen=True, slots=True)
-class ResponseProblem:
-    """One bidder's decision: instance, mechanism, and rival multipliers.
-
-    `others` carries a full profile for convenience; entry `bidder` is ignored.
-    """
-
-    bidder: int
-    inst: Instance
-    spec: MechanismSpec
-    others: MultiplierProfile
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bidder < self.inst.num_bidders:
-            raise ValueError(f"bidder {self.bidder} out of range")
-        if len(self.others.multipliers) != self.inst.num_bidders:
-            raise ValueError("rival profile size does not match the instance")
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,34 +34,15 @@ class ResponseResult:
     total_payment: Fraction
 
 
-def thresholds(problem: ResponseProblem) -> tuple[Threshold, ...]:
-    """Per-auction minimum winning bids against the rival profile."""
-    bids = bids_from(problem.others, problem.inst)
-    n = problem.inst.num_bidders
-    return tuple(
-        min_winning_bid(problem.spec, problem.inst, j, problem.bidder,
-                        [bids[i][j] for i in range(n)])
-        for j in range(problem.inst.num_auctions)
-    )
-
-
-def best_response(problem: ResponseProblem) -> ResponseResult:
-    """Exact best response: maximize won value subject to value >= payment,
-    ties broken toward the smallest multiplier."""
-    bid_rows = bids_from(problem.others, problem.inst)
-    return best_response_against_bids(problem.inst, problem.spec, problem.bidder, bid_rows)
-
-
-def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
-                               bid_rows: Sequence[Sequence[Fraction]]) -> ResponseResult:
-    """Best response given rival bids directly; row `bidder` is ignored.
-
-    The dynamics loop uses this entry point so it can keep one bid matrix
-    up to date instead of rebuilding it for every bidder in every round.
-    """
+def threshold_table(inst: Instance, spec: MechanismSpec, bidder: int,
+                    bid_rows: Sequence[Sequence[Fraction]]
+                    ) -> list[tuple[Fraction, int, Threshold, Fraction]]:
+    """(threshold / value, auction, threshold, value) for each auction the
+    bidder values and can win, in auction order; row `bidder` is ignored."""
     n = inst.num_bidders
-    # (ratio, threshold, value, auction) for auctions worth contesting.
-    contested: list[tuple[Fraction, Threshold, Fraction, int]] = []
+    if not 0 <= bidder < n:
+        raise ValueError(f"bidder {bidder} out of range")
+    table = []
     for j in range(inst.num_auctions):
         value = inst.values[bidder][j]
         if not value:
@@ -87,9 +50,17 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
         t = min_winning_bid(spec, inst, j, bidder, [bid_rows[i][j] for i in range(n)])
         if isinstance(t.value, Infinity):
             continue
-        contested.append((t.value / value, t, value, j))
+        table.append((t.value / value, j, t, value))
+    return table
 
-    breakpoints = sorted({r for r, _, _, _ in contested if r >= 1} | {ONE})
+
+def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
+                               bid_rows: Sequence[Sequence[Fraction]]) -> ResponseResult:
+    """Exact best response to rival bids (row `bidder` is ignored): maximize
+    won value subject to value >= payment, ties broken toward the smallest
+    multiplier."""
+    table = threshold_table(inst, spec, bidder, bid_rows)
+    breakpoints = sorted({r for r, _, _, _ in table if r >= 1} | {ONE})
     candidates = list(breakpoints)
     for low, high in zip(breakpoints, breakpoints[1:]):
         candidates.append((low + high) / 2)
@@ -100,7 +71,7 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     for theta in candidates:
         value = payment = ZERO
         won = []
-        for ratio, t, v, j in contested:
+        for ratio, j, t, v in table:
             if theta > ratio or (theta == ratio and t.inclusive):
                 value += v
                 payment += t.value
@@ -113,24 +84,20 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     return best
 
 
-def best_response_oracle(problem: ResponseProblem, grid_size: int = 50) -> ResponseResult:
-    """Brute-force reference for `best_response`.
+def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
+                         bid_rows: Sequence[Sequence[Fraction]],
+                         grid_size: int = 50) -> ResponseResult:
+    """Brute-force reference for `best_response_against_bids`.
 
     Samples multipliers on a grid over [1, largest ratio + 1], refined between
     consecutive threshold ratios so every constant-won-set interval gets a
-    sample, and evaluates each sample by running the actual mechanism on the
-    full bid profile. Returns the best feasible sample (highest value, then
-    smallest multiplier). Test-only: quadratically slower than the exact
-    enumeration.
+    sample, and evaluates each sample by running every auction on the bid
+    columns with row `bidder` replaced. Returns the best feasible sample
+    (highest value, then smallest multiplier). Test-only: quadratically
+    slower than the exact enumeration.
     """
-    inst, spec, bidder = problem.inst, problem.spec, problem.bidder
-    base = thresholds(problem)
-    ratios = sorted({
-        t.value / inst.values[bidder][j]
-        for j, t in enumerate(base)
-        if inst.values[bidder][j] and not isinstance(t.value, Infinity)
-        and t.value / inst.values[bidder][j] >= 1
-    } | {ONE})
+    ratios = sorted({r for r, _, _, _ in threshold_table(inst, spec, bidder, bid_rows)
+                     if r >= 1} | {ONE})
     top = ratios[-1] + 1
     points = set(ratios)
     points.add(top)
@@ -143,18 +110,19 @@ def best_response_oracle(problem: ResponseProblem, grid_size: int = 50) -> Respo
         for k in range(1, 4):
             points.add(low + quarter * k)
 
-    rivals = list(problem.others.multipliers)
+    values = inst.values[bidder]
+    columns = [list(column) for column in zip(*bid_rows)]
     best: ResponseResult | None = None
     for theta in sorted(points):
-        rivals[bidder] = theta
-        outcome = run_all(spec, inst, MultiplierProfile(tuple(rivals)))
         value = payment = ZERO
         won = []
-        for j, (winner, price) in enumerate(zip(outcome.winners, outcome.prices)):
-            if winner == bidder:
-                payment += price
-                if inst.values[bidder][j]:
-                    value += inst.values[bidder][j]
+        for j, column in enumerate(columns):
+            column[bidder] = theta * values[j]
+            result = run_auction(spec, inst, j, column)
+            if result.winner == bidder:
+                payment += result.payment
+                if values[j]:
+                    value += values[j]
                     won.append(j)
         if payment > value:
             continue

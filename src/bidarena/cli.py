@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bestresponse import ResponseProblem, best_response, thresholds
+from .bestresponse import best_response_against_bids, threshold_table
 from .equilibrium import Diagnostics, DynamicsConfig, EquilibriumReport, run_dynamics
 from .instances import counterexample, instance_to_json, load, random_instance, save, \
     RandomFamilyParams
 from .mechanisms import GlobalCostMultiplier, mechanism_from_label, mechanism_label, \
     mechanism_to_json
-from .model import MultiplierProfile
-from .rationals import Infinity, decimal_text, format_ratio, parse_rational
+from .model import MultiplierProfile, bids_from
+from .rationals import decimal_text, format_ratio, parse_rational
 from .verify import run_verify_suite
 
 CSV_HEADER = ["mechanism", "param_name", "param_value", "welfare", "opt", "ratio",
@@ -152,6 +152,8 @@ def cmd_sweep_global(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     kinds = args.mechanism or ["second-price", "auction-dep", "bidder-dep", "single-bidder"]
     if kinds == ["all"]:
         kinds = ["second-price", "auction-dep", "bidder-dep", "single-bidder"]
@@ -188,29 +190,21 @@ def cmd_debug_br(args: argparse.Namespace) -> int:
     """Print the threshold table behind one bidder's best response."""
     inst = load(args.instance)
     mechanism = mechanism_from_label(args.mechanism, inst)
-    profile = MultiplierProfile.of(args.profile.split(","))
-    problem = ResponseProblem(args.bidder, inst, mechanism, profile)
-    table = thresholds(problem)
-    reply = best_response(problem)
-
-    rows = []
-    for j, t in enumerate(table):
-        value = inst.values[args.bidder][j]
-        if not value or isinstance(t.value, Infinity):
-            continue
-        rows.append((t.value / value, j, t, value))
-    rows.sort()
+    bids = bids_from(MultiplierProfile.of(args.profile.split(",")), inst)
+    table = threshold_table(inst, mechanism, args.bidder, bids)
+    reply = best_response_against_bids(inst, mechanism, args.bidder, bids)
 
     print("auction  threshold  inclusive  ratio  cum_value  cum_payment  feasible")
     cum_value = cum_payment = Fraction(0)
-    for ratio, j, t, value in rows:
+    for ratio, j, t, value in sorted(table):
         cum_value += value
         cum_payment += t.value
         print(f"{j:7d}  {format_ratio(t.value):>9}  {str(t.inclusive).lower():>9}  "
               f"{format_ratio(ratio):>5}  {format_ratio(cum_value):>9}  "
               f"{format_ratio(cum_payment):>11}  {str(cum_value >= cum_payment).lower()}")
-    skipped = [j for j, t in enumerate(table)
-               if inst.values[args.bidder][j] and isinstance(t.value, Infinity)]
+    listed = {j for _, j, _, _ in table}
+    skipped = [j for j, value in enumerate(inst.values[args.bidder])
+               if value and j not in listed]
     if skipped:
         print(f"unwinnable auctions: {skipped}")
     print(f"best multiplier {format_ratio(reply.multiplier)}  "

@@ -1,14 +1,13 @@
 """Round-robin best-response dynamics and equilibrium accounting.
 
-Starting from a profile (all multipliers 1 unless configured otherwise),
-bidders update to their exact best response in index order. The dynamics
-converge when a full pass changes nobody. Convergence is then re-checked
-independently (`verified`): every bidder's best-response value may exceed its
-achieved value by at most `value_tolerance`, and every bidder's ROI
-constraint must hold in the realized outcome. A reply computed since the
-last move is still the best response to the final bids, so verification
-reuses it and recomputes only the rest. Non-convergence within `max_rounds`
-is reported, never raised.
+Starting from truthful bids (all multipliers 1), bidders update to their
+exact best response in index order. The dynamics converge when a full pass
+changes nobody. Convergence is then re-checked independently (`verified`):
+every bidder's best-response value may exceed its achieved value by at most
+`value_tolerance`, and every bidder's ROI constraint must hold in the
+realized outcome. A reply computed since the last move is still the best
+response to the final bids, so verification reuses it and recomputes only
+the rest. Non-convergence within `max_rounds` is reported, never raised.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .rationals import Infinity
 class DynamicsConfig:
     max_rounds: int = 50
     value_tolerance: Fraction = ZERO
-    initial_profile: MultiplierProfile | None = None
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -73,16 +71,11 @@ class EquilibriumReport:
 
 def run_dynamics(inst: Instance, spec: MechanismSpec,
                  config: DynamicsConfig = DynamicsConfig()) -> EquilibriumReport:
-    """Run round-robin best responses until a silent pass or max_rounds."""
+    """Run round-robin best responses from truthful bids (every multiplier
+    1) until a silent pass or max_rounds."""
     n = inst.num_bidders
-    if config.initial_profile is not None:
-        if len(config.initial_profile.multipliers) != n:
-            raise ValueError("initial profile size does not match the instance")
-        theta = list(config.initial_profile.multipliers)
-    else:
-        theta = [Fraction(1)] * n
-
-    bid_rows = [[t * v if v else v for v in inst.values[i]] for i, t in enumerate(theta)]
+    theta = [Fraction(1)] * n
+    bid_rows = [list(row) for row in inst.values]
     # replies[i] is i's best response to the current bids, or None once a
     # rival has moved since it was computed (a reply ignores its own row).
     replies: list[ResponseResult | None] = [None] * n
@@ -122,14 +115,6 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     diag = diagnostics(inst, spec, profile, outcome) if isinstance(spec, BidderDependent) else None
     return EquilibriumReport(profile, converged, rounds_used, verified, outcome,
                              total, opt, poa, diag)
-
-
-def poa_ratio(inst: Instance, outcome: Outcome) -> Fraction:
-    """Welfare of the outcome over optimal welfare; optimum must be positive."""
-    opt = optimal_welfare(inst)
-    if opt <= 0:
-        raise ValueError("optimal welfare is zero; the ratio is undefined")
-    return welfare(inst, outcome) / opt
 
 
 def core_auctions(inst: Instance, spec: BidderDependent) -> tuple[frozenset[int], ...]:

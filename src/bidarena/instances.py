@@ -20,15 +20,6 @@ from .model import Instance
 from .rationals import as_fraction, format_rational, parse_rational
 
 
-@dataclass(frozen=True, slots=True)
-class CounterexampleParams:
-    delta: Fraction
-
-    def __post_init__(self) -> None:
-        if not 0 < self.delta < Fraction(1, 3):
-            raise ValueError(f"delta must lie strictly between 0 and 1/3, got {self.delta}")
-
-
 def counterexample(delta: int | str | Fraction) -> Instance:
     """Worst-case family for global cost multipliers.
 
@@ -39,8 +30,9 @@ def counterexample(delta: int | str | Fraction) -> Instance:
     any single multiplier prices at most one bidder correctly and equilibrium
     welfare is at most 3*delta of the optimum (which is exactly n).
     """
-    params = CounterexampleParams(as_fraction(delta))
-    d = params.delta
+    d = as_fraction(delta)
+    if not 0 < d < Fraction(1, 3):
+        raise ValueError(f"delta must lie strictly between 0 and 1/3, got {d}")
     n = math.floor(1 / d)
     m = 2 * n
     zero = Fraction(0)

@@ -336,6 +336,8 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
     Entry `bidder` of `bids` is ignored. The value is infinite when the
     bidder can never win; `inclusive` follows the lowest-index tie-break.
     """
+    if len(bids) != inst.num_bidders:
+        raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
     reserves, shifts = auction_terms(spec, inst)[auction]
     own = reserves[bidder]
     if isinstance(own, Infinity):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bestresponse import (ResponseProblem, best_response, best_response_oracle,
+from .bestresponse import (best_response_against_bids, best_response_oracle,
                            quasilinear_best_bid_check)
 from .equilibrium import DynamicsConfig, core_auctions, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, instance_to_json, random_instance
@@ -241,12 +241,11 @@ def oracle_agreement(seeds: Iterable[int], *, grid_size: int = 40) -> CheckStats
     stats = CheckStats()
     for seed in seeds:
         inst = family_instance(seed)
-        profile = probe_profile(seed, inst.num_bidders)
+        bids = bids_from(probe_profile(seed, inst.num_bidders), inst)
         bidder = seed % inst.num_bidders
         for spec in standard_specs(inst):
-            problem = ResponseProblem(bidder, inst, spec, profile)
-            exact = best_response(problem)
-            sampled = best_response_oracle(problem, grid_size=grid_size)
+            exact = best_response_against_bids(inst, spec, bidder, bids)
+            sampled = best_response_oracle(inst, spec, bidder, bids, grid_size=grid_size)
             stats.checks += 1
             if exact.total_value != sampled.total_value:
                 stats.violations.append(_describe(

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from bidarena.bestresponse import (ResponseProblem, ResponseResult,
-                                   best_response, best_response_against_bids,
-                                   best_response_oracle,
-                                   quasilinear_best_bid_check, thresholds)
+from bidarena.bestresponse import (ResponseResult, best_response_against_bids,
+                                   best_response_oracle, quasilinear_best_bid_check,
+                                   threshold_table)
 from bidarena.mechanisms import (SecondPrice, Threshold, calibrate_single_bidder,
                                  compute_auction_params, run_all)
 from bidarena.model import Instance, MultiplierProfile, bids_from
@@ -16,21 +15,33 @@ from conftest import all_specs, instances_with_profiles
 F = Fraction
 
 
+def respond(inst, spec, bidder, profile):
+    return best_response_against_bids(inst, spec, bidder, bids_from(profile, inst))
+
+
 def test_problem_validation():
     inst = Instance.from_rows([[1]], [[0]])
-    with pytest.raises(ValueError, match="out of range"):
-        ResponseProblem(1, inst, SecondPrice(), MultiplierProfile.uniform(1))
-    with pytest.raises(ValueError, match="size"):
-        ResponseProblem(0, inst, SecondPrice(), MultiplierProfile.uniform(2))
+    bids = bids_from(MultiplierProfile.uniform(1), inst)
+    for bidder in (1, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            threshold_table(inst, SecondPrice(), bidder, bids)
+        with pytest.raises(ValueError, match="out of range"):
+            best_response_against_bids(inst, SecondPrice(), bidder, bids)
+        with pytest.raises(ValueError, match="out of range"):
+            best_response_oracle(inst, SecondPrice(), bidder, bids)
+    with pytest.raises(ValueError, match="profile has 2 bidders"):
+        bids_from(MultiplierProfile.uniform(2), inst)
 
 
 def test_thresholds_against_calibrated_reserves():
     inst = Instance.from_rows([[2, 1, 1]], [[1, 1, 2]])
     spec = calibrate_single_bidder(inst)
-    problem = ResponseProblem(0, inst, spec, MultiplierProfile.uniform(1))
-    assert thresholds(problem) == (Threshold(F(3, 2), True),
-                                   Threshold(F(3, 2), True),
-                                   Threshold(F(3), True))
+    bids = bids_from(MultiplierProfile.uniform(1), inst)
+    assert threshold_table(inst, spec, 0, bids) == [
+        (F(3, 4), 0, Threshold(F(3, 2), True), F(2)),
+        (F(3, 2), 1, Threshold(F(3, 2), True), F(1)),
+        (F(3), 2, Threshold(F(3), True), F(1)),
+    ]
 
 
 def test_best_response_balances_roi_exactly():
@@ -39,28 +50,25 @@ def test_best_response_balances_roi_exactly():
     # the third would cost 6 for value 4.
     inst = Instance.from_rows([[2, 1, 1]], [[1, 1, 2]])
     spec = calibrate_single_bidder(inst)
-    result = best_response(ResponseProblem(0, inst, spec, MultiplierProfile.uniform(1)))
+    result = respond(inst, spec, 0, MultiplierProfile.uniform(1))
     assert result == ResponseResult(F(3, 2), frozenset({0, 1}), F(3), F(3))
 
 
 def test_best_response_stretches_to_marginal_win():
     inst = Instance.from_rows([[2, 3], [1, 4]], [[0, 0], [0, 0]])
-    problem = ResponseProblem(0, inst, SecondPrice(), MultiplierProfile.uniform(2))
-    result = best_response(problem)
+    result = respond(inst, SecondPrice(), 0, MultiplierProfile.uniform(2))
     assert result == ResponseResult(F(4, 3), frozenset({0, 1}), F(5), F(5))
 
 
 def test_best_response_declines_an_unprofitable_stretch():
     inst = Instance.from_rows([[2, 3], [1, 5]], [[0, 0], [0, 0]])
-    problem = ResponseProblem(0, inst, SecondPrice(), MultiplierProfile.uniform(2))
-    result = best_response(problem)
+    result = respond(inst, SecondPrice(), 0, MultiplierProfile.uniform(2))
     assert result == ResponseResult(F(1), frozenset({0}), F(2), F(1))
 
 
 def test_best_response_ignores_zero_value_auctions():
     inst = Instance.from_rows([[0, 2]], [[0, 0]])
-    result = best_response(ResponseProblem(0, inst, SecondPrice(),
-                                           MultiplierProfile.uniform(1)))
+    result = respond(inst, SecondPrice(), 0, MultiplierProfile.uniform(1))
     assert result.won_auctions == frozenset({1})
     assert result.total_value == 2
     assert result.total_payment == 0
@@ -69,7 +77,7 @@ def test_best_response_ignores_zero_value_auctions():
 def test_best_response_with_nothing_winnable_stays_truthful():
     inst = Instance.from_rows([[1]], [[2]])
     spec = compute_auction_params(inst)
-    result = best_response(ResponseProblem(0, inst, spec, MultiplierProfile.uniform(1)))
+    result = respond(inst, spec, 0, MultiplierProfile.uniform(1))
     assert result == ResponseResult(F(1), frozenset(), F(0), F(0))
 
 
@@ -87,7 +95,7 @@ def test_best_response_prefers_smallest_multiplier_on_ties():
     # resolves to the truthful multiplier.
     inst = Instance.from_rows([[2], [5]], [[0], [0]])
     spec = SecondPrice()
-    result = best_response(ResponseProblem(0, inst, spec, MultiplierProfile.uniform(2)))
+    result = respond(inst, spec, 0, MultiplierProfile.uniform(2))
     assert result.multiplier == 1
     assert result.won_auctions == frozenset()
 
@@ -98,7 +106,7 @@ def test_best_response_is_feasible_and_replayable(pair):
     inst, profile = pair
     for spec in all_specs(inst):
         for bidder in range(inst.num_bidders):
-            result = best_response(ResponseProblem(bidder, inst, spec, profile))
+            result = respond(inst, spec, bidder, profile)
             assert result.multiplier >= 1
             assert result.total_value >= result.total_payment
             played = list(profile.multipliers)
@@ -118,7 +126,7 @@ def test_best_response_beats_truthful_bidding(pair):
     inst, profile = pair
     for spec in all_specs(inst):
         for bidder in range(inst.num_bidders):
-            result = best_response(ResponseProblem(bidder, inst, spec, profile))
+            result = respond(inst, spec, bidder, profile)
             bids = bids_from(profile, inst)
             truthful = best_response_against_bids(inst, spec, bidder, bids)
             assert result.total_value >= truthful.total_value or \
@@ -142,11 +150,11 @@ def test_best_response_beats_truthful_bidding(pair):
 @given(instances_with_profiles())
 def test_best_response_agrees_with_brute_force(pair):
     inst, profile = pair
+    bids = bids_from(profile, inst)
     for spec in all_specs(inst):
         for bidder in range(inst.num_bidders):
-            problem = ResponseProblem(bidder, inst, spec, profile)
-            exact = best_response(problem)
-            sampled = best_response_oracle(problem, grid_size=12)
+            exact = best_response_against_bids(inst, spec, bidder, bids)
+            sampled = best_response_oracle(inst, spec, bidder, bids, grid_size=12)
             assert exact.total_value == sampled.total_value
 
 

@@ -145,6 +145,14 @@ def test_verify_cli_passes(capsys):
     assert "equilibria [second-price" in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_cli_rejects_an_empty_seed_window(seeds, capsys):
+    assert main(["verify", "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert "--seeds must be >= 1" in captured.err
+    assert "all checks passed" not in captured.out
+
+
 def test_verify_cli_single_mechanism(capsys):
     assert main(["verify", "--seeds", "4", "--mechanism", "auction-dep"]) == 0
     out = capsys.readouterr().out
@@ -167,6 +175,14 @@ def test_debug_br_lists_unwinnable_auctions(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "unwinnable auctions: [0]" in out
     assert "best multiplier 1/1  won []" in out
+
+
+def test_debug_br_rejects_a_bidder_out_of_range(two_bidder_market, capsys):
+    assert main(["debug-br", two_bidder_market, "--mechanism", "second-price",
+                 "--bidder", "-1", "--profile", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert "bidder -1 out of range" in captured.err
+    assert captured.out == ""
 
 
 def test_module_entry_point_runs():

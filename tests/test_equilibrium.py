@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from bidarena import equilibrium
-from bidarena.bestresponse import ResponseProblem, best_response
-from bidarena.equilibrium import (Diagnostics, DynamicsConfig, diagnostics,
-                                  poa_ratio, run_dynamics)
+from bidarena.bestresponse import best_response_against_bids
+from bidarena.equilibrium import Diagnostics, DynamicsConfig, diagnostics, run_dynamics
 from bidarena.mechanisms import (SecondPrice, calibrate_single_bidder,
                                  compute_auction_params, compute_bidder_params,
                                  run_all)
-from bidarena.model import Instance, MultiplierProfile, bidder_value, roi_satisfied
+from bidarena.model import (Instance, MultiplierProfile, bidder_value, bids_from,
+                            roi_satisfied)
 from bidarena.rationals import parse_rational
 from bidarena.verify import family_instance, standard_specs
 
@@ -24,13 +24,6 @@ def test_config_validation():
         DynamicsConfig(max_rounds=0)
     with pytest.raises(ValueError, match="value_tolerance"):
         DynamicsConfig(value_tolerance=F(-1))
-
-
-def test_initial_profile_must_fit():
-    inst = Instance.from_rows([[1]], [[0]])
-    config = DynamicsConfig(initial_profile=MultiplierProfile.uniform(2))
-    with pytest.raises(ValueError, match="initial profile"):
-        run_dynamics(inst, SecondPrice(), config)
 
 
 def test_single_bidder_dynamics_reach_the_balanced_multiplier():
@@ -67,29 +60,12 @@ def test_round_cap_reports_instead_of_raising():
     assert report.profile == MultiplierProfile.of(["3/2"])
 
 
-def test_dynamics_respect_initial_profile():
-    inst = Instance.from_rows([[2, 1, 1]], [[1, 1, 2]])
-    spec = calibrate_single_bidder(inst)
-    config = DynamicsConfig(initial_profile=MultiplierProfile.of(["3/2"]))
-    report = run_dynamics(inst, spec, config)
-    assert report.converged
-    assert report.rounds_used == 1
-
-
 def test_poa_undefined_when_nothing_is_worth_winning():
     inst = Instance.from_rows([[1]], [[2]])
     spec = compute_auction_params(inst)
     report = run_dynamics(inst, spec)
     assert report.opt == 0
     assert report.poa is None
-    with pytest.raises(ValueError, match="undefined"):
-        poa_ratio(inst, report.outcome)
-
-
-def test_poa_ratio_matches_report():
-    inst = Instance.from_rows([[5], [3]], [[0], [0]])
-    report = run_dynamics(inst, SecondPrice())
-    assert poa_ratio(inst, report.outcome) == report.poa == 1
 
 
 def test_bidder_dependent_diagnostics_accounting():
@@ -170,7 +146,7 @@ def independently_verified(inst, spec, report) -> bool:
     response to the final profile gains it no value, and ROI holds."""
     for i in range(inst.num_bidders):
         achieved = bidder_value(inst, report.outcome, i)
-        reply = best_response(ResponseProblem(i, inst, spec, report.profile))
+        reply = best_response_against_bids(inst, spec, i, bids_from(report.profile, inst))
         if reply.total_value > achieved or not roi_satisfied(inst, report.outcome, i):
             return False
     return True

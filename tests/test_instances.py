@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidarena.instances import (CounterexampleParams, RandomFamilyParams,
-                                counterexample, instance_from_json,
+from bidarena.instances import (RandomFamilyParams, counterexample, instance_from_json,
                                 instance_to_json, load, random_instance, save)
 from bidarena.model import Instance, optimal_welfare
 
@@ -46,8 +45,8 @@ def test_counterexample_ratios_are_nested():
 
 def test_counterexample_rejects_out_of_range_delta():
     for bad in (F(0), F(1, 3), F(1, 2), F(-1, 4)):
-        with pytest.raises(ValueError, match="delta"):
-            CounterexampleParams(bad)
+        with pytest.raises(ValueError, match="delta must lie strictly between"):
+            counterexample(bad)
     with pytest.raises(ValueError, match="delta"):
         counterexample("1/2")
 

@@ -55,6 +55,15 @@ def test_second_price_threshold_without_rivals_is_zero():
     assert min_winning_bid(SecondPrice(), inst, 0, 0, [F(0)]) == Threshold(F(0), True)
 
 
+def test_threshold_rejects_a_bid_column_of_the_wrong_length():
+    # A short column used to drop the rival bidding 5 and report threshold 0.
+    inst = one_auction([1, 1], [0, 0])
+    with pytest.raises(ValueError, match="expected 2 bids, got 1"):
+        min_winning_bid(SecondPrice(), inst, 0, 0, [F(1)])
+    with pytest.raises(ValueError, match="expected 2 bids, got 3"):
+        min_winning_bid(SecondPrice(), inst, 0, 0, [F(1), F(5), F(0)])
+
+
 # --- global cost multiplier ------------------------------------------------
 
 def test_cost_adjusted_second_price_golden():
