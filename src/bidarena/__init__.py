@@ -8,8 +8,7 @@ number is an exact fact about the instance, not an approximation.
 from .bestresponse import (ResponseResult, best_response_against_bids,
                            best_response_oracle, quasilinear_best_bid_check,
                            threshold_table)
-from .equilibrium import (Diagnostics, DynamicsConfig, EquilibriumReport, diagnostics,
-                          run_dynamics)
+from .equilibrium import Diagnostics, EquilibriumReport, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, counterexample, load, random_instance, save
 from .mechanisms import (AuctionDependent, AuctionResult, BidderDependent,
                          GlobalCostMultiplier, MechanismSpec, SecondPrice,
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuctionDependent", "AuctionResult", "BidderDependent",
-    "Diagnostics", "DynamicsConfig", "EquilibriumReport", "ExtRational",
+    "Diagnostics", "EquilibriumReport", "ExtRational",
     "GlobalCostMultiplier", "INF", "Infinity", "Instance", "MechanismSpec",
     "MultiplierProfile", "Outcome", "RandomFamilyParams",
     "ResponseResult", "SecondPrice", "SingleBidderCalibrated", "Threshold",

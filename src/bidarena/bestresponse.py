@@ -137,8 +137,8 @@ def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int
     """True when bidding the true value maximizes value-minus-payment in one
     auction against fixed rival bids, over a canonical probe set (zero, half
     value, value, double value, and the win threshold plus/minus 1/1000)."""
-    value = inst.values[bidder][auction]
     t = min_winning_bid(spec, inst, auction, bidder, bids)
+    value = inst.values[bidder][auction]
     probes = {ZERO, value / 2, value, 2 * value}
     if not isinstance(t.value, Infinity):
         probes.add(t.value)

@@ -23,8 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bestresponse import best_response_against_bids, threshold_table
-from .equilibrium import Diagnostics, DynamicsConfig, EquilibriumReport, run_dynamics
-from .instances import counterexample, instance_to_json, load, random_instance, save, \
+from .equilibrium import Diagnostics, EquilibriumReport, run_dynamics
+from .instances import counterexample, instance_to_json, load, random_instance, \
     RandomFamilyParams
 from .mechanisms import GlobalCostMultiplier, mechanism_from_label, mechanism_label, \
     mechanism_to_json
@@ -85,9 +85,7 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     inst = load(args.instance)
     mechanism = mechanism_from_label(args.mechanism, inst)
-    config = DynamicsConfig(max_rounds=args.max_rounds,
-                            value_tolerance=parse_rational(args.tolerance))
-    report = run_dynamics(inst, mechanism, config)
+    report = run_dynamics(inst, mechanism, args.max_rounds)
     _write_out(json.dumps(report_to_json(report, mechanism), indent=2) + "\n", args.out)
     return 0
 
@@ -105,8 +103,7 @@ def parse_gamma_grid(spec: str) -> list[Fraction]:
     return [start + step * k for k in range(count + 1)]
 
 
-def sweep_global(delta: Fraction, gammas: list[Fraction], *,
-                 max_rounds: int = 50) -> list[SweepRow]:
+def sweep_global(delta: Fraction, gammas: list[Fraction]) -> list[SweepRow]:
     """Dynamics under every global multiplier on the worst-case instance,
     always including the per-bidder critical multipliers 1 + delta^i."""
     inst = counterexample(delta)
@@ -116,8 +113,7 @@ def sweep_global(delta: Fraction, gammas: list[Fraction], *,
         points.add(1 + delta ** i)
     rows = []
     for gamma in sorted(points):
-        report = run_dynamics(inst, GlobalCostMultiplier(gamma),
-                              DynamicsConfig(max_rounds=max_rounds))
+        report = run_dynamics(inst, GlobalCostMultiplier(gamma))
         assert report.opt > 0
         rows.append(SweepRow(gamma, report.welfare, report.opt,
                              report.welfare / report.opt,
@@ -146,7 +142,7 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 
 def cmd_sweep_global(args: argparse.Namespace) -> int:
     delta = parse_rational(args.delta)
-    rows = sweep_global(delta, parse_gamma_grid(args.gamma), max_rounds=args.max_rounds)
+    rows = sweep_global(delta, parse_gamma_grid(args.gamma))
     _write_out(sweep_to_csv(rows), args.out)
     return 0
 
@@ -155,9 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     kinds = args.mechanism or ["second-price", "auction-dep", "bidder-dep", "single-bidder"]
-    if kinds == ["all"]:
-        kinds = ["second-price", "auction-dep", "bidder-dep", "single-bidder"]
-    summary = run_verify_suite(args.seeds, kinds=kinds, max_rounds=args.max_rounds)
+    summary = run_verify_suite(args.seeds, kinds=kinds)
     for line in summary.lines:
         print(line)
     if summary.violations:
@@ -179,10 +173,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             cost_limit=parse_rational(args.cost_limit),
             grid_denominator=args.grid_denominator,
             zero_cost_probability=parse_rational(args.zero_cost_prob)))
-    if args.out is None:
-        sys.stdout.write(json.dumps(instance_to_json(inst), indent=2) + "\n")
-    else:
-        save(inst, args.out)
+    _write_out(json.dumps(instance_to_json(inst), indent=2) + "\n", args.out)
     return 0
 
 
@@ -225,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="second-price | global:<gamma> | single-bidder | "
                           "auction-dep | bidder-dep")
     run.add_argument("--max-rounds", type=int, default=50)
-    run.add_argument("--tolerance", default="0",
-                     help="allowed best-response value gap when verifying")
     run.add_argument("--out", help="write JSON here instead of stdout")
     run.set_defaults(func=cmd_run)
 
@@ -235,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--delta", required=True, help="family parameter in (0, 1/3)")
     sweep.add_argument("--gamma", default="0:2:200",
                        help="multiplier grid start:stop:count (exact rationals)")
-    sweep.add_argument("--max-rounds", type=int, default=50)
     sweep.add_argument("--out", help="write CSV here instead of stdout")
     sweep.set_defaults(func=cmd_sweep_global)
 
@@ -243,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seeds", type=int, default=100, help="number of seeded instances")
     ver.add_argument("--mechanism", action="append",
                      help="restrict to a mechanism kind (repeatable; default all)")
-    ver.add_argument("--max-rounds", type=int, default=50)
     ver.set_defaults(func=cmd_verify)
 
     gen = sub.add_parser("generate", help="write an instance file")

@@ -3,11 +3,11 @@
 Starting from truthful bids (all multipliers 1), bidders update to their
 exact best response in index order. The dynamics converge when a full pass
 changes nobody. Convergence is then re-checked independently (`verified`):
-every bidder's best-response value may exceed its achieved value by at most
-`value_tolerance`, and every bidder's ROI constraint must hold in the
-realized outcome. A reply computed since the last move is still the best
-response to the final bids, so verification reuses it and recomputes only
-the rest. Non-convergence within `max_rounds` is reported, never raised.
+no bidder's best response may win more value than it achieves, and every
+bidder's ROI constraint must hold in the realized outcome. A reply computed
+since the last move is still the best response to the final bids, so
+verification reuses it and recomputes only the rest. Non-convergence within
+`max_rounds` is reported, never raised.
 """
 
 from __future__ import annotations
@@ -20,18 +20,6 @@ from .mechanisms import (BidderDependent, MechanismSpec, bidder_dep_required, ru
 from .model import (Instance, MultiplierProfile, Outcome, ZERO, bidder_payment,
                     bidder_value, optimal_welfare, welfare)
 from .rationals import Infinity
-
-
-@dataclass(frozen=True, slots=True)
-class DynamicsConfig:
-    max_rounds: int = 50
-    value_tolerance: Fraction = ZERO
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.value_tolerance < 0:
-            raise ValueError("value_tolerance must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,9 +58,11 @@ class EquilibriumReport:
 
 
 def run_dynamics(inst: Instance, spec: MechanismSpec,
-                 config: DynamicsConfig = DynamicsConfig()) -> EquilibriumReport:
+                 max_rounds: int = 50) -> EquilibriumReport:
     """Run round-robin best responses from truthful bids (every multiplier
     1) until a silent pass or max_rounds."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     n = inst.num_bidders
     theta = [Fraction(1)] * n
     bid_rows = [list(row) for row in inst.values]
@@ -81,7 +71,7 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     replies: list[ResponseResult | None] = [None] * n
     converged = False
     rounds_used = 0
-    for _ in range(config.max_rounds):
+    for _ in range(max_rounds):
         rounds_used += 1
         changed = False
         for i in range(n):
@@ -104,8 +94,7 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
         if reply is None:
             reply = best_response_against_bids(inst, spec, i, bid_rows)
         achieved = bidder_value(inst, outcome, i)
-        if (reply.total_value - achieved > config.value_tolerance
-                or achieved < bidder_payment(outcome, i)):
+        if reply.total_value > achieved or achieved < bidder_payment(outcome, i):
             verified = False
             break
 

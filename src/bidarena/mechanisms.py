@@ -338,6 +338,8 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
     """
     if len(bids) != inst.num_bidders:
         raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
+    if not 0 <= bidder < len(bids):
+        raise ValueError(f"bidder {bidder} out of range")
     reserves, shifts = auction_terms(spec, inst)[auction]
     own = reserves[bidder]
     if isinstance(own, Infinity):

@@ -84,8 +84,9 @@ class MultiplierProfile:
                 raise ValueError(f"multiplier {i} is {theta}, must be >= 1")
 
     @staticmethod
-    def uniform(num_bidders: int, theta: int | str | Fraction = 1) -> MultiplierProfile:
-        return MultiplierProfile((as_fraction(theta),) * num_bidders)
+    def uniform(num_bidders: int) -> MultiplierProfile:
+        """Truthful play: every multiplier 1."""
+        return MultiplierProfile((Fraction(1),) * num_bidders)
 
     @staticmethod
     def of(multipliers: Iterable[int | str | Fraction]) -> MultiplierProfile:

@@ -84,8 +84,8 @@ def format_ratio(x: ExtRational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def decimal_text(x: ExtRational, digits: int = 12) -> str:
-    """Approximate decimal rendering for plotting tools; never used internally."""
+def decimal_text(x: ExtRational) -> str:
+    """12-significant-digit decimal for plotting tools; never used internally."""
     if isinstance(x, Infinity):
         return "inf"
-    return f"{float(x):.{digits}g}"
+    return f"{float(x):.12g}"

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .bestresponse import (best_response_against_bids, best_response_oracle,
                            quasilinear_best_bid_check)
-from .equilibrium import DynamicsConfig, core_auctions, diagnostics, run_dynamics
+from .equilibrium import core_auctions, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, instance_to_json, random_instance
 from .mechanisms import (GlobalCostMultiplier, MechanismSpec, SecondPrice,
                          compute_auction_params, compute_bidder_params,
@@ -25,17 +25,17 @@ from .model import (Instance, MultiplierProfile, ZERO, bids_from, optimal_welfar
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+FAMILY_ZERO_COST = Fraction(1, 8)
+SEED_LIMIT = 100000  # seeds single_bidder_family tries before giving up
 
 
-def family_instance(seed: int, *, zero_cost_probability: Fraction = Fraction(1, 8),
-                    num_bidders: int | None = None,
-                    grid_denominator: int = 4) -> Instance:
-    """Small seeded instance; shape (1..4 x 1..4) is derived from the seed."""
+def family_instance(seed: int, *, zero_cost_probability: Fraction = FAMILY_ZERO_COST,
+                    num_bidders: int | None = None) -> Instance:
+    """Small seeded quarter-grid instance; shape (1..4 x 1..4) is derived from the seed."""
     n = num_bidders if num_bidders is not None else 1 + seed % 4
     m = 1 + (seed // 4) % 4
     return random_instance(RandomFamilyParams(
         num_bidders=n, num_auctions=m, seed=seed,
-        grid_denominator=grid_denominator,
         zero_cost_probability=zero_cost_probability))
 
 
@@ -76,15 +76,14 @@ class FamilyStats:
 
 
 def equilibrium_family(kind: str, seeds: Iterable[int], *, welfare_floor: Fraction,
-                       zero_cost_probability: Fraction = Fraction(1, 8),
-                       max_rounds: int = 50) -> FamilyStats:
+                       zero_cost_probability: Fraction = FAMILY_ZERO_COST) -> FamilyStats:
     """Run dynamics per seed; converged-and-verified runs must reach
     welfare >= welfare_floor * opt, exactly."""
     stats = FamilyStats()
     for seed in seeds:
         inst = family_instance(seed, zero_cost_probability=zero_cost_probability)
         spec = mechanism_from_label(kind, inst)
-        report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=max_rounds))
+        report = run_dynamics(inst, spec)
         stats.runs += 1
         if report.converged:
             stats.converged += 1
@@ -99,21 +98,20 @@ def equilibrium_family(kind: str, seeds: Iterable[int], *, welfare_floor: Fracti
     return stats
 
 
-def single_bidder_family(count: int, *, max_rounds: int = 50,
-                         start_seed: int = 0, seed_limit: int = 100000) -> FamilyStats:
+def single_bidder_family(count: int, *, start_seed: int = 0) -> FamilyStats:
     """Calibrated single-bidder markets with positive optimum: dynamics must
     converge to a verified equilibrium with welfare exactly optimal."""
     stats = FamilyStats()
     seed = start_seed
     while stats.runs < count:
-        if seed >= start_seed + seed_limit:
+        if seed >= start_seed + SEED_LIMIT:
             raise RuntimeError("could not find enough positive-optimum seeds")
         inst = family_instance(seed, num_bidders=1)
         seed += 1
         if optimal_welfare(inst) <= 0:
             continue
         spec = calibrate_single_bidder(inst)
-        report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=max_rounds))
+        report = run_dynamics(inst, spec)
         stats.runs += 1
         if report.converged:
             stats.converged += 1
@@ -135,7 +133,7 @@ class CheckStats:
     violations: list[str] = field(default_factory=list)
 
 
-def accounting_checks(seeds: Iterable[int], *, max_rounds: int = 50) -> CheckStats:
+def accounting_checks(seeds: Iterable[int]) -> CheckStats:
     """Bidder-dependent welfare accounting on seeded instances.
 
     Per instance (bid-independent): each bidder's core auctions retain at
@@ -159,7 +157,7 @@ def accounting_checks(seeds: Iterable[int], *, max_rounds: int = 50) -> CheckSta
                     seed, inst, f"bidder {i}: core value {core_total} < half of {full_total}"))
 
         profiles = [MultiplierProfile.uniform(inst.num_bidders)]
-        report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=max_rounds))
+        report = run_dynamics(inst, spec)
         if report.converged and report.verified:
             profiles.append(report.profile)
         for profile in profiles:
@@ -273,6 +271,15 @@ def welfare_cap_checks(seeds: Iterable[int]) -> CheckStats:
     return stats
 
 
+# Equilibrium families of `arena verify`: kind -> (welfare floor, zero-cost
+# probability, label). Any other kind runs with no floor.
+FAMILIES = {
+    "second-price": (HALF, Fraction(1), "second-price (zero-cost family), floor 1/2"),
+    "auction-dep": (HALF, FAMILY_ZERO_COST, "auction-dep, floor 1/2"),
+    "bidder-dep": (QUARTER, FAMILY_ZERO_COST, "bidder-dep, floor 1/4"),
+}
+
+
 @dataclass
 class VerifySummary:
     lines: list[str]
@@ -280,40 +287,28 @@ class VerifySummary:
 
 
 def run_verify_suite(seed_count: int, *, kinds: Sequence[str] = ("second-price",
-                     "auction-dep", "bidder-dep"), max_rounds: int = 50) -> VerifySummary:
+                     "auction-dep", "bidder-dep")) -> VerifySummary:
     """The full property sweep behind `arena verify`."""
     lines: list[str] = []
     violations: list[str] = []
     seeds = range(seed_count)
 
     for kind in kinds:
-        if kind == "second-price":
-            stats = equilibrium_family(kind, seeds, welfare_floor=HALF,
-                                       zero_cost_probability=Fraction(1),
-                                       max_rounds=max_rounds)
-            label = "second-price (zero-cost family), floor 1/2"
-        elif kind == "auction-dep":
-            stats = equilibrium_family(kind, seeds, welfare_floor=HALF,
-                                       max_rounds=max_rounds)
-            label = "auction-dep, floor 1/2"
-        elif kind == "bidder-dep":
-            stats = equilibrium_family(kind, seeds, welfare_floor=QUARTER,
-                                       max_rounds=max_rounds)
-            label = "bidder-dep, floor 1/4"
-        elif kind == "single-bidder":
-            stats = single_bidder_family(seed_count, max_rounds=max_rounds)
+        if kind == "single-bidder":
+            stats = single_bidder_family(seed_count)
             label = "single-bidder, exact optimum"
         else:
-            stats = equilibrium_family(kind, seeds, welfare_floor=ZERO,
-                                       max_rounds=max_rounds)
-            label = f"{kind}, no floor"
+            floor, zero_cost, label = FAMILIES.get(
+                kind, (ZERO, FAMILY_ZERO_COST, f"{kind}, no floor"))
+            stats = equilibrium_family(kind, seeds, welfare_floor=floor,
+                                       zero_cost_probability=zero_cost)
         lines.append(f"equilibria [{label}]: runs={stats.runs} converged={stats.converged} "
                      f"verified={stats.verified} floor-checked={stats.bound_checked} "
                      f"violations={len(stats.violations)}")
         violations.extend(stats.violations)
 
     for name, stats in (
-        ("welfare accounting", accounting_checks(seeds, max_rounds=max_rounds)),
+        ("welfare accounting", accounting_checks(seeds)),
         ("truthfulness", truthfulness_probes(range(min(seed_count, 150)))),
         ("single-bidder truthfulness", truthfulness_probes(range(min(seed_count, 150)),
                                                            single_bidder=True)),

@@ -7,7 +7,7 @@ from bidarena.bestresponse import (ResponseResult, best_response_against_bids,
                                    best_response_oracle, quasilinear_best_bid_check,
                                    threshold_table)
 from bidarena.mechanisms import (SecondPrice, Threshold, calibrate_single_bidder,
-                                 compute_auction_params, run_all)
+                                 compute_auction_params, min_winning_bid, run_all)
 from bidarena.model import Instance, MultiplierProfile, bids_from
 
 from conftest import all_specs, instances_with_profiles
@@ -17,6 +17,19 @@ F = Fraction
 
 def respond(inst, spec, bidder, profile):
     return best_response_against_bids(inst, spec, bidder, bids_from(profile, inst))
+
+
+def play(inst, spec, profile, bidder, theta):
+    """(valued auctions won, their value, total payment) when `bidder` plays
+    `theta` against the rest of `profile` through `run_all`."""
+    played = list(profile.multipliers)
+    played[bidder] = theta
+    outcome = run_all(spec, inst, MultiplierProfile(tuple(played)))
+    won = frozenset(j for j, winner in enumerate(outcome.winners)
+                    if winner == bidder and inst.values[bidder][j])
+    value = sum((inst.values[bidder][j] for j in won), F(0))
+    payment = sum((p for w, p in zip(outcome.winners, outcome.prices) if w == bidder), F(0))
+    return won, value, payment
 
 
 def test_problem_validation():
@@ -29,6 +42,10 @@ def test_problem_validation():
             best_response_against_bids(inst, SecondPrice(), bidder, bids)
         with pytest.raises(ValueError, match="out of range"):
             best_response_oracle(inst, SecondPrice(), bidder, bids)
+        with pytest.raises(ValueError, match="out of range"):
+            min_winning_bid(SecondPrice(), inst, 0, bidder, [F(1)])
+        with pytest.raises(ValueError, match="out of range"):
+            quasilinear_best_bid_check(inst, SecondPrice(), 0, bidder, [F(1)])
     with pytest.raises(ValueError, match="profile has 2 bidders"):
         bids_from(MultiplierProfile.uniform(2), inst)
 
@@ -109,15 +126,8 @@ def test_best_response_is_feasible_and_replayable(pair):
             result = respond(inst, spec, bidder, profile)
             assert result.multiplier >= 1
             assert result.total_value >= result.total_payment
-            played = list(profile.multipliers)
-            played[bidder] = result.multiplier
-            outcome = run_all(spec, inst, MultiplierProfile(tuple(played)))
-            won = frozenset(j for j, winner in enumerate(outcome.winners)
-                            if winner == bidder and inst.values[bidder][j])
-            assert won == result.won_auctions
-            assert sum((inst.values[bidder][j] for j in won), F(0)) == result.total_value
-            assert sum((p for w, p in zip(outcome.winners, outcome.prices) if w == bidder),
-                       F(0)) == result.total_payment
+            assert play(inst, spec, profile, bidder, result.multiplier) == \
+                (result.won_auctions, result.total_value, result.total_payment)
 
 
 @settings(max_examples=50, deadline=None)
@@ -127,21 +137,12 @@ def test_best_response_beats_truthful_bidding(pair):
     for spec in all_specs(inst):
         for bidder in range(inst.num_bidders):
             result = respond(inst, spec, bidder, profile)
-            bids = bids_from(profile, inst)
-            truthful = best_response_against_bids(inst, spec, bidder, bids)
-            assert result.total_value >= truthful.total_value or \
-                result == truthful
-            # Truthful play is always available, so the optimum cannot be
-            # worse than the value at multiplier one.
-            played = list(profile.multipliers)
-            played[bidder] = F(1)
-            outcome = run_all(spec, inst, MultiplierProfile(tuple(played)))
-            base_value = F(0)
-            base_payment = F(0)
-            for j, (winner, price) in enumerate(zip(outcome.winners, outcome.prices)):
-                if winner == bidder:
-                    base_value += inst.values[bidder][j]
-                    base_payment += price
+            # The reply, played, wins exactly what it claims ...
+            assert play(inst, spec, profile, bidder, result.multiplier) == \
+                (result.won_auctions, result.total_value, result.total_payment)
+            # ... and truthful play is always available, so the reply cannot
+            # be worth less than multiplier one when that is ROI-feasible.
+            _, base_value, base_payment = play(inst, spec, profile, bidder, F(1))
             if base_value >= base_payment:
                 assert result.total_value >= base_value
 

@@ -68,6 +68,18 @@ def test_run_rejects_unknown_mechanism(balanced_market, capsys):
     assert "arena: unknown mechanism" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "market.json", "--mechanism", "second-price", "--tolerance", "1"],
+    ["sweep-global", "--delta", "1/4", "--max-rounds", "3"],
+    ["verify", "--seeds", "2", "--max-rounds", "3"],
+])
+def test_removed_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_rejects_missing_file(capsys):
     assert main(["run", "/no/such/file.json", "--mechanism", "second-price"]) == 2
     assert "arena:" in capsys.readouterr().err
@@ -157,6 +169,13 @@ def test_verify_cli_single_mechanism(capsys):
     assert main(["verify", "--seeds", "4", "--mechanism", "auction-dep"]) == 0
     out = capsys.readouterr().out
     assert "auction-dep" in out and "second-price" not in out
+
+
+def test_verify_cli_has_no_all_alias(capsys):
+    assert main(["verify", "--seeds", "2", "--mechanism", "all"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown mechanism" in captured.err
+    assert "all checks passed" not in captured.out
 
 
 def test_debug_br_prints_threshold_table(balanced_market, capsys):

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 
 from bidarena import equilibrium
 from bidarena.bestresponse import best_response_against_bids
-from bidarena.equilibrium import Diagnostics, DynamicsConfig, diagnostics, run_dynamics
+from bidarena.equilibrium import Diagnostics, diagnostics, run_dynamics
 from bidarena.mechanisms import (SecondPrice, calibrate_single_bidder,
                                  compute_auction_params, compute_bidder_params,
                                  run_all)
 from bidarena.model import (Instance, MultiplierProfile, bidder_value, bids_from,
                             roi_satisfied)
-from bidarena.rationals import parse_rational
 from bidarena.verify import family_instance, standard_specs
 
 from conftest import all_specs, small_instances
@@ -20,10 +19,10 @@ F = Fraction
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="max_rounds"):
-        DynamicsConfig(max_rounds=0)
-    with pytest.raises(ValueError, match="value_tolerance"):
-        DynamicsConfig(value_tolerance=F(-1))
+    inst = Instance.from_rows([[5], [3]], [[0], [0]])
+    for rounds in (0, -1):
+        with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+            run_dynamics(inst, SecondPrice(), max_rounds=rounds)
 
 
 def test_single_bidder_dynamics_reach_the_balanced_multiplier():
@@ -51,7 +50,7 @@ def test_dynamics_converge_immediately_when_truthful_is_stable():
 def test_round_cap_reports_instead_of_raising():
     inst = Instance.from_rows([[2, 1, 1]], [[1, 1, 2]])
     spec = calibrate_single_bidder(inst)
-    report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=1))
+    report = run_dynamics(inst, spec, max_rounds=1)
     assert not report.converged
     assert report.rounds_used == 1
     # The single round already landed on the fixed point, so the independent
@@ -106,22 +105,11 @@ def test_infinite_calibration_counts_as_conservative():
     assert diag.core_auctions == (frozenset({0}),)
 
 
-def test_tolerance_loosens_verification_only():
-    # A cut-off run away from the fixed point fails strict verification but
-    # passes with a generous tolerance, as long as ROI still holds.
-    inst = Instance.from_rows([[2, 3], [1, 4]], [[0, 0], [0, 0]])
-    strict = run_dynamics(inst, SecondPrice(), DynamicsConfig(max_rounds=1))
-    loose = run_dynamics(inst, SecondPrice(),
-                         DynamicsConfig(max_rounds=1, value_tolerance=parse_rational("100")))
-    assert strict.profile == loose.profile
-    assert loose.verified or not strict.verified
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_instances())
 def test_converged_runs_always_verify(inst):
     for spec in all_specs(inst):
-        report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=30))
+        report = run_dynamics(inst, spec, max_rounds=30)
         assert report.welfare <= report.opt
         if report.converged:
             assert report.verified
@@ -135,7 +123,7 @@ def test_converged_runs_always_verify(inst):
 @given(small_instances())
 def test_bidder_dependent_bound_holds_at_equilibrium(inst):
     spec = compute_bidder_params(inst)
-    report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=30))
+    report = run_dynamics(inst, spec, max_rounds=30)
     if report.converged and report.verified:
         diag = report.diagnostics
         assert max(diag.core_welfare, diag.payment_surplus) <= report.welfare
@@ -160,7 +148,7 @@ def test_verification_with_reused_replies_matches_a_fresh_recompute():
         inst = family_instance(seed)
         for spec in standard_specs(inst):
             for rounds in (1, 2, 3):
-                report = run_dynamics(inst, spec, DynamicsConfig(max_rounds=rounds))
+                report = run_dynamics(inst, spec, max_rounds=rounds)
                 if report.verified != independently_verified(inst, spec, report):
                     mismatches.append((seed, spec, rounds))
     assert mismatches == []
