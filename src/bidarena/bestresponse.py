@@ -4,11 +4,14 @@ Fixing rival bids fixes, for each auction, the minimum bid that wins.
 Dividing by the bidder's value turns each threshold into a multiplier ratio;
 `threshold_table` lists them for the auctions worth contesting. The set of
 auctions won is a prefix of the ratio order: it only grows as the multiplier
-climbs. The best response therefore lives on finitely many candidates (each
-ratio, the midpoints between consecutive ratios, 1, and one point past the
-largest ratio), and each candidate is scored exactly: value is the sum of won
-values, payment the sum of won threshold values, and the candidate is
-feasible when value covers payment.
+climbs. The best response therefore lives on finitely many candidates (1,
+each ratio of at least 1, the midpoints between consecutive ratios, and one
+past the largest), and `best_response_against_bids` scores them all in one
+sweep of the table sorted by ratio. Running sums of won value and of won
+threshold payment grow as the sweep passes each ratio; at a ratio itself
+only the thresholds that admit an equal bid (`inclusive`) count as won. A
+candidate is feasible when value covers payment. One call costs a sort of
+the table plus one addition per row, O(m log m) for m auctions.
 
 `best_response_oracle` answers the same question by brute force, resolving
 every auction on a dense multiplier grid. It exists so tests can check the
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .mechanisms import MechanismSpec, Threshold, min_winning_bid, run_auction
@@ -59,29 +63,50 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     """Exact best response to rival bids (row `bidder` is ignored): maximize
     won value subject to value >= payment, ties broken toward the smallest
     multiplier."""
-    table = threshold_table(inst, spec, bidder, bid_rows)
-    breakpoints = sorted({r for r, _, _, _ in table if r >= 1} | {ONE})
-    candidates = list(breakpoints)
-    for low, high in zip(breakpoints, breakpoints[1:]):
-        candidates.append((low + high) / 2)
-    candidates.append(breakpoints[-1] + 1)
-    candidates.sort()
+    rows = sorted(threshold_table(inst, spec, bidder, bid_rows), key=itemgetter(0))
+    # Every multiplier of at least 1 wins the rows whose ratio is below 1.
+    value = payment = ZERO
+    end = 0
+    while end < len(rows) and rows[end][0] < ONE:
+        value += rows[end][3]
+        payment += rows[end][2].value
+        end += 1
 
-    best: ResponseResult | None = None
-    for theta in candidates:
-        value = payment = ZERO
-        won = []
-        for ratio, j, t, v in table:
-            if theta > ratio or (theta == ratio and t.inclusive):
-                value += v
-                payment += t.value
-                won.append(j)
-        if payment > value:
-            continue
-        if best is None or value > best.total_value:
-            best = ResponseResult(theta, frozenset(won), value, payment)
-    assert best is not None  # theta = 1 always clears only thresholds <= value
-    return best
+    # Candidates in increasing order, each group of equal ratios (and 1, even
+    # when no ratio equals it) scored at the ratio and then just above it. The
+    # best is (value, payment, multiplier or (low, high) for a point just
+    # above low, number of sorted rows won, tied inclusive auctions also won).
+    # Multiplier 1 wins only thresholds <= value, so it is always feasible and
+    # sets `best` before anything reads it.
+    best = None
+    ratio = ONE
+    while True:
+        start = end
+        tied_value, tied_payment, tied = value, payment, []
+        while end < len(rows) and rows[end][0] == ratio:
+            _, j, t, v = rows[end]
+            value += v
+            payment += t.value
+            if t.inclusive:
+                tied_value += v
+                tied_payment += t.value
+                tied.append(j)
+            end += 1
+        if tied_payment <= tied_value and (best is None or tied_value > best[0]):
+            best = (tied_value, tied_payment, ratio, start, tied)
+        following = rows[end][0] if end < len(rows) else None
+        if payment <= value and value > best[0]:
+            best = (value, payment, (ratio, following), end, [])
+        if following is None:
+            break
+        ratio = following
+
+    value, payment, theta, won, tied = best
+    if isinstance(theta, tuple):  # just above `low`: the midpoint, or low + 1 past the last
+        low, high = theta
+        theta = low + 1 if high is None else (low + high) / 2
+    won_auctions = frozenset([j for _, j, _, _ in rows[:won]] + tied)
+    return ResponseResult(theta, won_auctions, value, payment)
 
 
 def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,

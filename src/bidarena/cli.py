@@ -30,7 +30,7 @@ from .mechanisms import GlobalCostMultiplier, mechanism_from_label, mechanism_la
     mechanism_to_json
 from .model import MultiplierProfile, bids_from
 from .rationals import decimal_text, format_ratio, parse_rational
-from .verify import run_verify_suite
+from .verify import DEFAULT_KINDS, run_verify_suite
 
 CSV_HEADER = ["mechanism", "param_name", "param_value", "welfare", "opt", "ratio",
               "converged", "rounds", "param_value_dec", "welfare_dec", "opt_dec",
@@ -150,8 +150,7 @@ def cmd_sweep_global(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    kinds = args.mechanism or ["second-price", "auction-dep", "bidder-dep", "single-bidder"]
-    summary = run_verify_suite(args.seeds, kinds=kinds)
+    summary = run_verify_suite(args.seeds, kinds=args.mechanism or DEFAULT_KINDS)
     for line in summary.lines:
         print(line)
     if summary.violations:

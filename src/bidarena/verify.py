@@ -278,6 +278,7 @@ FAMILIES = {
     "auction-dep": (HALF, FAMILY_ZERO_COST, "auction-dep, floor 1/2"),
     "bidder-dep": (QUARTER, FAMILY_ZERO_COST, "bidder-dep, floor 1/4"),
 }
+DEFAULT_KINDS = ("second-price", "auction-dep", "bidder-dep", "single-bidder")
 
 
 @dataclass
@@ -286,12 +287,17 @@ class VerifySummary:
     violations: list[str]
 
 
-def run_verify_suite(seed_count: int, *, kinds: Sequence[str] = ("second-price",
-                     "auction-dep", "bidder-dep")) -> VerifySummary:
-    """The full property sweep behind `arena verify`."""
+def run_verify_suite(seed_count: int, *,
+                     kinds: Sequence[str] = DEFAULT_KINDS) -> VerifySummary:
+    """The full property sweep behind `arena verify`. An unknown kind raises
+    ValueError before any family runs."""
     lines: list[str] = []
     violations: list[str] = []
     seeds = range(seed_count)
+    probe = family_instance(0)
+    for kind in kinds:
+        if kind != "single-bidder":
+            mechanism_from_label(kind, probe)
 
     for kind in kinds:
         if kind == "single-bidder":

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ from bidarena import Instance, MultiplierProfile
 from bidarena.mechanisms import (GlobalCostMultiplier, MechanismSpec, SecondPrice,
                                  calibrate_single_bidder, compute_auction_params,
                                  compute_bidder_params)
+from bidarena.verify import family_instance
 
 # Entries live on the quarter grid like the seeded random family.
 grid_rationals = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -43,3 +45,13 @@ def all_specs(inst: Instance) -> list[MechanismSpec]:
     if inst.num_bidders == 1:
         specs.append(calibrate_single_bidder(inst))
     return specs
+
+
+def seeded_market(seed: int) -> tuple[Instance, list[list[Fraction]]]:
+    """A `verify` family market (zero costs more or less common, by seed) with
+    random bids on the quarter grid, where scores often tie."""
+    inst = family_instance(seed, zero_cost_probability=Fraction(seed % 3 + 1, 8))
+    rng = random.Random(seed)
+    bids = [[Fraction(rng.randrange(0, 17), 4) for _ in range(inst.num_auctions)]
+            for _ in range(inst.num_bidders)]
+    return inst, bids

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bidarena import verify
 from bidarena.cli import main, parse_gamma_grid, sweep_global, sweep_to_csv, CSV_HEADER
 from bidarena.instances import counterexample, load, save
 from bidarena.model import Instance
@@ -103,6 +104,14 @@ def test_sweep_always_includes_critical_multipliers():
     assert all(row.ratio == row.welfare / row.opt for row in rows)
 
 
+def test_sweep_peak_matches_closed_form():
+    # The pinned peaks 5/8, 11/32 and 23/128 (delta = 1/4, 1/8, 1/16) all
+    # equal 3*delta - 2*delta^2; so does the peak one halving further down.
+    delta = F(1, 32)
+    rows = sweep_global(delta, parse_gamma_grid("0:2:20"))
+    assert max(row.ratio for row in rows) == 3 * delta - 2 * delta ** 2 == F(47, 512)
+
+
 def test_sweep_csv_layout():
     rows = sweep_global(F(1, 4), [F(0), F(2)])
     text = sweep_to_csv(rows)
@@ -176,6 +185,22 @@ def test_verify_cli_has_no_all_alias(capsys):
     captured = capsys.readouterr()
     assert "unknown mechanism" in captured.err
     assert "all checks passed" not in captured.out
+
+
+def test_verify_cli_checks_every_kind_before_running(monkeypatch, capsys):
+    runs = []
+
+    def family(kind, *args, **kwargs):
+        runs.append(kind)
+        return verify.FamilyStats()
+
+    monkeypatch.setattr(verify, "equilibrium_family", family)
+    assert main(["verify", "--seeds", "2", "--mechanism", "auction-dep",
+                 "--mechanism", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown mechanism 'bogus'" in captured.err
+    assert captured.out == ""
+    assert runs == []
 
 
 def test_debug_br_prints_threshold_table(balanced_market, capsys):

@@ -17,6 +17,13 @@ RUN_DIGESTS = {
     "bidder-dep": "9465a9701a93d4ed1ef21e9031b1e3524ffc8223bed0e26e77e95781c1927f1f",
     "single-bidder": "9ea30aab331fa13226acc523ae151dfc9e5f81547846c37631f821d3bfdaeed3",
 }
+# `arena run --max-rounds 4` on a seeded 8 x 100 market.
+LARGE_RUN_DIGESTS = {
+    "second-price": "a770457c824dc1078be344003cc859c862e36ae7df6b5fbf88cd04887cd6c369",
+    "global:1": "d516bc81996c2716d15e798a2c2956f089dd3031183d1333cddcd3a00c744f03",
+    "auction-dep": "2942a6432a75893829282a20118ed8debeee0c549bc3123982ca5eeeb97f2fb0",
+    "bidder-dep": "141d49ccdef45a0be7cceffcf27bf08c778ee4f5fc8340adac1a1ff9374f730c",
+}
 SWEEP_DIGEST = "162aab3a57841890ec14826e3f1ed39e94a9b50caaaaae4e3ab99b18a44f10c9"
 DEBUG_BR_DIGEST = "9d8f176a7621f2754604b38acec70672218924663d0d62dc495f63093be6a259"
 VERIFY_DIGEST = "7fd811aa198a40e3630e1fadc001d9f4bdd81dbd8afba4d0ee376ca5bef7c54c"
@@ -30,12 +37,14 @@ def stdout_digest(capsys, argv: list[str]) -> str:
 
 @pytest.fixture(scope="module")
 def markets(tmp_path_factory):
-    """A seeded 6 x 30 market, and a 1 x 30 one for the single-bidder rule."""
+    """A seeded 6 x 30 market, a 1 x 30 one for the single-bidder rule and
+    an 8 x 100 one."""
     root = tmp_path_factory.mktemp("golden")
     paths = {}
-    for name, bidders in (("multi", "6"), ("single", "1")):
+    for name, bidders, auctions in (("multi", "6", "30"), ("single", "1", "30"),
+                                    ("large", "8", "100")):
         paths[name] = str(root / f"{name}.json")
-        cli.main(["generate", "random", "--bidders", bidders, "--auctions", "30",
+        cli.main(["generate", "random", "--bidders", bidders, "--auctions", auctions,
                   "--seed", "11", "--out", paths[name]])
     return paths
 
@@ -45,6 +54,12 @@ def test_run_output_is_pinned(capsys, markets, label):
     path = markets["single" if label == "single-bidder" else "multi"]
     argv = ["run", path, "--mechanism", label, "--max-rounds", "4"]
     assert stdout_digest(capsys, argv) == RUN_DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(LARGE_RUN_DIGESTS))
+def test_large_run_output_is_pinned(capsys, markets, label):
+    argv = ["run", markets["large"], "--mechanism", label, "--max-rounds", "4"]
+    assert stdout_digest(capsys, argv) == LARGE_RUN_DIGESTS[label]
 
 
 def test_sweep_global_output_is_pinned(capsys):

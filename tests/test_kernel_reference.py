@@ -6,7 +6,6 @@ payment, threshold value and `inclusive` flag, at the given bids and again
 with each bidder bidding exactly its threshold, where ties decide.
 """
 
-import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -16,9 +15,8 @@ from bidarena import mechanisms
 from bidarena.mechanisms import GlobalCostMultiplier, SecondPrice, compute_bidder_params
 from bidarena.model import Instance, MultiplierProfile, bids_from
 from bidarena.rationals import Infinity
-from bidarena.verify import family_instance
 
-from conftest import all_specs, instances_with_profiles
+from conftest import all_specs, instances_with_profiles, seeded_market
 
 F = Fraction
 
@@ -48,16 +46,6 @@ def check_market(spec, inst, bid_rows) -> int:
                 at_threshold[i] = t.value
                 cases += check_auction(spec, inst, j, at_threshold)
     return cases
-
-
-def seeded_market(seed: int) -> tuple[Instance, list[list[Fraction]]]:
-    """A `verify` family market (zero costs more or less common, by seed) with
-    random bids on the quarter grid, where scores often tie."""
-    inst = family_instance(seed, zero_cost_probability=F(seed % 3 + 1, 8))
-    rng = random.Random(seed)
-    bids = [[F(rng.randrange(0, 17), 4) for _ in range(inst.num_auctions)]
-            for _ in range(inst.num_bidders)]
-    return inst, bids
 
 
 def check_seeds(seeds) -> int:

@@ -71,7 +71,7 @@ def test_checks_actually_count():
 def test_run_verify_suite_reports_per_family():
     summary = run_verify_suite(8)
     assert summary.violations == []
-    assert len(summary.lines) == 9  # three default families plus six check groups
+    assert len(summary.lines) == 10  # four default families plus six check groups
     assert summary.lines[0].startswith("equilibria [second-price")
     assert all("violations=0" in line for line in summary.lines)
 
