@@ -29,6 +29,8 @@ from .mechanisms import MechanismSpec, Threshold, min_winning_bid, run_auction
 from .model import Instance, ONE, ZERO
 from .rationals import Infinity
 
+ORACLE_GRID = 40  # evenly spaced steps of `best_response_oracle`'s multiplier grid
+
 
 @dataclass(frozen=True, slots=True)
 class ResponseResult:
@@ -110,24 +112,23 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
 
 
 def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
-                         bid_rows: Sequence[Sequence[Fraction]],
-                         grid_size: int = 50) -> ResponseResult:
+                         bid_rows: Sequence[Sequence[Fraction]]) -> ResponseResult:
     """Brute-force reference for `best_response_against_bids`.
 
-    Samples multipliers on a grid over [1, largest ratio + 1], refined between
-    consecutive threshold ratios so every constant-won-set interval gets a
-    sample, and evaluates each sample by running every auction on the bid
-    columns with row `bidder` replaced. Returns the best feasible sample
-    (highest value, then smallest multiplier). Test-only: quadratically
-    slower than the exact enumeration.
+    Samples multipliers on a grid of ORACLE_GRID steps over [1, largest
+    ratio + 1], refined between consecutive threshold ratios so every
+    constant-won-set interval gets a sample, and evaluates each sample by
+    running every auction on the bid columns with row `bidder` replaced.
+    Returns the best feasible sample (highest value, then smallest
+    multiplier). Test-only: quadratically slower than the exact enumeration.
     """
     ratios = sorted({r for r, _, _, _ in threshold_table(inst, spec, bidder, bid_rows)
                      if r >= 1} | {ONE})
     top = ratios[-1] + 1
     points = set(ratios)
     points.add(top)
-    step = (top - ONE) / grid_size
-    for k in range(1, grid_size):
+    step = (top - ONE) / ORACLE_GRID
+    for k in range(1, ORACLE_GRID):
         points.add(ONE + step * k)
     marks = sorted(set(ratios) | {top})
     for low, high in zip(marks, marks[1:]):

@@ -168,9 +168,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         inst = random_instance(RandomFamilyParams(
             num_bidders=args.bidders, num_auctions=args.auctions, seed=args.seed,
-            value_limit=parse_rational(args.value_limit),
-            cost_limit=parse_rational(args.cost_limit),
-            grid_denominator=args.grid_denominator,
             zero_cost_probability=parse_rational(args.zero_cost_prob)))
     _write_out(json.dumps(instance_to_json(inst), indent=2) + "\n", args.out)
     return 0
@@ -238,9 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--bidders", type=int, default=3)
     gen.add_argument("--auctions", type=int, default=3)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--value-limit", default="3")
-    gen.add_argument("--cost-limit", default="3")
-    gen.add_argument("--grid-denominator", type=int, default=4)
     gen.add_argument("--zero-cost-prob", default="1/8")
     gen.add_argument("--out", help="write JSON here instead of stdout")
     gen.set_defaults(func=cmd_generate)

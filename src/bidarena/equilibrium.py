@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bestresponse import ResponseResult, best_response_against_bids
-from .mechanisms import (BidderDependent, MechanismSpec, bidder_dep_required, run_all)
+from .mechanisms import BidderDependent, MechanismSpec, auction_terms, run_all
 from .model import (Instance, MultiplierProfile, Outcome, ZERO, bidder_payment,
                     bidder_value, optimal_welfare, welfare)
 from .rationals import Infinity
@@ -108,12 +108,10 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
 
 def core_auctions(inst: Instance, spec: BidderDependent) -> tuple[frozenset[int], ...]:
     """Per bidder, its rightful auctions whose value reaches its own
-    prescreen level (1 + alpha) * cost."""
-    return tuple(
-        frozenset(j for j in rightful
-                  if inst.values[i][j] >= bidder_dep_required(alpha, inst.costs[i][j]))
-        for i, (rightful, alpha) in enumerate(zip(spec.rightful_auctions,
-                                                  spec.cost_multiplier)))
+    prescreen level, the reserve (1 + alpha) * cost."""
+    terms = auction_terms(spec, inst)
+    return tuple(frozenset(j for j in rightful if inst.values[i][j] >= terms[j][0][i])
+                 for i, rightful in enumerate(spec.rightful_auctions))
 
 
 def diagnostics(inst: Instance, spec: BidderDependent, profile: MultiplierProfile,

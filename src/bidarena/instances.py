@@ -48,41 +48,37 @@ def counterexample(delta: int | str | Fraction) -> Instance:
                     tuple(tuple(row) for row in costs))
 
 
+GRID_DENOMINATOR = 4
+ENTRY_LIMIT = 3
+
+
 @dataclass(frozen=True, slots=True)
 class RandomFamilyParams:
     num_bidders: int
     num_auctions: int
     seed: int
-    value_limit: Fraction = Fraction(3)
-    cost_limit: Fraction = Fraction(3)
-    grid_denominator: int = 4
     zero_cost_probability: Fraction = Fraction(1, 8)
 
     def __post_init__(self) -> None:
         if self.num_bidders < 1 or self.num_auctions < 1:
             raise ValueError("need at least one bidder and one auction")
-        if self.grid_denominator < 1:
-            raise ValueError("grid denominator must be >= 1")
         if not 0 <= self.zero_cost_probability <= 1:
             raise ValueError("zero-cost probability must lie in [0, 1]")
-        if self.value_limit < 0 or self.cost_limit < 0:
-            raise ValueError("limits must be >= 0")
 
 
 def random_instance(params: RandomFamilyParams) -> Instance:
-    """Seeded instance with entries on the grid k / grid_denominator.
+    """Seeded instance with entries on the quarter grid in [0, 3]: each is
+    k / GRID_DENOMINATOR for an integer k, at most ENTRY_LIMIT.
 
     A pure function of the seed: values are drawn row by row, then costs,
     each cost preceded by its zero-cost coin flip. Zero costs are forced in
     deliberately so infinite calibrated multipliers get exercised.
     """
     rng = random.Random(params.seed)
-    den = params.grid_denominator
-    top_v = math.floor(params.value_limit * den)
-    top_c = math.floor(params.cost_limit * den)
+    top = ENTRY_LIMIT * GRID_DENOMINATOR
     zc = params.zero_cost_probability
     values = tuple(
-        tuple(Fraction(rng.randint(0, top_v), den) for _ in range(params.num_auctions))
+        tuple(Fraction(rng.randint(0, top), GRID_DENOMINATOR) for _ in range(params.num_auctions))
         for _ in range(params.num_bidders)
     )
     costs = []
@@ -92,7 +88,7 @@ def random_instance(params: RandomFamilyParams) -> Instance:
             if rng.randrange(zc.denominator) < zc.numerator:
                 row.append(Fraction(0))
             else:
-                row.append(Fraction(rng.randint(0, top_c), den))
+                row.append(Fraction(rng.randint(0, top), GRID_DENOMINATOR))
         costs.append(tuple(row))
     return Instance(values, tuple(costs))
 

@@ -75,9 +75,7 @@ class AuctionDependent:
     maximizing value minus cost, absent when that maximum is negative): the
     multiplier solves value = (1 + 2 * alpha) * cost for that bidder, every
     score is bid - (1 + alpha) * cost, and the top score wins if nonnegative.
-    A zero-cost rightful winner makes alpha infinite; the infinite multiplier
-    times a zero cost resolves to half the rightful winner's value, and times
-    a positive cost stays infinite (such bidders can never win).
+    A zero-cost rightful winner makes alpha infinite (see `auction_terms`).
     """
 
     rightful_winner: tuple[int | None, ...]
@@ -91,9 +89,8 @@ class BidderDependent:
     Bidder i's multiplier is calibrated on the auctions where i is the
     rightful winner: total value = (1 + 2 * alpha_i) * total cost there.
     In every auction, bidders whose bid falls short of (1 + alpha_i) * cost
-    are discarded; survivors compete on bid minus cost. An infinite alpha_i
-    discards every positive-cost bid of i but lets zero-cost bids through
-    with required bid 0.
+    are discarded; survivors compete on bid minus cost. A zero total cost
+    makes alpha_i infinite (see `auction_terms`).
     """
 
     rightful_auctions: tuple[frozenset[int], ...]
@@ -152,19 +149,16 @@ def rightful_winners(inst: Instance) -> tuple[int | None, ...]:
     return tuple(out)
 
 
+def _solve_alpha(value: Fraction, cost: Fraction) -> ExtRational:
+    """The alpha with value = (1 + 2 * alpha) * cost; infinite on a zero cost."""
+    return (value - cost) / (2 * cost) if cost else INF
+
+
 def compute_auction_params(inst: Instance) -> AuctionDependent:
     rws = rightful_winners(inst)
-    alphas: list[ExtRational | None] = []
-    for j, rw in enumerate(rws):
-        if rw is None:
-            alphas.append(None)
-            continue
-        cost = inst.costs[rw][j]
-        if cost == 0:
-            alphas.append(INF)
-        else:
-            alphas.append((inst.values[rw][j] - cost) / (2 * cost))
-    return AuctionDependent(rws, tuple(alphas))
+    alphas = tuple(None if rw is None else _solve_alpha(inst.values[rw][j], inst.costs[rw][j])
+                   for j, rw in enumerate(rws))
+    return AuctionDependent(rws, alphas)
 
 
 def compute_bidder_params(inst: Instance) -> BidderDependent:
@@ -177,13 +171,8 @@ def compute_bidder_params(inst: Instance) -> BidderDependent:
     for i, owned in enumerate(sets):
         total_value = sum((inst.values[i][j] for j in owned), ZERO)
         total_cost = sum((inst.costs[i][j] for j in owned), ZERO)
-        if not owned or total_value == 0:
-            # Nothing to calibrate on; an all-zero set also means no slack.
-            alphas.append(ZERO)
-        elif total_cost == 0:
-            alphas.append(INF)
-        else:
-            alphas.append((total_value - total_cost) / (2 * total_cost))
+        # Nothing to calibrate on; an all-zero set also means no slack.
+        alphas.append(_solve_alpha(total_value, total_cost) if total_value else ZERO)
     return BidderDependent(tuple(frozenset(s) for s in sets), tuple(alphas))
 
 
@@ -203,32 +192,6 @@ def calibrate_single_bidder(inst: Instance) -> SingleBidderCalibrated:
 
 
 # ---------------------------------------------------------------------------
-# Required-bid conventions (shared by the auction terms and the diagnostics)
-
-
-def auction_dep_required(alpha: ExtRational, cost: Fraction, rw_value: Fraction) -> ExtRational:
-    """(1 + alpha) * cost, with the infinite-alpha convention: infinite on
-    positive cost, half the rightful winner's value on zero cost."""
-    if isinstance(alpha, Infinity):
-        return INF if cost else rw_value / 2
-    return cost + alpha * cost
-
-
-def bidder_dep_required(alpha: ExtRational, cost: Fraction) -> ExtRational:
-    """(1 + alpha) * cost, with infinite alpha discarding any positive cost
-    and letting zero-cost bids through at 0."""
-    if isinstance(alpha, Infinity):
-        return INF if cost else ZERO
-    return cost + alpha * cost
-
-
-def single_required(alpha: ExtRational, cost: Fraction) -> ExtRational:
-    if isinstance(alpha, Infinity):
-        return INF if cost else ZERO
-    return alpha * cost
-
-
-# ---------------------------------------------------------------------------
 # Reserves and shifts: the only rule-specific step of an auction
 
 # Per auction, the column of reserves and the column of shifts, one entry per bidder.
@@ -240,6 +203,15 @@ AuctionTerms = tuple[tuple[tuple[ExtRational, ...], tuple[ExtRational, ...]], ..
 _last_terms: tuple[object, object, AuctionTerms] = (None, None, ())
 
 
+def _scaled_cost(factor: ExtRational, cost: Fraction,
+                 at_zero_cost: Fraction = ZERO) -> ExtRational:
+    """factor * cost, where an infinite factor gives infinity on a positive
+    cost and `at_zero_cost` on a zero cost."""
+    if isinstance(factor, Infinity):
+        return INF if cost else at_zero_cost
+    return factor * cost
+
+
 def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
     """Per auction, each bidder's reserve (the least bid it may win with;
     infinite when it can never win) and shift (what its score subtracts).
@@ -247,9 +219,15 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
     | rule | reserve | shift |
     | second price | 0 | 0 |
     | global:g | g * cost | the reserve |
-    | auction-dep | `auction_dep_required`, infinite without a rightful winner | the reserve |
-    | bidder-dep | `bidder_dep_required` | cost |
-    | single-bidder | `single_required` | 0 |
+    | single-bidder | alpha * cost | 0 |
+    | auction-dep | (1 + alpha_j) * cost, infinite without a rightful winner | the reserve |
+    | bidder-dep | (1 + alpha_i) * cost | cost |
+
+    An infinite alpha makes the reserve infinite on a positive cost. On a
+    zero cost it makes the reserve half the rightful winner's value under
+    auction-dep, and 0 under the other rules. A calibrated spec must fit the
+    market: auction-dep needs one alpha per auction, bidder-dep one per
+    bidder, and single-bidder a one-bidder market; otherwise ValueError.
     """
     global _last_terms
     last = _last_terms
@@ -267,22 +245,32 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
             reserves = tuple(gamma * c if c else ZERO for c in costs)
             terms.append((reserves, reserves))
     elif isinstance(spec, SingleBidderCalibrated):
-        alpha = spec.cost_multiplier
-        terms = [((single_required(alpha, costs[0]),), zeros) for costs in cost_columns]
+        if n != 1:
+            raise ValueError(f"single-bidder spec needs 1 bidder, market has {n}")
+        terms = [((_scaled_cost(spec.cost_multiplier, costs[0]),), zeros)
+                 for costs in cost_columns]
     elif isinstance(spec, AuctionDependent):
+        if len(spec.rightful_winner) != m or len(spec.cost_multiplier) != m:
+            raise ValueError(f"auction-dep spec covers {len(spec.cost_multiplier)} "
+                             f"auctions, market has {m}")
         terms = []
         for j, (rw, alpha, costs) in enumerate(zip(spec.rightful_winner, spec.cost_multiplier,
                                                    cost_columns)):
             if rw is None:
                 reserves: tuple[ExtRational, ...] = (INF,) * n
             else:
-                reserves = tuple(auction_dep_required(alpha, c, inst.values[rw][j])
-                                 for c in costs)
+                factor = alpha if isinstance(alpha, Infinity) else 1 + alpha
+                half_value = inst.values[rw][j] / 2
+                reserves = tuple(_scaled_cost(factor, c, half_value) for c in costs)
             terms.append((reserves, reserves))
     elif isinstance(spec, BidderDependent):
+        if len(spec.cost_multiplier) != n:
+            raise ValueError(f"bidder-dep spec covers {len(spec.cost_multiplier)} "
+                             f"bidders, market has {n}")
+        factors = [a if isinstance(a, Infinity) else 1 + a for a in spec.cost_multiplier]
         terms = []
         for costs in cost_columns:
-            reserves = tuple(bidder_dep_required(a, c) for a, c in zip(spec.cost_multiplier, costs))
+            reserves = tuple(_scaled_cost(f, c) for f, c in zip(factors, costs))
             terms.append((reserves, costs))
     else:
         raise TypeError(f"unknown mechanism: {spec!r}")
@@ -377,17 +365,9 @@ def run_all(spec: MechanismSpec, inst: Instance, profile: MultiplierProfile) -> 
 
 
 def mechanism_label(spec: MechanismSpec) -> str:
-    if isinstance(spec, SecondPrice):
-        return "second-price"
-    if isinstance(spec, GlobalCostMultiplier):
-        return f"global:{format_rational(spec.gamma)}"
-    if isinstance(spec, SingleBidderCalibrated):
-        return "single-bidder"
-    if isinstance(spec, AuctionDependent):
-        return "auction-dep"
-    if isinstance(spec, BidderDependent):
-        return "bidder-dep"
-    raise TypeError(f"unknown mechanism: {spec!r}")
+    """The CLI spelling of `spec`: its JSON kind, with the multiplier for global."""
+    kind = mechanism_to_json(spec)["kind"]
+    return f"global:{format_rational(spec.gamma)}" if kind == "global" else kind
 
 
 def mechanism_from_label(label: str, inst: Instance) -> MechanismSpec:

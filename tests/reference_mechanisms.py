@@ -1,8 +1,10 @@
 """Per-rule reference for the auction kernel in `bidarena.mechanisms`.
 
 Each rule's winner, payment and minimum winning bid, derived separately from
-that rule's own definition rather than from reserves and shifts. The tests
-compare the kernel against these functions; the package never imports them.
+that rule's own definition rather than from reserves and shifts. The required
+bids are written here too, so a wrong convention in the package cannot pass
+by being shared: it imports no function from `bidarena`. The tests compare
+the kernel against these functions; the package never imports them.
 """
 
 from __future__ import annotations
@@ -12,10 +14,32 @@ from typing import Sequence
 
 from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, BidderDependent,
                                  GlobalCostMultiplier, MechanismSpec, SecondPrice,
-                                 SingleBidderCalibrated, Threshold, auction_dep_required,
-                                 bidder_dep_required, single_required)
+                                 SingleBidderCalibrated, Threshold)
 from bidarena.model import ZERO, Instance
-from bidarena.rationals import Infinity
+from bidarena.rationals import INF, ExtRational, Infinity
+
+
+# Required bids. Auction-dep and bidder-dep require (1 + alpha) * cost and
+# single-bidder alpha * cost. An infinite alpha (a zero calibration cost)
+# shuts out every positive-cost bid; a zero-cost bid then needs half the
+# rightful winner's value under auction-dep and nothing under the others.
+
+def auction_dep_required(alpha: ExtRational, cost: Fraction, rw_value: Fraction) -> ExtRational:
+    if isinstance(alpha, Infinity):
+        return rw_value / 2 if cost == 0 else INF
+    return (1 + alpha) * cost
+
+
+def bidder_dep_required(alpha: ExtRational, cost: Fraction) -> ExtRational:
+    if isinstance(alpha, Infinity):
+        return ZERO if cost == 0 else INF
+    return (1 + alpha) * cost
+
+
+def single_required(alpha: ExtRational, cost: Fraction) -> ExtRational:
+    if isinstance(alpha, Infinity):
+        return ZERO if cost == 0 else INF
+    return alpha * cost
 
 
 def run_auction(spec: MechanismSpec, inst: Instance, auction: int,

@@ -73,6 +73,9 @@ def test_run_rejects_unknown_mechanism(balanced_market, capsys):
     ["run", "market.json", "--mechanism", "second-price", "--tolerance", "1"],
     ["sweep-global", "--delta", "1/4", "--max-rounds", "3"],
     ["verify", "--seeds", "2", "--max-rounds", "3"],
+    ["generate", "random", "--grid-denominator", "8"],
+    ["generate", "random", "--value-limit", "2"],
+    ["generate", "random", "--cost-limit", "2"],
 ])
 def test_removed_options_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -201,6 +204,19 @@ def test_verify_cli_checks_every_kind_before_running(monkeypatch, capsys):
     assert "unknown mechanism 'bogus'" in captured.err
     assert captured.out == ""
     assert runs == []
+
+
+def test_verify_cli_fails_and_lists_the_first_twenty_violations(monkeypatch, capsys):
+    found = [f"violation {k}" for k in range(25)]
+    monkeypatch.setattr("bidarena.cli.run_verify_suite",
+                        lambda seeds, kinds: verify.VerifySummary(["one line"], found))
+    assert main(["verify", "--seeds", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "one line\n"
+    assert "all checks passed" not in captured.out
+    err = captured.err.splitlines()
+    assert err[0] == "25 violation(s):"
+    assert err[1:] == [f"  violation {k}" for k in range(20)]
 
 
 def test_debug_br_prints_threshold_table(balanced_market, capsys):

@@ -6,6 +6,8 @@ payment, threshold value and `inclusive` flag, at the given bids and again
 with each bidder bidding exactly its threshold, where ties decide.
 """
 
+import ast
+import inspect
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -87,3 +89,13 @@ def test_kernel_terms_follow_spec_and_instance_between_calls():
         for j in range(inst.num_auctions):
             check_auction(spec, inst, j, column)
         check_market(spec, inst, bids_from(MultiplierProfile.of(["3/2", "1"]), inst))
+
+
+def test_reference_imports_no_function_from_bidarena():
+    # A convention shared with the kernel would agree with it even when wrong.
+    tree = ast.parse(inspect.getsource(ref))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("bidarena")
+                for alias in node.names]
+    assert "Threshold" in imported
+    assert [name for name in imported if inspect.isfunction(getattr(ref, name))] == []

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from bidarena.equilibrium import run_dynamics
 from bidarena.mechanisms import (AuctionDependent, AuctionResult,
                                  GlobalCostMultiplier, SecondPrice,
-                                 SingleBidderCalibrated, Threshold,
-                                 auction_dep_required, bidder_dep_required,
+                                 SingleBidderCalibrated, Threshold, auction_terms,
                                  calibrate_single_bidder, compute_auction_params,
                                  compute_bidder_params, mechanism_from_label,
                                  mechanism_label, min_winning_bid, rightful_winners,
@@ -62,6 +62,8 @@ def test_threshold_rejects_a_bid_column_of_the_wrong_length():
         min_winning_bid(SecondPrice(), inst, 0, 0, [F(1)])
     with pytest.raises(ValueError, match="expected 2 bids, got 3"):
         min_winning_bid(SecondPrice(), inst, 0, 0, [F(1), F(5), F(0)])
+    with pytest.raises(ValueError, match="expected 2 bids, got 1"):
+        run_auction(SecondPrice(), inst, 0, [F(1)])
 
 
 # --- global cost multiplier ------------------------------------------------
@@ -186,18 +188,58 @@ def test_single_bidder_alpha_below_one_rejected():
         SingleBidderCalibrated(F(1, 2))
 
 
-# --- required-bid conventions ----------------------------------------------
+# --- reserve conventions ---------------------------------------------------
 
 def test_infinite_alpha_times_zero_cost_is_half_rightful_value():
-    assert auction_dep_required(INF, F(0), F(4)) == 2
-    assert auction_dep_required(INF, F(1), F(4)) is INF
-    assert auction_dep_required(F(3, 2), F(2), F(4)) == 5
+    # Bidder 0 rightfully wins both auctions: at zero cost in auction 0
+    # (alpha infinite), and with value 8 = (1 + 2 * 3/2) * 2 in auction 1.
+    inst = Instance.from_rows([[4, 8], [1, 1]], [[0, 2], [1, 0]])
+    spec = compute_auction_params(inst)
+    assert spec == AuctionDependent((0, 0), (INF, F(3, 2)))
+    (first, _), (second, _) = auction_terms(spec, inst)
+    assert first[0] == 2
+    assert first[1] is INF
+    assert second[0] == 5
 
 
 def test_bidder_prescreen_convention():
-    assert bidder_dep_required(INF, F(0)) == 0
-    assert bidder_dep_required(INF, F(1)) is INF
-    assert bidder_dep_required(F(1), F(2)) == 4
+    # Bidder 0 owns auction 0 at zero cost (alpha infinite); bidder 1 owns
+    # auction 1 with value 6 = (1 + 2 * 1) * 2.
+    inst = Instance.from_rows([[2, 0], [0, 6]], [[0, 1], [0, 2]])
+    spec = compute_bidder_params(inst)
+    assert spec.cost_multiplier == (INF, F(1))
+    (first, _), (second, _) = auction_terms(spec, inst)
+    assert first[0] == 0
+    assert second[0] is INF
+    assert second[1] == 4
+
+
+# A calibrated spec on a market of another shape would otherwise drop the
+# bidders or auctions it does not cover without a word.
+MARKET_A = Instance.from_rows([[2, 2]], [[1, 1]])
+MISFITS = [
+    pytest.param(compute_bidder_params(MARKET_A),
+                 Instance.from_rows([[2, 2], [5, 5]], [[1, 1], [1, 1]]),
+                 id="bidder-dep-with-an-extra-bidder"),
+    pytest.param(compute_auction_params(MARKET_A),
+                 Instance.from_rows([[2, 2, 2]], [[1, 1, 1]]),
+                 id="auction-dep-with-an-extra-auction"),
+    pytest.param(SingleBidderCalibrated(F(3, 2)), one_auction([1, 9], [1, 1]),
+                 id="single-bidder-with-two-bidders"),
+]
+
+
+@pytest.mark.parametrize("spec, inst", MISFITS)
+def test_spec_that_does_not_fit_the_market_is_rejected(spec, inst):
+    bids = [F(1), F(9)][:inst.num_bidders]
+    with pytest.raises(ValueError, match="market has"):
+        run_auction(spec, inst, 0, bids)
+    with pytest.raises(ValueError, match="market has"):
+        min_winning_bid(spec, inst, 0, 0, bids)
+    with pytest.raises(ValueError, match="market has"):
+        run_all(spec, inst, MultiplierProfile.uniform(inst.num_bidders))
+    with pytest.raises(ValueError, match="market has"):
+        run_dynamics(inst, spec)
 
 
 # --- auction-dependent mechanism -------------------------------------------

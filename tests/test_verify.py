@@ -1,5 +1,8 @@
+import json
+import re
 from fractions import Fraction
 
+from bidarena.instances import instance_from_json
 from bidarena.mechanisms import (AuctionDependent, BidderDependent,
                                  GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated)
@@ -57,8 +60,18 @@ def test_property_checks_smoke():
     assert truthfulness_probes(range(10)).violations == []
     assert truthfulness_probes(range(10), single_bidder=True).violations == []
     assert myerson_checks(range(10)).violations == []
-    assert oracle_agreement(range(8), grid_size=15).violations == []
+    assert oracle_agreement(range(8)).violations == []
     assert welfare_cap_checks(range(10)).violations == []
+
+
+def test_violations_replay_to_their_seeded_instance(monkeypatch):
+    monkeypatch.setattr("bidarena.verify.welfare", lambda inst, outcome: F(10**9))
+    stats = welfare_cap_checks(range(3))
+    assert len(stats.violations) == stats.checks > 0
+    for line in stats.violations:
+        match = re.fullmatch(r"seed=(\d+) (.*) instance=(\{.*\})", line)
+        assert match and "welfare exceeds optimum" in match[2]
+        assert instance_from_json(json.loads(match[3])) == family_instance(int(match[1]))
 
 
 def test_checks_actually_count():
