@@ -30,7 +30,7 @@ from .mechanisms import GlobalCostMultiplier, mechanism_from_label, mechanism_la
     mechanism_to_json
 from .model import MultiplierProfile, bids_from
 from .rationals import decimal_text, format_ratio, parse_rational
-from .verify import DEFAULT_KINDS, run_verify_suite
+from .verify import run_verify_suite
 
 CSV_HEADER = ["mechanism", "param_name", "param_value", "welfare", "opt", "ratio",
               "converged", "rounds", "param_value_dec", "welfare_dec", "opt_dec",
@@ -150,7 +150,7 @@ def cmd_sweep_global(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    summary = run_verify_suite(args.seeds, kinds=args.mechanism or DEFAULT_KINDS)
+    summary = run_verify_suite(args.seeds)
     for line in summary.lines:
         print(line)
     if summary.violations:
@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the seeded property suite")
     ver.add_argument("--seeds", type=int, default=100, help="number of seeded instances")
-    ver.add_argument("--mechanism", action="append",
-                     help="restrict to a mechanism kind (repeatable; default all)")
     ver.set_defaults(func=cmd_verify)
 
     gen = sub.add_parser("generate", help="write an instance file")

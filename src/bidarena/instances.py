@@ -119,9 +119,11 @@ def instance_from_json(obj: dict) -> Instance:
             if not isinstance(row, list) or len(row) != m:
                 raise ValueError(f"{name} row {i} must have {m} entries")
             parsed = []
-            for j, text in enumerate(row):
+            for j, entry in enumerate(row):
+                if isinstance(entry, float):
+                    raise ValueError(f"{name}[{i}][{j}]: float {entry!r} is not exact")
                 try:
-                    parsed.append(parse_rational(str(text)))
+                    parsed.append(parse_rational(str(entry)))
                 except ValueError as exc:
                     raise ValueError(f"{name}[{i}][{j}]: {exc}") from exc
             out.append(tuple(parsed))
@@ -136,7 +138,7 @@ def save(inst: Instance, path: str | Path) -> None:
 
 def load(path: str | Path) -> Instance:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):

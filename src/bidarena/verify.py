@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bestresponse import (best_response_against_bids, best_response_oracle,
                            quasilinear_best_bid_check)
@@ -69,10 +69,6 @@ class FamilyStats:
     verified: int = 0
     bound_checked: int = 0
     violations: list[str] = field(default_factory=list)
-
-    @property
-    def convergence_rate(self) -> Fraction:
-        return Fraction(self.converged, self.runs) if self.runs else Fraction(0)
 
 
 def equilibrium_family(kind: str, seeds: Iterable[int], *, welfare_floor: Fraction,
@@ -158,14 +154,14 @@ def accounting_checks(seeds: Iterable[int]) -> CheckStats:
                 stats.violations.append(_describe(
                     seed, inst, f"bidder {i}: core value {core_total} < half of {full_total}"))
 
-        profiles = [MultiplierProfile.uniform(inst.num_bidders)]
+        truthful = MultiplierProfile.uniform(inst.num_bidders)
+        outcome = run_all(spec, inst, truthful)
+        evaluated = [(truthful, diagnostics(inst, spec, truthful, outcome),
+                      welfare(inst, outcome))]
         report = run_dynamics(inst, spec)
         if report.converged and report.verified:
-            profiles.append(report.profile)
-        for profile in profiles:
-            outcome = run_all(spec, inst, profile)
-            diag = diagnostics(inst, spec, profile, outcome)
-            realized = welfare(inst, outcome)
+            evaluated.append((report.profile, report.diagnostics, report.welfare))
+        for profile, diag, realized in evaluated:
             stats.checks += 1
             if diag.core_welfare > realized or diag.payment_surplus > realized:
                 stats.violations.append(_describe(
@@ -204,10 +200,11 @@ def myerson_checks(seeds: Iterable[int]) -> CheckStats:
     stats = CheckStats()
     for seed in seeds:
         inst = family_instance(seed)
+        specs = standard_specs(inst)
         for profile in (MultiplierProfile.uniform(inst.num_bidders),
                         probe_profile(seed, inst.num_bidders)):
             bids = bids_from(profile, inst)
-            for spec in standard_specs(inst):
+            for spec in specs:
                 outcome = run_all(spec, inst, profile)
                 for j, winner in enumerate(outcome.winners):
                     if winner is None:
@@ -271,14 +268,12 @@ def welfare_cap_checks(seeds: Iterable[int]) -> CheckStats:
     return stats
 
 
-# Equilibrium families of `arena verify`: kind -> (welfare floor, zero-cost
-# probability, label). Any other kind runs with no floor.
-FAMILIES = {
-    "second-price": (HALF, Fraction(1), "second-price (zero-cost family), floor 1/2"),
-    "auction-dep": (HALF, FAMILY_ZERO_COST, "auction-dep, floor 1/2"),
-    "bidder-dep": (QUARTER, FAMILY_ZERO_COST, "bidder-dep, floor 1/4"),
-}
-DEFAULT_KINDS = ("second-price", "auction-dep", "bidder-dep", "single-bidder")
+# Floored equilibrium families of `arena verify`: (label, kind, floor, zero-cost probability).
+FAMILIES = (
+    ("second-price (zero-cost family), floor 1/2", "second-price", HALF, Fraction(1)),
+    ("auction-dep, floor 1/2", "auction-dep", HALF, FAMILY_ZERO_COST),
+    ("bidder-dep, floor 1/4", "bidder-dep", QUARTER, FAMILY_ZERO_COST),
+)
 
 
 @dataclass
@@ -287,27 +282,18 @@ class VerifySummary:
     violations: list[str]
 
 
-def run_verify_suite(seed_count: int, *,
-                     kinds: Sequence[str] = DEFAULT_KINDS) -> VerifySummary:
-    """The full property sweep behind `arena verify`. An unknown kind raises
-    ValueError before any family runs."""
+def run_verify_suite(seed_count: int) -> VerifySummary:
+    """The fixed property sweep behind `arena verify`: the floored
+    families, the calibrated single-bidder family, then six check groups."""
     lines: list[str] = []
     violations: list[str] = []
     seeds = range(seed_count)
-    probe = family_instance(0)
-    for kind in kinds:
-        if kind != "single-bidder":
-            mechanism_from_label(kind, probe)
-
-    for kind in kinds:
-        if kind == "single-bidder":
-            stats = single_bidder_family(seed_count)
-            label = "single-bidder, exact optimum"
-        else:
-            floor, zero_cost, label = FAMILIES.get(
-                kind, (ZERO, FAMILY_ZERO_COST, f"{kind}, no floor"))
-            stats = equilibrium_family(kind, seeds, welfare_floor=floor,
-                                       zero_cost_probability=zero_cost)
+    probe = range(min(seed_count, 150))
+    families = [(label, equilibrium_family(kind, seeds, welfare_floor=floor,
+                                           zero_cost_probability=zero_cost))
+                for label, kind, floor, zero_cost in FAMILIES]
+    families.append(("single-bidder, exact optimum", single_bidder_family(seed_count)))
+    for label, stats in families:
         lines.append(f"equilibria [{label}]: runs={stats.runs} converged={stats.converged} "
                      f"verified={stats.verified} floor-checked={stats.bound_checked} "
                      f"violations={len(stats.violations)}")
@@ -315,10 +301,9 @@ def run_verify_suite(seed_count: int, *,
 
     for name, stats in (
         ("welfare accounting", accounting_checks(seeds)),
-        ("truthfulness", truthfulness_probes(range(min(seed_count, 150)))),
-        ("single-bidder truthfulness", truthfulness_probes(range(min(seed_count, 150)),
-                                                           single_bidder=True)),
-        ("payment = threshold", myerson_checks(range(min(seed_count, 150)))),
+        ("truthfulness", truthfulness_probes(probe)),
+        ("single-bidder truthfulness", truthfulness_probes(probe, single_bidder=True)),
+        ("payment = threshold", myerson_checks(probe)),
         ("oracle agreement", oracle_agreement(range(min(seed_count, 120)))),
         ("welfare cap", welfare_cap_checks(seeds)),
     ):

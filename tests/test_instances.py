@@ -100,6 +100,10 @@ def test_json_rejects_missing_and_malformed_fields():
         with pytest.raises(ValueError, match=key):
             instance_from_json(broken)
     broken = dict(good)
+    broken["values"] = [["1"], ["2"]]
+    with pytest.raises(ValueError, match="values must be a list of 1 rows"):
+        instance_from_json(broken)
+    broken = dict(good)
     broken["values"] = [["1", "2"]]
     with pytest.raises(ValueError, match="row 0"):
         instance_from_json(broken)
@@ -131,6 +135,25 @@ def test_load_errors_name_the_file(tmp_path):
     path.write_text("[]")
     with pytest.raises(ValueError, match="expected a JSON object"):
         load(path)
+    path.write_text('{"num_bidders": 1}')
+    with pytest.raises(ValueError, match="broken.json: instance JSON is missing"):
+        load(path)
+
+
+def test_load_reads_number_literals_exactly(tmp_path):
+    path = tmp_path / "literals.json"
+    path.write_text('{"num_bidders": 1, "num_auctions": 2, '
+                    '"values": [[0.1234567890123456789, 1e-30]], "costs": [[0.1, 0]]}')
+    inst = load(path)
+    assert inst.values[0] == (F("0.1234567890123456789"), F(1, 10**30))
+    assert inst.costs[0] == (F(1, 10), F(0))
+
+
+def test_json_rejects_float_entries():
+    broken = instance_to_json(Instance.from_rows([[1, 2]], [[0, 0]]))
+    broken["values"] = [["1", 0.5]]
+    with pytest.raises(ValueError, match=r"values\[0\]\[1\]"):
+        instance_from_json(broken)
 
 
 @settings(max_examples=40, deadline=None)

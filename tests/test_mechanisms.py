@@ -107,6 +107,8 @@ def test_global_gamma_zero_matches_second_price():
 def test_global_rejects_negative_gamma():
     with pytest.raises(ValueError):
         GlobalCostMultiplier(F(-1))
+    with pytest.raises(TypeError, match="gamma must be a Fraction"):
+        GlobalCostMultiplier(1)
 
 
 # --- rightful winners and calibrated parameters ----------------------------

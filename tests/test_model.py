@@ -39,6 +39,8 @@ def test_instance_rejects_negative_entries():
 def test_instance_rejects_mismatched_matrices():
     with pytest.raises(ValueError):
         Instance.from_rows([[1, 2]], [[1]])
+    with pytest.raises(ValueError, match="costs has 2 rows, expected 1"):
+        Instance(((Fraction(1),),), ((Fraction(0),), (Fraction(0),)))
 
 
 def test_instance_rejects_empty():
@@ -51,12 +53,18 @@ def test_instance_rejects_empty():
 def test_instance_rejects_floats():
     with pytest.raises(TypeError):
         Instance.from_rows([[0.5]], [[0]])
+    with pytest.raises(TypeError, match=r"values\[0\]\[0\] is float"):
+        Instance(((0.5,),), ((Fraction(0),),))
 
 
 def test_profile_requires_multiplier_at_least_one():
     with pytest.raises(ValueError):
         MultiplierProfile.of(["1/2"])
     MultiplierProfile.of(["1"])  # boundary is fine
+    with pytest.raises(ValueError, match="at least one bidder"):
+        MultiplierProfile(())
+    with pytest.raises(TypeError, match="multiplier 0 is int"):
+        MultiplierProfile((1,))
 
 
 def test_bids_scale_values():

@@ -48,6 +48,8 @@ def test_infinity_ordering():
     assert INF > Fraction(10**9)
     assert not INF <= Fraction(10**9)
     assert INF >= INF and INF <= INF
+    assert not INF < Fraction(0)
+    assert repr(INF) == "inf"
 
 
 def test_infinity_is_a_singleton():

@@ -45,7 +45,7 @@ def test_equilibrium_family_smoke():
     assert stats.runs == 25
     assert stats.bound_checked <= stats.runs
     assert stats.violations == []
-    assert 0 <= stats.convergence_rate <= 1
+    assert 0 <= stats.converged <= stats.runs
 
 
 def test_single_bidder_family_smoke():
@@ -84,12 +84,6 @@ def test_checks_actually_count():
 def test_run_verify_suite_reports_per_family():
     summary = run_verify_suite(8)
     assert summary.violations == []
-    assert len(summary.lines) == 10  # four default families plus six check groups
+    assert len(summary.lines) == 10  # four families plus six check groups
     assert summary.lines[0].startswith("equilibria [second-price")
     assert all("violations=0" in line for line in summary.lines)
-
-
-def test_run_verify_suite_custom_kind():
-    summary = run_verify_suite(4, kinds=("global:1",))
-    assert summary.lines[0].startswith("equilibria [global:1, no floor]")
-    assert summary.violations == []
