@@ -10,12 +10,12 @@ from .bestresponse import (ResponseResult, best_response_against_bids,
                            threshold_table)
 from .equilibrium import Diagnostics, EquilibriumReport, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, counterexample, load, random_instance, save
-from .mechanisms import (AuctionDependent, AuctionResult, BidderDependent,
+from .mechanisms import (AuctionDependent, AuctionResult, BidderDependent, Bids,
                          GlobalCostMultiplier, MechanismSpec, SecondPrice,
                          SingleBidderCalibrated, Threshold, calibrate_single_bidder,
                          compute_auction_params, compute_bidder_params,
                          mechanism_from_label, min_winning_bid, rightful_winners,
-                         run_all, run_auction)
+                         run_all, run_auction, standing)
 from .model import (Instance, MultiplierProfile, Outcome, bids_from, optimal_welfare,
                     roi_satisfied, welfare)
 from .rationals import INF, ExtRational, Infinity, as_fraction, parse_rational
@@ -23,7 +23,7 @@ from .rationals import INF, ExtRational, Infinity, as_fraction, parse_rational
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuctionDependent", "AuctionResult", "BidderDependent",
+    "AuctionDependent", "AuctionResult", "BidderDependent", "Bids",
     "Diagnostics", "EquilibriumReport", "ExtRational",
     "GlobalCostMultiplier", "INF", "Infinity", "Instance", "MechanismSpec",
     "MultiplierProfile", "Outcome", "RandomFamilyParams",
@@ -34,5 +34,5 @@ __all__ = [
     "min_winning_bid", "optimal_welfare", "parse_rational",
     "quasilinear_best_bid_check", "random_instance", "rightful_winners",
     "roi_satisfied", "run_all", "run_auction", "run_dynamics", "save",
-    "threshold_table", "welfare",
+    "standing", "threshold_table", "welfare",
 ]

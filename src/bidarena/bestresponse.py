@@ -2,7 +2,8 @@
 
 Fixing rival bids fixes, for each auction, the minimum bid that wins.
 Dividing by the bidder's value turns each threshold into a multiplier ratio;
-`threshold_table` lists them for the auctions worth contesting. The set of
+`threshold_table` lists them for the auctions worth contesting, reading each
+threshold in O(1) from the standings that a `Bids` value keeps. The set of
 auctions won is a prefix of the ratio order: it only grows as the multiplier
 climbs. The best response therefore lives on finitely many candidates (1,
 each ratio of at least 1, the midpoints between consecutive ratios, and one
@@ -11,7 +12,8 @@ sweep of the table sorted by ratio. Running sums of won value and of won
 threshold payment grow as the sweep passes each ratio; at a ratio itself
 only the thresholds that admit an equal bid (`inclusive`) count as won. A
 candidate is feasible when value covers payment. One call costs a sort of
-the table plus one addition per row, O(m log m) for m auctions.
+the table plus one addition per row, O(m log m) for m auctions; no bid
+column is scanned.
 
 `best_response_oracle` answers the same question by brute force, resolving
 every auction on a dense multiplier grid. It exists so tests can check the
@@ -25,7 +27,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
-from .mechanisms import MechanismSpec, Threshold, min_winning_bid, run_auction
+from .mechanisms import (Bids, MechanismSpec, Threshold, min_winning_bid, run_auction,
+                         standing)
 from .model import Instance, ONE, ZERO
 from .rationals import Infinity
 
@@ -41,19 +44,21 @@ class ResponseResult:
 
 
 def threshold_table(inst: Instance, spec: MechanismSpec, bidder: int,
-                    bid_rows: Sequence[Sequence[Fraction]]
-                    ) -> list[tuple[Fraction, int, Threshold, Fraction]]:
+                    bids: Bids) -> list[tuple[Fraction, int, Threshold, Fraction]]:
     """(threshold / value, auction, threshold, value) for each auction the
-    bidder values and can win, in auction order; row `bidder` is ignored."""
-    n = inst.num_bidders
-    if not 0 <= bidder < n:
+    bidder values and can win, in auction order; row `bidder` is ignored.
+    `bids` must have been built for `spec` and `inst`."""
+    if not 0 <= bidder < inst.num_bidders:
         raise ValueError(f"bidder {bidder} out of range")
+    if (bids.spec is not spec and bids.spec != spec) or \
+            (bids.inst is not inst and bids.inst != inst):
+        raise ValueError("bids were built for another mechanism or instance")
+    standings = bids.standings
     table = []
-    for j in range(inst.num_auctions):
-        value = inst.values[bidder][j]
+    for j, value in enumerate(inst.values[bidder]):
         if not value:
             continue  # winning adds no value and nonnegative payment
-        t = min_winning_bid(spec, inst, j, bidder, [bid_rows[i][j] for i in range(n)])
+        t = min_winning_bid(spec, inst, j, bidder, standings[j])
         if isinstance(t.value, Infinity):
             continue
         table.append((t.value / value, j, t, value))
@@ -61,11 +66,11 @@ def threshold_table(inst: Instance, spec: MechanismSpec, bidder: int,
 
 
 def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
-                               bid_rows: Sequence[Sequence[Fraction]]) -> ResponseResult:
+                               bids: Bids) -> ResponseResult:
     """Exact best response to rival bids (row `bidder` is ignored): maximize
     won value subject to value >= payment, ties broken toward the smallest
     multiplier."""
-    rows = sorted(threshold_table(inst, spec, bidder, bid_rows), key=itemgetter(0))
+    rows = sorted(threshold_table(inst, spec, bidder, bids), key=itemgetter(0))
     # Every multiplier of at least 1 wins the rows whose ratio is below 1.
     value = payment = ZERO
     end = 0
@@ -112,7 +117,7 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
 
 
 def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
-                         bid_rows: Sequence[Sequence[Fraction]]) -> ResponseResult:
+                         bids: Bids) -> ResponseResult:
     """Brute-force reference for `best_response_against_bids`.
 
     Samples multipliers on a grid of ORACLE_GRID steps over [1, largest
@@ -122,7 +127,7 @@ def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
     Returns the best feasible sample (highest value, then smallest
     multiplier). Test-only: quadratically slower than the exact enumeration.
     """
-    ratios = sorted({r for r, _, _, _ in threshold_table(inst, spec, bidder, bid_rows)
+    ratios = sorted({r for r, _, _, _ in threshold_table(inst, spec, bidder, bids)
                      if r >= 1} | {ONE})
     top = ratios[-1] + 1
     points = set(ratios)
@@ -137,7 +142,7 @@ def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
             points.add(low + quarter * k)
 
     values = inst.values[bidder]
-    columns = [list(column) for column in zip(*bid_rows)]
+    columns = [list(column) for column in zip(*bids.rows)]
     best: ResponseResult | None = None
     for theta in sorted(points):
         value = payment = ZERO
@@ -163,7 +168,7 @@ def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int
     """True when bidding the true value maximizes value-minus-payment in one
     auction against fixed rival bids, over a canonical probe set (zero, half
     value, value, double value, and the win threshold plus/minus 1/1000)."""
-    t = min_winning_bid(spec, inst, auction, bidder, bids)
+    t = min_winning_bid(spec, inst, auction, bidder, standing(spec, inst, auction, bids))
     value = inst.values[bidder][auction]
     probes = {ZERO, value / 2, value, 2 * value}
     if not isinstance(t.value, Infinity):

@@ -8,6 +8,14 @@ bidder's ROI constraint must hold in the realized outcome. A reply computed
 since the last move is still the best response to the final bids, so
 verification reuses it and recomputes only the rest. Non-convergence within
 `max_rounds` is reported, never raised.
+
+The bids live in one `Bids` value built from truthful bids, which keeps
+every auction's top two. A best response reads each threshold from it in
+O(1); a move updates only the auctions the mover values (its zero-value
+bids stay zero), each in O(1) unless the mover held one of the top two
+places and fell, which rescans that one column. The final outcome is priced
+from the same standings, and the optimum is the instance's own, computed
+once on first use.
 """
 
 from __future__ import annotations
@@ -16,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bestresponse import ResponseResult, best_response_against_bids
-from .mechanisms import BidderDependent, MechanismSpec, auction_terms, run_all
+from .mechanisms import BidderDependent, Bids, MechanismSpec, auction_terms
 from .model import (Instance, MultiplierProfile, Outcome, ZERO, bidder_payment,
-                    bidder_value, optimal_welfare, welfare)
+                    bidder_value, welfare)
 from .rationals import Infinity
 
 
@@ -65,7 +73,7 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
         raise ValueError("max_rounds must be >= 1")
     n = inst.num_bidders
     theta = [Fraction(1)] * n
-    bid_rows = [list(row) for row in inst.values]
+    bids = Bids(spec, inst, inst.values)
     # replies[i] is i's best response to the current bids, or None once a
     # rival has moved since it was computed (a reply ignores its own row).
     replies: list[ResponseResult | None] = [None] * n
@@ -75,10 +83,10 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
         rounds_used += 1
         changed = False
         for i in range(n):
-            reply = best_response_against_bids(inst, spec, i, bid_rows)
+            reply = best_response_against_bids(inst, spec, i, bids)
             if reply.multiplier != theta[i]:
                 theta[i] = reply.multiplier
-                bid_rows[i] = [theta[i] * v if v else v for v in inst.values[i]]
+                bids.move(i, [theta[i] * v if v else v for v in inst.values[i]])
                 replies = [None] * n
                 changed = True
             replies[i] = reply
@@ -87,19 +95,19 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
             break
 
     profile = MultiplierProfile(tuple(theta))
-    outcome = run_all(spec, inst, profile)
+    outcome = bids.outcome()
 
     verified = True
     for i, reply in enumerate(replies):
         if reply is None:
-            reply = best_response_against_bids(inst, spec, i, bid_rows)
+            reply = best_response_against_bids(inst, spec, i, bids)
         achieved = bidder_value(inst, outcome, i)
         if reply.total_value > achieved or achieved < bidder_payment(outcome, i):
             verified = False
             break
 
     total = welfare(inst, outcome)
-    opt = optimal_welfare(inst)
+    opt = inst.optimum
     poa = total / opt if opt > 0 else None
     diag = diagnostics(inst, spec, profile, outcome) if isinstance(spec, BidderDependent) else None
     return EquilibriumReport(profile, converged, rounds_used, verified, outcome,

@@ -107,7 +107,8 @@ def instance_from_json(obj: dict) -> Instance:
         if key not in obj:
             raise ValueError(f"instance JSON is missing {key!r}")
     n, m = obj["num_bidders"], obj["num_auctions"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    if isinstance(n, bool) or isinstance(m, bool) or \
+            not isinstance(n, int) or not isinstance(m, int):
         raise ValueError("num_bidders and num_auctions must be integers")
 
     def matrix(name: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -138,9 +139,11 @@ def save(inst: Instance, path: str | Path) -> None:
 
 def load(path: str | Path) -> Instance:
     try:
-        obj = json.loads(Path(path).read_text(), parse_float=Fraction)
+        obj = json.loads(Path(path).read_text(), parse_float=parse_rational)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # a number literal parse_rational rejects
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
     try:

@@ -8,9 +8,14 @@ with score bid - shift, the highest score wins, and the winner pays the
 smallest bid that still wins. All ties break toward the lowest bidder index,
 so every outcome is deterministic.
 
-`run_auction` prices the winner and `min_winning_bid` gives any bidder's
-threshold from the same terms. The tests check both against an independent
-per-rule derivation (`tests/reference_mechanisms.py`).
+One scan of a bid column (`standing`) keeps the auction's best and
+second-best eligible (score, bidder); `run_auction` prices the winner from
+it and `min_winning_bid` reads any bidder's threshold from it in O(1). A
+`Bids` value keeps every auction's standing beside the bid rows, so a
+best response reads each threshold without scanning a column, and a move
+costs O(1) per changed entry (a scan of n bids only where the mover held one
+of the top two places and fell). The tests check the kernel against an
+independent per-rule derivation (`tests/reference_mechanisms.py`).
 """
 
 from __future__ import annotations
@@ -290,6 +295,62 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
 # pays max(r_w, s_w + best rival score): the least bid that still wins. Bids
 # are nonnegative, so a zero reserve admits every bid without a comparison,
 # and a zero shift is not subtracted; any other zero just takes the long way.
+#
+# Everything an auction decides depends on its top two eligible bidders in
+# rank order (higher score first, ties to the lower index): the winner, its
+# price, and every bidder's threshold, whose rival is the first of the two
+# that is not the bidder itself.
+
+# The best and second-best eligible (score, bidder) pairs of one auction in
+# rank order; shorter when fewer than two bidders are eligible.
+Standing = tuple[tuple[Fraction, int], ...]
+
+
+def _scan(bids: Sequence[Fraction], reserves: Sequence[ExtRational],
+          shifts: Sequence[ExtRational]) -> Standing:
+    """The one loop over a bid column."""
+    best = second = None
+    best_i = second_i = 0
+    for i, (bid, reserve, shift) in enumerate(zip(bids, reserves, shifts)):
+        if reserve is not ZERO and bid < reserve:
+            continue
+        score = bid if shift is ZERO else bid - shift
+        if best is None:
+            best, best_i = score, i
+        elif score is second:
+            continue  # the same object at a lower index already holds second place
+        elif score is not best and score > best:
+            best, best_i, second, second_i = score, i, best, best_i
+        elif second is None or score > second:
+            second, second_i = score, i
+    if best is None:
+        return ()
+    if second is None:
+        return ((best, best_i),)
+    return ((best, best_i), (second, second_i))
+
+
+def standing(spec: MechanismSpec, inst: Instance, auction: int,
+             bids: Sequence[Fraction]) -> Standing:
+    """The top two eligible bidders of `auction` for the given bid column."""
+    if len(bids) != inst.num_bidders:
+        raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
+    reserves, shifts = auction_terms(spec, inst)[auction]
+    return _scan(bids, reserves, shifts)
+
+
+def _priced(reserves: Sequence[ExtRational], shifts: Sequence[ExtRational],
+            top: Standing) -> AuctionResult:
+    """The winner of a standing and the least bid with which it still wins."""
+    if not top:
+        return AuctionResult(None, ZERO)
+    winner = top[0][1]
+    reserve = reserves[winner]
+    if len(top) == 1:
+        return AuctionResult(winner, reserve)
+    shift = shifts[winner]
+    pay = top[1][0] if shift is ZERO else shift + top[1][0]
+    return AuctionResult(winner, pay if reserve is ZERO else max(reserve, pay))
 
 
 def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
@@ -298,55 +359,108 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
     if len(bids) != inst.num_bidders:
         raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
     reserves, shifts = auction_terms(spec, inst)[auction]
-    best: int | None = None
-    best_s = rival_s = None
-    for i, (bid, reserve, shift) in enumerate(zip(bids, reserves, shifts)):
-        if reserve is not ZERO and bid < reserve:
-            continue
-        score = bid if shift is ZERO else bid - shift
-        if best is None or score > best_s:
-            best, best_s, rival_s = i, score, best_s
-        elif rival_s is None or score > rival_s:
-            rival_s = score
-    if best is None:
-        return AuctionResult(None, ZERO)
-    reserve, shift = reserves[best], shifts[best]
-    if rival_s is None:
-        return AuctionResult(best, reserve)
-    pay = rival_s if shift is ZERO else shift + rival_s
-    return AuctionResult(best, pay if reserve is ZERO else max(reserve, pay))
+    return _priced(reserves, shifts, _scan(bids, reserves, shifts))
 
 
 def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: int,
-                    bids: Sequence[Fraction]) -> Threshold:
-    """Smallest bid with which `bidder` wins `auction`, rivals' bids fixed.
+                    top: Standing) -> Threshold:
+    """Smallest bid with which `bidder` wins `auction`, rivals' bids fixed,
+    read in O(1) from the auction's `standing`.
 
-    Entry `bidder` of `bids` is ignored. The value is infinite when the
-    bidder can never win; `inclusive` follows the lowest-index tie-break.
+    The bidder's own entry in the standing is skipped. The value is infinite
+    when the bidder can never win; `inclusive` follows the lowest-index
+    tie-break.
     """
-    if len(bids) != inst.num_bidders:
-        raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
-    if not 0 <= bidder < len(bids):
+    if not 0 <= bidder < inst.num_bidders:
         raise ValueError(f"bidder {bidder} out of range")
     reserves, shifts = auction_terms(spec, inst)[auction]
     own = reserves[bidder]
     if isinstance(own, Infinity):
         return NEVER
-    best = None
-    best_i = 0
-    for i, (bid, reserve, shift) in enumerate(zip(bids, reserves, shifts)):
-        if i == bidder or (reserve is not ZERO and bid < reserve):
-            continue
-        score = bid if shift is ZERO else bid - shift
-        if best is None or score > best:
-            best, best_i = score, i
-    if best is None:
+    for score, rival in top:
+        if rival != bidder:
+            break
+    else:
         return Threshold(own, True)
     shift = shifts[bidder]
-    rival = best if shift is ZERO else shift + best
-    if own is not ZERO and own > rival:
+    price = score if shift is ZERO else shift + score
+    if own is not ZERO and own > price:
         return Threshold(own, True)
-    return Threshold(rival, bidder < best_i)
+    return Threshold(price, bidder < rival)
+
+
+def _moved(top: Standing, bidder: int, bid: Fraction, reserves: Sequence[ExtRational],
+           shifts: Sequence[ExtRational], rows: Sequence[Sequence[Fraction]],
+           auction: int) -> Standing:
+    """`top` once `bidder` bids `bid` in `auction`.
+
+    The bidder's new entry is placed against the kept rivals in O(1). Only
+    when it held one of two places and fell, or is no longer eligible, is
+    the column scanned again (`rows` already holds `bid`): the bidder that
+    rises into the top two is not kept.
+    """
+    reserve, shift = reserves[bidder], shifts[bidder]
+    entry = None if reserve is not ZERO and bid < reserve else \
+        (bid if shift is ZERO else bid - shift, bidder)
+    if top and top[0][1] == bidder:
+        held, rest = top[0], top[1:]
+    elif len(top) == 2 and top[1][1] == bidder:
+        held, rest = top[1], top[:1]
+    else:
+        held, rest = None, top
+    if entry is not None:
+        score = entry[0]
+        for k, (rival_score, rival) in enumerate(rest):
+            if score > rival_score or (score == rival_score and bidder < rival):
+                return (rest[:k] + (entry,) + rest[k:])[:2]
+        if held is None:
+            return rest if len(rest) == 2 else rest + (entry,)
+        if len(top) < 2 or not score < held[0]:
+            return rest + (entry,)
+    elif held is None or len(top) < 2:
+        return rest
+    return _scan([row[auction] for row in rows], reserves, shifts)
+
+
+class Bids:
+    """Bid rows under one (spec, instance), with every auction's standing.
+
+    `bids[i]` is bidder i's row. `move` replaces one row and updates only
+    the standings of the entries that changed (an entry that is the same
+    object as before is taken as unchanged), each in O(1) unless the mover
+    held one of the top two places and fell (`_moved`).
+    """
+
+    __slots__ = ("spec", "inst", "rows", "standings")
+
+    def __init__(self, spec: MechanismSpec, inst: Instance,
+                 rows: Sequence[Sequence[Fraction]]) -> None:
+        n, m = inst.num_bidders, inst.num_auctions
+        if len(rows) != n or any(len(row) != m for row in rows):
+            raise ValueError(f"expected {n} bid rows of {m} entries")
+        self.spec, self.inst = spec, inst
+        self.rows = list(rows)
+        self.standings = [_scan(column, reserves, shifts) for column, (reserves, shifts)
+                          in zip(zip(*rows), auction_terms(spec, inst))]
+
+    def __getitem__(self, bidder: int) -> Sequence[Fraction]:
+        return self.rows[bidder]
+
+    def move(self, bidder: int, row: Sequence[Fraction]) -> None:
+        """Replace bidder `bidder`'s row and update the standings it changes."""
+        rows, standings = self.rows, self.standings
+        old, rows[bidder] = rows[bidder], row
+        terms = auction_terms(self.spec, self.inst)
+        for j, (bid, before) in enumerate(zip(row, old)):
+            if bid is not before:
+                reserves, shifts = terms[j]
+                standings[j] = _moved(standings[j], bidder, bid, reserves, shifts, rows, j)
+
+    def outcome(self) -> Outcome:
+        """Every auction's winner and price, read from the standings."""
+        results = [_priced(reserves, shifts, top) for (reserves, shifts), top
+                   in zip(auction_terms(self.spec, self.inst), self.standings)]
+        return Outcome(tuple(r.winner for r in results), tuple(r.payment for r in results))
 
 
 # ---------------------------------------------------------------------------

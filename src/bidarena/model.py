@@ -10,7 +10,7 @@ bidder at one price, so an outcome is one (winner, price) pair per auction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -41,6 +41,7 @@ class Instance:
 
     values: Matrix
     costs: Matrix
+    _optimum: Fraction | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.values)
@@ -59,6 +60,13 @@ class Instance:
     @property
     def num_auctions(self) -> int:
         return len(self.values[0])
+
+    @property
+    def optimum(self) -> Fraction:
+        """`optimal_welfare` of this instance, computed on first use and kept."""
+        if self._optimum is None:
+            object.__setattr__(self, "_optimum", optimal_welfare(self))
+        return self._optimum
 
     @staticmethod
     def from_rows(values: Iterable[Iterable[int | str | Fraction]],

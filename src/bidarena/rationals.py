@@ -7,6 +7,7 @@ binary rounding error can never masquerade as a tie-break.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -61,8 +62,17 @@ def as_fraction(x: int | str | Fraction) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or finite decimal text ("3/2", "0.25", "2") exactly."""
+    """Parse "p/q" or finite decimal text ("3/2", "0.25", "2", "1e-3") exactly.
+
+    `Fraction` builds 10**exponent in full, so a decimal exponent larger in
+    magnitude than `sys.get_int_max_str_digits()`, the bound Python already
+    puts on the integers of "p/q" text, is rejected before it is built.
+    """
     try:
+        _, marker, exponent = text.lower().rpartition("e")
+        limit = sys.get_int_max_str_digits()
+        if marker and limit and abs(int(exponent)) > limit:
+            raise ValueError(f"decimal exponent beyond {limit} digits")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc

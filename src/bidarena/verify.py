@@ -16,10 +16,10 @@ from .bestresponse import (best_response_against_bids, best_response_oracle,
                            quasilinear_best_bid_check)
 from .equilibrium import core_auctions, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, instance_to_json, random_instance
-from .mechanisms import (GlobalCostMultiplier, MechanismSpec, SecondPrice,
+from .mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice,
                          compute_auction_params, compute_bidder_params,
                          calibrate_single_bidder, mechanism_from_label, mechanism_label,
-                         min_winning_bid, run_all, run_auction)
+                         min_winning_bid, run_all, run_auction, standing)
 from .model import (Instance, MultiplierProfile, ZERO, bids_from, optimal_welfare,
                     welfare)
 
@@ -210,7 +210,7 @@ def myerson_checks(seeds: Iterable[int]) -> CheckStats:
                     if winner is None:
                         continue
                     column = [bids[i][j] for i in range(inst.num_bidders)]
-                    t = min_winning_bid(spec, inst, j, winner, column)
+                    t = min_winning_bid(spec, inst, j, winner, standing(spec, inst, j, column))
                     stats.checks += 1
                     if t.value != outcome.prices[j] or not t.admits(column[winner]):
                         stats.violations.append(_describe(
@@ -236,9 +236,10 @@ def oracle_agreement(seeds: Iterable[int]) -> CheckStats:
     stats = CheckStats()
     for seed in seeds:
         inst = family_instance(seed)
-        bids = bids_from(probe_profile(seed, inst.num_bidders), inst)
+        rows = bids_from(probe_profile(seed, inst.num_bidders), inst)
         bidder = seed % inst.num_bidders
         for spec in standard_specs(inst):
+            bids = Bids(spec, inst, rows)
             exact = best_response_against_bids(inst, spec, bidder, bids)
             sampled = best_response_oracle(inst, spec, bidder, bids)
             stats.checks += 1

@@ -3,7 +3,8 @@
 The candidate x auction loop: every candidate multiplier (1, each threshold
 ratio of at least 1, the midpoints between consecutive ones, and one past the
 largest) is rescored against the whole threshold table. The tests compare the
-sorted sweep against it; the package never imports it.
+sorted sweep against it, and `reference_dynamics` runs it on tables of its
+own; the package never imports it.
 """
 
 from __future__ import annotations
@@ -12,16 +13,21 @@ from fractions import Fraction
 from typing import Sequence
 
 from bidarena.bestresponse import ResponseResult, threshold_table
-from bidarena.mechanisms import MechanismSpec
+from bidarena.mechanisms import Bids, MechanismSpec, Threshold
 from bidarena.model import Instance, ONE, ZERO
 
 
 def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
-                               bid_rows: Sequence[Sequence[Fraction]]) -> ResponseResult:
+                               bids: Bids) -> ResponseResult:
     """Exact best response to rival bids (row `bidder` is ignored): maximize
     won value subject to value >= payment, ties broken toward the smallest
     multiplier."""
-    table = threshold_table(inst, spec, bidder, bid_rows)
+    return best_response_from_table(threshold_table(inst, spec, bidder, bids))
+
+
+def best_response_from_table(
+        table: Sequence[tuple[Fraction, int, Threshold, Fraction]]) -> ResponseResult:
+    """The best response given (ratio, auction, threshold, value) rows."""
     breakpoints = sorted({r for r, _, _, _ in table if r >= 1} | {ONE})
     candidates = list(breakpoints)
     for low, high in zip(breakpoints, breakpoints[1:]):

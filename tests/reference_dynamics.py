@@ -1,0 +1,85 @@
+"""Slow reference for `bidarena.equilibrium.run_dynamics`.
+
+The round-robin loop over plain bid rows, with every threshold recomputed
+from scratch: each best response builds its table from
+`reference_mechanisms.min_winning_bid` on the full bid column and picks its
+multiplier with the candidate x auction loop of `reference_bestresponse`,
+and the final outcome comes from `reference_mechanisms.run_auction`. No
+standing is kept between calls, so a standing the package failed to update
+after a move shows up as a different report. The tests compare the two;
+the package never imports this.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import reference_mechanisms as ref
+from reference_bestresponse import best_response_from_table
+from bidarena.bestresponse import ResponseResult
+from bidarena.mechanisms import MechanismSpec
+from bidarena.model import Instance, ZERO
+from bidarena.rationals import Infinity
+
+
+@dataclass(frozen=True)
+class Report:
+    multipliers: tuple[Fraction, ...]
+    rounds_used: int
+    converged: bool
+    verified: bool
+    winners: tuple[int | None, ...]
+    prices: tuple[Fraction, ...]
+
+
+def best_response(inst: Instance, spec: MechanismSpec, bidder: int,
+                  bid_rows: list[list[Fraction]]) -> ResponseResult:
+    table = []
+    for j in range(inst.num_auctions):
+        value = inst.values[bidder][j]
+        if not value:
+            continue
+        column = [row[j] for row in bid_rows]
+        t = ref.min_winning_bid(spec, inst, j, bidder, column)
+        if not isinstance(t.value, Infinity):
+            table.append((t.value / value, j, t, value))
+    return best_response_from_table(table)
+
+
+def run_dynamics(inst: Instance, spec: MechanismSpec, max_rounds: int = 50) -> Report:
+    n = inst.num_bidders
+    theta = [Fraction(1)] * n
+    bid_rows = [list(row) for row in inst.values]
+    replies: list[ResponseResult | None] = [None] * n
+    converged = False
+    rounds_used = 0
+    for _ in range(max_rounds):
+        rounds_used += 1
+        changed = False
+        for i in range(n):
+            reply = best_response(inst, spec, i, bid_rows)
+            if reply.multiplier != theta[i]:
+                theta[i] = reply.multiplier
+                bid_rows[i] = [theta[i] * v for v in inst.values[i]]
+                replies = [None] * n
+                changed = True
+            replies[i] = reply
+        if not changed:
+            converged = True
+            break
+
+    results = [ref.run_auction(spec, inst, j, [row[j] for row in bid_rows])
+               for j in range(inst.num_auctions)]
+    winners = tuple(r.winner for r in results)
+    prices = tuple(r.payment for r in results)
+    verified = True
+    for i, reply in enumerate(replies):
+        if reply is None:
+            reply = best_response(inst, spec, i, bid_rows)
+        won = [j for j, w in enumerate(winners) if w == i]
+        achieved = sum((inst.values[i][j] for j in won), ZERO)
+        if reply.total_value > achieved or achieved < sum((prices[j] for j in won), ZERO):
+            verified = False
+            break
+    return Report(tuple(theta), rounds_used, converged, verified, winners, prices)

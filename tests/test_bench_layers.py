@@ -15,8 +15,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 
-from bidarena import bestresponse  # noqa: E402
-from bidarena.mechanisms import compute_bidder_params  # noqa: E402
+from bidarena import bestresponse, equilibrium  # noqa: E402
+from bidarena.mechanisms import Bids, compute_bidder_params  # noqa: E402
 from bidarena.model import Instance, MultiplierProfile, bids_from  # noqa: E402
 
 
@@ -29,7 +29,7 @@ def test_every_traced_layer_resolves(layer):
 def test_thresholds_are_traced_under_the_best_response():
     inst = Instance.from_rows([[4, 1, 2], [2, 3, 2]], [[1, 1, 0], [1, 1, 1]])
     spec = compute_bidder_params(inst)
-    bid_rows = bids_from(MultiplierProfile.of([Fraction(3, 2), 1]), inst)
+    bid_rows = Bids(spec, inst, bids_from(MultiplierProfile.of([Fraction(3, 2), 1]), inst))
     tracer = tracing.Tracer()
     with tracer.active():
         bestresponse.best_response_against_bids(inst, spec, 0, bid_rows)
@@ -41,3 +41,28 @@ def test_thresholds_are_traced_under_the_best_response():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["mechanisms.min_winning_bid.calls"] == inst.num_auctions
     assert metrics["bestresponse.best_response.calls"] == 1
+
+
+def test_dynamics_route_every_best_response_and_threshold_through_the_layers():
+    # Every bidder values every auction, so each best response reads exactly
+    # one threshold per auction. A dynamics loop that read thresholds or
+    # best responses some other way would leave these counts short.
+    inst = Instance.from_rows([[4, 2, 4, 1], [2, 4, 4, 2], [3, 2, 2, 4]],
+                              [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]])
+    spec = compute_bidder_params(inst)
+    tracer = tracing.Tracer()
+    with tracer.active():
+        report = equilibrium.run_dynamics(inst, spec)
+    assert report.converged and report.rounds_used == 3
+    spans = tracer.spans
+    replies = [k for k, span in enumerate(spans) if span[0] == "bestresponse.best_response"]
+    # A converged run makes one best response per bidder per round and
+    # reuses the silent round's replies for verification.
+    assert len(replies) == report.rounds_used * inst.num_bidders
+    for k in replies:
+        children = [span for span in spans
+                    if span[3] == k and span[0] == "mechanisms.min_winning_bid"]
+        assert len(children) == inst.num_auctions
+    metrics = tracing.layer_metrics(spans)
+    assert metrics["bestresponse.best_response.calls"] == len(replies)
+    assert metrics["mechanisms.min_winning_bid.calls"] == len(replies) * inst.num_auctions

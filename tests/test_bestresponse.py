@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from bidarena.bestresponse import (ResponseResult, best_response_against_bids,
                                    best_response_oracle, quasilinear_best_bid_check,
                                    threshold_table)
-from bidarena.mechanisms import (SecondPrice, Threshold, calibrate_single_bidder,
-                                 compute_auction_params, min_winning_bid, run_all)
+from bidarena.mechanisms import (Bids, SecondPrice, Threshold, calibrate_single_bidder,
+                                 compute_auction_params, min_winning_bid, run_all,
+                                 standing)
 from bidarena.model import Instance, MultiplierProfile, bids_from
 
 from conftest import all_specs, instances_with_profiles
@@ -16,7 +17,8 @@ F = Fraction
 
 
 def respond(inst, spec, bidder, profile):
-    return best_response_against_bids(inst, spec, bidder, bids_from(profile, inst))
+    return best_response_against_bids(inst, spec, bidder,
+                                      Bids(spec, inst, bids_from(profile, inst)))
 
 
 def play(inst, spec, profile, bidder, theta):
@@ -34,7 +36,7 @@ def play(inst, spec, profile, bidder, theta):
 
 def test_problem_validation():
     inst = Instance.from_rows([[1]], [[0]])
-    bids = bids_from(MultiplierProfile.uniform(1), inst)
+    bids = Bids(SecondPrice(), inst, bids_from(MultiplierProfile.uniform(1), inst))
     for bidder in (1, -1):
         with pytest.raises(ValueError, match="out of range"):
             threshold_table(inst, SecondPrice(), bidder, bids)
@@ -43,7 +45,8 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="out of range"):
             best_response_oracle(inst, SecondPrice(), bidder, bids)
         with pytest.raises(ValueError, match="out of range"):
-            min_winning_bid(SecondPrice(), inst, 0, bidder, [F(1)])
+            min_winning_bid(SecondPrice(), inst, 0, bidder,
+                            standing(SecondPrice(), inst, 0, [F(1)]))
         with pytest.raises(ValueError, match="out of range"):
             quasilinear_best_bid_check(inst, SecondPrice(), 0, bidder, [F(1)])
     with pytest.raises(ValueError, match="profile has 2 bidders"):
@@ -53,7 +56,7 @@ def test_problem_validation():
 def test_thresholds_against_calibrated_reserves():
     inst = Instance.from_rows([[2, 1, 1]], [[1, 1, 2]])
     spec = calibrate_single_bidder(inst)
-    bids = bids_from(MultiplierProfile.uniform(1), inst)
+    bids = Bids(spec, inst, bids_from(MultiplierProfile.uniform(1), inst))
     assert threshold_table(inst, spec, 0, bids) == [
         (F(3, 4), 0, Threshold(F(3, 2), True), F(2)),
         (F(3, 2), 1, Threshold(F(3, 2), True), F(1)),
@@ -103,8 +106,8 @@ def test_best_response_against_bids_ignores_own_row():
     rows_a = [[F(0), F(0)], [F(1), F(4)]]
     rows_b = [[F(99), F(99)], [F(1), F(4)]]
     spec = SecondPrice()
-    assert best_response_against_bids(inst, spec, 0, rows_a) == \
-        best_response_against_bids(inst, spec, 0, rows_b)
+    assert best_response_against_bids(inst, spec, 0, Bids(spec, inst, rows_a)) == \
+        best_response_against_bids(inst, spec, 0, Bids(spec, inst, rows_b))
 
 
 def test_best_response_prefers_smallest_multiplier_on_ties():
@@ -151,8 +154,8 @@ def test_best_response_beats_truthful_bidding(pair):
 @given(instances_with_profiles())
 def test_best_response_agrees_with_brute_force(pair):
     inst, profile = pair
-    bids = bids_from(profile, inst)
     for spec in all_specs(inst):
+        bids = Bids(spec, inst, bids_from(profile, inst))
         for bidder in range(inst.num_bidders):
             exact = best_response_against_bids(inst, spec, bidder, bids)
             sampled = best_response_oracle(inst, spec, bidder, bids)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import reference_bestresponse as ref
 from bidarena.bestresponse import best_response_against_bids, threshold_table
-from bidarena.mechanisms import min_winning_bid
+from bidarena.mechanisms import Bids, min_winning_bid, standing
 from bidarena.rationals import Infinity
 from bidarena.verify import standard_specs
 
@@ -24,9 +24,9 @@ def at_thresholds(spec, inst, bid_rows):
     n = inst.num_bidders
     moved = [list(row) for row in bid_rows]
     for j in range(inst.num_auctions):
-        column = [bid_rows[i][j] for i in range(n)]
+        top = standing(spec, inst, j, [bid_rows[i][j] for i in range(n)])
         for i in range(n):
-            t = min_winning_bid(spec, inst, j, i, column)
+            t = min_winning_bid(spec, inst, j, i, top)
             if not isinstance(t.value, Infinity):
                 moved[i][j] = t.value
     return moved
@@ -37,7 +37,8 @@ def test_sweep_matches_reference_loop():
     for seed in range(150):
         inst, bids = seeded_market(seed)
         for spec in standard_specs(inst):
-            for bid_rows in (bids, at_thresholds(spec, inst, bids)):
+            for rows in (bids, at_thresholds(spec, inst, bids)):
+                bid_rows = Bids(spec, inst, rows)
                 for bidder in range(inst.num_bidders):
                     assert best_response_against_bids(inst, spec, bidder, bid_rows) == \
                         ref.best_response_against_bids(inst, spec, bidder, bid_rows)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -115,6 +116,10 @@ def test_sweep_peak_matches_closed_form():
     delta = F(1, 32)
     rows = sweep_global(delta, parse_gamma_grid("0:2:20"))
     assert max(row.ratio for row in rows) == 3 * delta - 2 * delta ** 2 == F(47, 512)
+    # The whole sweep, byte for byte, on 32 bidders (digest taken before the
+    # dynamics kept standings between best responses).
+    assert hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest() == \
+        "f4202f6b69d8bdf987cc96b7f6c2c869c0d01fee381f0ecaa2bebec5499651ac"
 
 
 def test_sweep_csv_layout():

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,11 @@ def test_json_rejects_missing_and_malformed_fields():
     broken["num_bidders"] = "1"
     with pytest.raises(ValueError, match="integers"):
         instance_from_json(broken)
+    for key in ("num_bidders", "num_auctions"):
+        broken = dict(good)
+        broken[key] = True  # a bool is an int to isinstance; it used to load as 1
+        with pytest.raises(ValueError, match="integers"):
+            instance_from_json(broken)
 
 
 def test_save_and_load(tmp_path):
@@ -147,6 +153,19 @@ def test_load_reads_number_literals_exactly(tmp_path):
     inst = load(path)
     assert inst.values[0] == (F("0.1234567890123456789"), F(1, 10**30))
     assert inst.costs[0] == (F(1, 10), F(0))
+
+
+def test_load_rejects_huge_exponents_at_once(tmp_path):
+    # 10**exponent would be built in full: 1e4000000 took seconds and
+    # 1e999999999 never finished, whether a number literal or a string.
+    path = tmp_path / "exponent.json"
+    for entry in ("1e999999999", '"1e999999999"', "1E-4000000"):
+        path.write_text('{"num_bidders": 1, "num_auctions": 1, '
+                        f'"values": [[{entry}]], "costs": [[0]]}}')
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"exponent.json: .*not a rational: '1[eE]"):
+            load(path)
+        assert time.perf_counter() - started < 0.5
 
 
 def test_json_rejects_float_entries():

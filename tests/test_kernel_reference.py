@@ -27,8 +27,9 @@ def check_auction(spec, inst, auction, column) -> int:
     """Assert agreement on one bid column; returns the number of comparisons."""
     assert mechanisms.run_auction(spec, inst, auction, column) == \
         ref.run_auction(spec, inst, auction, column)
+    top = mechanisms.standing(spec, inst, auction, column)
     for i in range(inst.num_bidders):
-        assert mechanisms.min_winning_bid(spec, inst, auction, i, column) == \
+        assert mechanisms.min_winning_bid(spec, inst, auction, i, top) == \
             ref.min_winning_bid(spec, inst, auction, i, column)
     return 1 + inst.num_bidders
 

@@ -10,7 +10,7 @@ from bidarena.mechanisms import (AuctionDependent, AuctionResult,
                                  calibrate_single_bidder, compute_auction_params,
                                  compute_bidder_params, mechanism_from_label,
                                  mechanism_label, min_winning_bid, rightful_winners,
-                                 run_all, run_auction)
+                                 run_all, run_auction, standing)
 from bidarena.model import (Instance, MultiplierProfile, bids_from,
                             optimal_welfare, welfare)
 from bidarena.rationals import INF, Infinity
@@ -18,6 +18,11 @@ from bidarena.rationals import INF, Infinity
 from conftest import all_specs, instances_with_profiles
 
 F = Fraction
+
+
+def threshold(spec, inst, auction, bidder, bids):
+    """`min_winning_bid` read from the standing of one bid column."""
+    return min_winning_bid(spec, inst, auction, bidder, standing(spec, inst, auction, bids))
 
 
 def one_auction(values, costs):
@@ -45,23 +50,23 @@ def test_second_price_tie_goes_to_lowest_index():
 def test_second_price_threshold_side_depends_on_index():
     inst = one_auction([0, 0, 0], [0, 0, 0])
     bids = [F(0), F(3), F(5)]
-    assert min_winning_bid(SecondPrice(), inst, 0, 0, bids) == Threshold(F(5), True)
+    assert threshold(SecondPrice(), inst, 0, 0, bids) == Threshold(F(5), True)
     bids = [F(3), F(5), F(0)]
-    assert min_winning_bid(SecondPrice(), inst, 0, 2, bids) == Threshold(F(5), False)
+    assert threshold(SecondPrice(), inst, 0, 2, bids) == Threshold(F(5), False)
 
 
 def test_second_price_threshold_without_rivals_is_zero():
     inst = one_auction([7], [0])
-    assert min_winning_bid(SecondPrice(), inst, 0, 0, [F(0)]) == Threshold(F(0), True)
+    assert threshold(SecondPrice(), inst, 0, 0, [F(0)]) == Threshold(F(0), True)
 
 
 def test_threshold_rejects_a_bid_column_of_the_wrong_length():
     # A short column used to drop the rival bidding 5 and report threshold 0.
     inst = one_auction([1, 1], [0, 0])
     with pytest.raises(ValueError, match="expected 2 bids, got 1"):
-        min_winning_bid(SecondPrice(), inst, 0, 0, [F(1)])
+        threshold(SecondPrice(), inst, 0, 0, [F(1)])
     with pytest.raises(ValueError, match="expected 2 bids, got 3"):
-        min_winning_bid(SecondPrice(), inst, 0, 0, [F(1), F(5), F(0)])
+        threshold(SecondPrice(), inst, 0, 0, [F(1), F(5), F(0)])
     with pytest.raises(ValueError, match="expected 2 bids, got 1"):
         run_auction(SecondPrice(), inst, 0, [F(1)])
 
@@ -90,10 +95,10 @@ def test_global_payment_includes_own_cost_share():
 
 def test_global_threshold_adds_best_rival_score():
     inst = one_auction([0, 4], [1, F(1, 2)])
-    t = min_winning_bid(GlobalCostMultiplier(F(2)), inst, 0, 0, [F(0), F(4)])
+    t = threshold(GlobalCostMultiplier(F(2)), inst, 0, 0, [F(0), F(4)])
     assert t == Threshold(F(5), True)  # own cost share 2 plus rival score 3
     inst = one_auction([4, 0], [F(1, 2), 1])
-    t = min_winning_bid(GlobalCostMultiplier(F(2)), inst, 0, 1, [F(4), F(0)])
+    t = threshold(GlobalCostMultiplier(F(2)), inst, 0, 1, [F(4), F(0)])
     assert t == Threshold(F(5), False)  # same score, but the rival has the lower index
 
 
@@ -237,7 +242,7 @@ def test_spec_that_does_not_fit_the_market_is_rejected(spec, inst):
     with pytest.raises(ValueError, match="market has"):
         run_auction(spec, inst, 0, bids)
     with pytest.raises(ValueError, match="market has"):
-        min_winning_bid(spec, inst, 0, 0, bids)
+        threshold(spec, inst, 0, 0, bids)
     with pytest.raises(ValueError, match="market has"):
         run_all(spec, inst, MultiplierProfile.uniform(inst.num_bidders))
     with pytest.raises(ValueError, match="market has"):
@@ -265,7 +270,7 @@ def test_auction_dep_rw_absent_means_nobody_wins():
     inst = one_auction([1], [2])
     spec = compute_auction_params(inst)
     assert run_auction(spec, inst, 0, [F(100)]) == AuctionResult(None, F(0))
-    assert min_winning_bid(spec, inst, 0, 0, [F(0)]) == Threshold(INF, False)
+    assert threshold(spec, inst, 0, 0, [F(0)]) == Threshold(INF, False)
 
 
 def test_auction_dep_zero_cost_auction_prices_at_half_value():
@@ -277,7 +282,7 @@ def test_auction_dep_zero_cost_auction_prices_at_half_value():
     inst = one_auction([4, 2], [0, 1])
     spec = compute_auction_params(inst)
     assert spec.cost_multiplier[0] is INF
-    assert min_winning_bid(spec, inst, 0, 1, [F(4), F(2)]) == Threshold(INF, False)
+    assert threshold(spec, inst, 0, 1, [F(4), F(2)]) == Threshold(INF, False)
     assert run_auction(spec, inst, 0, [F(4), F(100)]).winner == 0
 
 
@@ -294,9 +299,9 @@ def test_auction_dep_winner_payment_covers_half_margin():
 def test_auction_dep_threshold_example():
     inst = one_auction([4, 3], [1, 2])
     spec = compute_auction_params(inst)
-    assert min_winning_bid(spec, inst, 0, 0, [F(0), F(3)]) == Threshold(F(5, 2), True)
+    assert threshold(spec, inst, 0, 0, [F(0), F(3)]) == Threshold(F(5, 2), True)
     # Rival bidding 6 has score 1, so bidder 0 needs 5/2 + 1.
-    assert min_winning_bid(spec, inst, 0, 0, [F(0), F(6)]) == Threshold(F(7, 2), True)
+    assert threshold(spec, inst, 0, 0, [F(0), F(6)]) == Threshold(F(7, 2), True)
 
 
 # --- bidder-dependent mechanism --------------------------------------------
@@ -325,8 +330,8 @@ def test_bidder_dep_payment_rises_with_surviving_rival():
 def test_bidder_dep_threshold_example():
     inst = bdep_inst()
     spec = compute_bidder_params(inst)
-    assert min_winning_bid(spec, inst, 0, 1, [F(4), F(0)]) == Threshold(F(4), False)
-    assert min_winning_bid(spec, inst, 1, 1, [F(1), F(0)]) == Threshold(F(2), True)
+    assert threshold(spec, inst, 0, 1, [F(4), F(0)]) == Threshold(F(4), False)
+    assert threshold(spec, inst, 1, 1, [F(1), F(0)]) == Threshold(F(2), True)
 
 
 def test_bidder_dep_infinite_alpha_blocks_costly_bids_only():
@@ -354,7 +359,7 @@ def test_single_bidder_thresholds_are_reserves():
     inst = Instance.from_rows([[2, 1, 1]], [[1, 1, 2]])
     spec = calibrate_single_bidder(inst)
     for j, want in enumerate([F(3, 2), F(3, 2), F(3)]):
-        assert min_winning_bid(spec, inst, j, 0, [F(0)]) == Threshold(want, True)
+        assert threshold(spec, inst, j, 0, [F(0)]) == Threshold(want, True)
 
 
 def test_single_bidder_infinite_reserve_blocks_costly_auctions():
@@ -393,7 +398,7 @@ def test_winner_pays_its_threshold_and_clears_it(pair):
             if winner is None:
                 continue
             column = [bids[i][j] for i in range(inst.num_bidders)]
-            t = min_winning_bid(spec, inst, j, winner, column)
+            t = threshold(spec, inst, j, winner, column)
             assert t.value == out.prices[j]
             assert not isinstance(t.value, Infinity)
             assert t.admits(column[winner])
@@ -411,7 +416,7 @@ def test_losers_fail_their_thresholds(pair):
             for i in range(inst.num_bidders):
                 if out.winners[j] == i:
                     continue
-                t = min_winning_bid(spec, inst, j, i, column)
+                t = threshold(spec, inst, j, i, column)
                 assert not t.admits(column[i])
 
 

@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,20 @@ def test_parse_decimal_text_is_exact():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_bounds_decimal_exponents():
+    # Fraction builds 10**exponent in full; the bound is the one Python puts
+    # on the integers of "p/q" text.
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit}") == 10 ** limit
+    assert parse_rational(f"1e-{limit}") == Fraction(1, 10 ** limit)
+    for text in (f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e4000000", "1e999999999",
+                 "1e" + "9" * (limit + 1)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="not a rational: '"):
+            parse_rational(text)
+        assert time.perf_counter() - started < 0.5
 
 
 def test_format_rational():
