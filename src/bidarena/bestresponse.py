@@ -2,18 +2,27 @@
 
 Fixing rival bids fixes, for each auction, the minimum bid that wins.
 Dividing by the bidder's value turns each threshold into a multiplier ratio;
-`threshold_table` lists them for the auctions worth contesting, reading each
+`threshold_table` lists them for the auctions worth contesting, walking only
+the auctions the bidder values (`Instance.valued`) and reading each
 threshold in O(1) from the standings that a `Bids` value keeps. The set of
 auctions won is a prefix of the ratio order: it only grows as the multiplier
 climbs. The best response therefore lives on finitely many candidates (1,
 each ratio of at least 1, the midpoints between consecutive ratios, and one
 past the largest), and `best_response_against_bids` scores them all in one
-sweep of the table sorted by ratio. Running sums of won value and of won
-threshold payment grow as the sweep passes each ratio; at a ratio itself
-only the thresholds that admit an equal bid (`inclusive`) count as won. A
-candidate is feasible when value covers payment. One call costs a sort of
-the table plus one addition per row, O(m log m) for m auctions; no bid
-column is scanned.
+sweep of the thresholds sorted by ratio. Running sums of won value and of
+won threshold payment grow as the sweep passes each ratio; at a ratio
+itself only the thresholds that admit an equal bid (`inclusive`) count as
+won. A candidate is feasible when value covers payment.
+
+The sweep runs on Python ints. Over the lcm B of the thresholds'
+denominators and the lcm D of the values' denominators, each threshold is
+an integer T / B and each value V / D; with W the lcm of the V's, the key
+T * D * (W // V) is the ratio times W * B exactly, so sorting and grouping
+on it is the ratio order, and the sums, the feasibility test
+(sum T * D <= sum V * B) and the comparisons are integer operations.
+`Fraction`s are built only for the result, which equals the one a
+`Fraction` sweep gives. One call costs a sort of its valued auctions plus a
+few integer operations per row; no bid column is scanned.
 
 `best_response_oracle` answers the same question by brute force, resolving
 every auction on a dense multiplier grid. It exists so tests can check the
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -43,26 +53,32 @@ class ResponseResult:
     total_payment: Fraction
 
 
-def threshold_table(inst: Instance, spec: MechanismSpec, bidder: int,
-                    bids: Bids) -> list[tuple[Fraction, int, Threshold, Fraction]]:
-    """(threshold / value, auction, threshold, value) for each auction the
-    bidder values and can win, in auction order; row `bidder` is ignored.
-    `bids` must have been built for `spec` and `inst`."""
+def _valued_thresholds(inst: Instance, spec: MechanismSpec, bidder: int,
+                       bids: Bids) -> list[tuple[int, Threshold, Fraction]]:
+    """(auction, threshold, value) for each auction the bidder values and
+    can win, in auction order; row `bidder` is ignored. Winning an auction
+    the bidder does not value adds no value and nonnegative payment."""
     if not 0 <= bidder < inst.num_bidders:
         raise ValueError(f"bidder {bidder} out of range")
     if (bids.spec is not spec and bids.spec != spec) or \
             (bids.inst is not inst and bids.inst != inst):
         raise ValueError("bids were built for another mechanism or instance")
     standings = bids.standings
-    table = []
-    for j, value in enumerate(inst.values[bidder]):
-        if not value:
-            continue  # winning adds no value and nonnegative payment
+    found = []
+    for j, value in inst.valued[bidder]:
         t = min_winning_bid(spec, inst, j, bidder, standings[j])
-        if isinstance(t.value, Infinity):
-            continue
-        table.append((t.value / value, j, t, value))
-    return table
+        if not isinstance(t.value, Infinity):
+            found.append((j, t, value))
+    return found
+
+
+def threshold_table(inst: Instance, spec: MechanismSpec, bidder: int,
+                    bids: Bids) -> list[tuple[Fraction, int, Threshold, Fraction]]:
+    """(threshold / value, auction, threshold, value) for each auction the
+    bidder values and can win, in auction order; row `bidder` is ignored.
+    `bids` must have been built for `spec` and `inst`."""
+    return [(t.value / value, j, t, value)
+            for j, t, value in _valued_thresholds(inst, spec, bidder, bids)]
 
 
 def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
@@ -70,50 +86,66 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     """Exact best response to rival bids (row `bidder` is ignored): maximize
     won value subject to value >= payment, ties broken toward the smallest
     multiplier."""
-    rows = sorted(threshold_table(inst, spec, bidder, bids), key=itemgetter(0))
+    found = _valued_thresholds(inst, spec, bidder, bids)
+    # Over common denominators b and d, each threshold is an integer T over b
+    # and each value an integer V over d (the t and v of `scaled` and `rows`).
+    # With w the lcm of the V's, a ratio is key / (w * b) for the integer key
+    # T * d * (w // V).
+    b = lcm(*[t.value.denominator for _, t, _ in found])
+    d = lcm(*[v.denominator for _, _, v in found])
+    scaled = [(j, t.inclusive, t.value.numerator * (b // t.value.denominator),
+               v.numerator * (d // v.denominator)) for j, t, v in found]
+    w = lcm(*[v for _, _, _, v in scaled])
+    rows = sorted([(t * d * (w // v), j, inclusive, t, v) for j, inclusive, t, v in scaled],
+                  key=itemgetter(0))
+    one = w * b  # the key of ratio 1
     # Every multiplier of at least 1 wins the rows whose ratio is below 1.
-    value = payment = ZERO
+    # `value` and `payment` add up V and T, so payment <= value reads
+    # payment * d <= value * b.
+    value = payment = 0
     end = 0
-    while end < len(rows) and rows[end][0] < ONE:
-        value += rows[end][3]
-        payment += rows[end][2].value
+    while end < len(rows) and rows[end][0] < one:
+        payment += rows[end][3]
+        value += rows[end][4]
         end += 1
 
     # Candidates in increasing order, each group of equal ratios (and 1, even
     # when no ratio equals it) scored at the ratio and then just above it. The
-    # best is (value, payment, multiplier or (low, high) for a point just
-    # above low, number of sorted rows won, tied inclusive auctions also won).
+    # best is (value, payment, key or (low, high) for a point just above low,
+    # number of sorted rows won, tied inclusive auctions also won).
     # Multiplier 1 wins only thresholds <= value, so it is always feasible and
     # sets `best` before anything reads it.
     best = None
-    ratio = ONE
+    key = one
     while True:
         start = end
         tied_value, tied_payment, tied = value, payment, []
-        while end < len(rows) and rows[end][0] == ratio:
-            _, j, t, v = rows[end]
+        while end < len(rows) and rows[end][0] == key:
+            _, j, inclusive, t, v = rows[end]
             value += v
-            payment += t.value
-            if t.inclusive:
+            payment += t
+            if inclusive:
                 tied_value += v
-                tied_payment += t.value
+                tied_payment += t
                 tied.append(j)
             end += 1
-        if tied_payment <= tied_value and (best is None or tied_value > best[0]):
-            best = (tied_value, tied_payment, ratio, start, tied)
+        if tied_payment * d <= tied_value * b and (best is None or tied_value > best[0]):
+            best = (tied_value, tied_payment, key, start, tied)
         following = rows[end][0] if end < len(rows) else None
-        if payment <= value and value > best[0]:
-            best = (value, payment, (ratio, following), end, [])
+        if payment * d <= value * b and value > best[0]:
+            best = (value, payment, (key, following), end, [])
         if following is None:
             break
-        ratio = following
+        key = following
 
-    value, payment, theta, won, tied = best
-    if isinstance(theta, tuple):  # just above `low`: the midpoint, or low + 1 past the last
-        low, high = theta
-        theta = low + 1 if high is None else (low + high) / 2
-    won_auctions = frozenset([j for _, j, _, _ in rows[:won]] + tied)
-    return ResponseResult(theta, won_auctions, value, payment)
+    value, payment, key, won, tied = best
+    if isinstance(key, tuple):  # just above `low`: the midpoint, or low + 1 past the last
+        low, high = key
+        theta = Fraction(low + one, one) if high is None else Fraction(low + high, 2 * one)
+    else:
+        theta = Fraction(key, one)
+    won_auctions = frozenset([row[1] for row in rows[:won]] + tied)
+    return ResponseResult(theta, won_auctions, Fraction(value, d), Fraction(payment, b))
 
 
 def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,

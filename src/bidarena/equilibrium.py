@@ -11,11 +11,12 @@ verification reuses it and recomputes only the rest. Non-convergence within
 
 The bids live in one `Bids` value built from truthful bids, which keeps
 every auction's top two. A best response reads each threshold from it in
-O(1); a move updates only the auctions the mover values (its zero-value
-bids stay zero), each in O(1) unless the mover held one of the top two
-places and fell, which rescans that one column. The final outcome is priced
-from the same standings, and the optimum is the instance's own, computed
-once on first use.
+O(1); a move walks only the auctions the mover values (`Instance.valued`;
+its zero-value bids stay zero), each in O(1) unless the mover held one of
+the top two places and fell, which rescans that one column. The final
+outcome is priced from the same standings, every bidder's won value and
+payment come from one pass over it, and the optimum is the instance's own,
+computed once on first use.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from fractions import Fraction
 
 from .bestresponse import ResponseResult, best_response_against_bids
 from .mechanisms import BidderDependent, Bids, MechanismSpec, auction_terms
-from .model import (Instance, MultiplierProfile, Outcome, ZERO, bidder_payment,
-                    bidder_value, welfare)
+from .model import Instance, MultiplierProfile, Outcome, ZERO, welfare
 from .rationals import Infinity
 
 
@@ -86,7 +86,7 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
             reply = best_response_against_bids(inst, spec, i, bids)
             if reply.multiplier != theta[i]:
                 theta[i] = reply.multiplier
-                bids.move(i, [theta[i] * v if v else v for v in inst.values[i]])
+                bids.move(i, theta[i])
                 replies = [None] * n
                 changed = True
             replies[i] = reply
@@ -97,12 +97,17 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     profile = MultiplierProfile(tuple(theta))
     outcome = bids.outcome()
 
+    # Every bidder's won value and payment, in one pass over the outcome.
+    achieved, paid = [ZERO] * n, [ZERO] * n
+    for j, (w, price) in enumerate(zip(outcome.winners, outcome.prices)):
+        if w is not None:
+            achieved[w] += inst.values[w][j]
+            paid[w] += price
     verified = True
     for i, reply in enumerate(replies):
         if reply is None:
             reply = best_response_against_bids(inst, spec, i, bids)
-        achieved = bidder_value(inst, outcome, i)
-        if reply.total_value > achieved or achieved < bidder_payment(outcome, i):
+        if reply.total_value > achieved[i] or achieved[i] < paid[i]:
             verified = False
             break
 

@@ -13,9 +13,9 @@ second-best eligible (score, bidder); `run_auction` prices the winner from
 it and `min_winning_bid` reads any bidder's threshold from it in O(1). A
 `Bids` value keeps every auction's standing beside the bid rows, so a
 best response reads each threshold without scanning a column, and a move
-costs O(1) per changed entry (a scan of n bids only where the mover held one
-of the top two places and fell). The tests check the kernel against an
-independent per-rule derivation (`tests/reference_mechanisms.py`).
+costs O(1) per auction the mover values (a scan of n bids only where the
+mover held one of the top two places and fell). The tests check the kernel
+against an independent per-rule derivation (`tests/reference_mechanisms.py`).
 """
 
 from __future__ import annotations
@@ -210,11 +210,12 @@ _last_terms: tuple[object, object, AuctionTerms] = (None, None, ())
 
 def _scaled_cost(factor: ExtRational, cost: Fraction,
                  at_zero_cost: Fraction = ZERO) -> ExtRational:
-    """factor * cost, where an infinite factor gives infinity on a positive
-    cost and `at_zero_cost` on a zero cost."""
-    if isinstance(factor, Infinity):
-        return INF if cost else at_zero_cost
-    return factor * cost
+    """factor * cost for a positive factor and a cost whose zero is the ZERO
+    object: ZERO on a zero cost, except that an infinite factor gives
+    `at_zero_cost` there and infinity on a positive cost."""
+    if cost is ZERO:
+        return at_zero_cost if isinstance(factor, Infinity) else ZERO
+    return INF if isinstance(factor, Infinity) else factor * cost
 
 
 def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
@@ -233,13 +234,18 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
     auction-dep, and 0 under the other rules. A calibrated spec must fit the
     market: auction-dep needs one alpha per auction, bidder-dep one per
     bidder, and single-bidder a one-bidder market; otherwise ValueError.
+
+    Every zero term of a calibrated spec is the ZERO object, which the kernel
+    tests by identity to skip a comparison or a subtraction. The terms are
+    built from `Instance.cost_columns`, whose zeros already are, so that
+    needs no pass over the terms.
     """
     global _last_terms
     last = _last_terms
     if last[0] is spec and last[1] is inst:
         return last[2]
     n, m = inst.num_bidders, inst.num_auctions
-    cost_columns = [tuple(row[j] for row in inst.costs) for j in range(m)]
+    cost_columns = inst.cost_columns
     zeros = (ZERO,) * n
     if isinstance(spec, SecondPrice):
         terms = [(zeros, zeros)] * m
@@ -247,7 +253,9 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
         gamma = spec.gamma
         terms = []
         for costs in cost_columns:
-            reserves = tuple(gamma * c if c else ZERO for c in costs)
+            # gamma = 0 would make each product a zero other than ZERO.
+            reserves = zeros if not gamma else \
+                tuple([c if c is ZERO else gamma * c for c in costs])
             terms.append((reserves, reserves))
     elif isinstance(spec, SingleBidderCalibrated):
         if n != 1:
@@ -265,8 +273,9 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
                 reserves: tuple[ExtRational, ...] = (INF,) * n
             else:
                 factor = alpha if isinstance(alpha, Infinity) else 1 + alpha
-                half_value = inst.values[rw][j] / 2
-                reserves = tuple(_scaled_cost(factor, c, half_value) for c in costs)
+                value = inst.values[rw][j]
+                half_value = value / 2 if value else ZERO
+                reserves = tuple([_scaled_cost(factor, c, half_value) for c in costs])
             terms.append((reserves, reserves))
     elif isinstance(spec, BidderDependent):
         if len(spec.cost_multiplier) != n:
@@ -275,16 +284,13 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
         factors = [a if isinstance(a, Infinity) else 1 + a for a in spec.cost_multiplier]
         terms = []
         for costs in cost_columns:
-            reserves = tuple(_scaled_cost(f, c) for f, c in zip(factors, costs))
+            reserves = tuple([_scaled_cost(f, c) for f, c in zip(factors, costs)])
             terms.append((reserves, costs))
     else:
         raise TypeError(f"unknown mechanism: {spec!r}")
-    # Every zero term becomes the ZERO object, which the kernel tests by
-    # identity to skip a comparison or a subtraction.
-    canonical = tuple((tuple(r or ZERO for r in reserves), tuple(s or ZERO for s in shifts))
-                      for reserves, shifts in terms)
-    _last_terms = (spec, inst, canonical)
-    return canonical
+    result = tuple(terms)
+    _last_terms = (spec, inst, result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +431,11 @@ def _moved(top: Standing, bidder: int, bid: Fraction, reserves: Sequence[ExtRati
 class Bids:
     """Bid rows under one (spec, instance), with every auction's standing.
 
-    `bids[i]` is bidder i's row. `move` replaces one row and updates only
-    the standings of the entries that changed (an entry that is the same
-    object as before is taken as unchanged), each in O(1) unless the mover
-    held one of the top two places and fell (`_moved`).
+    `bids[i]` is bidder i's row. `move` sets a bidder to a new uniform
+    multiplier: it walks only the auctions the bidder values
+    (`Instance.valued`), since a zero-value bid stays zero, and updates each
+    of their standings in O(1) unless the mover held one of the top two
+    places and fell (`_moved`).
     """
 
     __slots__ = ("spec", "inst", "rows", "standings")
@@ -446,15 +453,16 @@ class Bids:
     def __getitem__(self, bidder: int) -> Sequence[Fraction]:
         return self.rows[bidder]
 
-    def move(self, bidder: int, row: Sequence[Fraction]) -> None:
-        """Replace bidder `bidder`'s row and update the standings it changes."""
+    def move(self, bidder: int, theta: Fraction) -> None:
+        """Bidder `bidder` bids `theta` times its value in every auction it
+        values; its other entries are left as they are."""
         rows, standings = self.rows, self.standings
-        old, rows[bidder] = rows[bidder], row
+        rows[bidder] = row = list(rows[bidder])
         terms = auction_terms(self.spec, self.inst)
-        for j, (bid, before) in enumerate(zip(row, old)):
-            if bid is not before:
-                reserves, shifts = terms[j]
-                standings[j] = _moved(standings[j], bidder, bid, reserves, shifts, rows, j)
+        for j, value in self.inst.valued[bidder]:
+            row[j] = bid = theta * value
+            reserves, shifts = terms[j]
+            standings[j] = _moved(standings[j], bidder, bid, reserves, shifts, rows, j)
 
     def outcome(self) -> Outcome:
         """Every auction's winner and price, read from the standings."""

@@ -42,6 +42,9 @@ class Instance:
     values: Matrix
     costs: Matrix
     _optimum: Fraction | None = field(default=None, init=False, repr=False, compare=False)
+    _valued: tuple[tuple[tuple[int, Fraction], ...], ...] | None = \
+        field(default=None, init=False, repr=False, compare=False)
+    _cost_columns: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.values)
@@ -67,6 +70,24 @@ class Instance:
         if self._optimum is None:
             object.__setattr__(self, "_optimum", optimal_welfare(self))
         return self._optimum
+
+    @property
+    def valued(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Per bidder, its (auction, value) pairs with a nonzero value, in
+        auction order; computed on first use and kept."""
+        if self._valued is None:
+            object.__setattr__(self, "_valued", tuple(
+                tuple((j, v) for j, v in enumerate(row) if v) for row in self.values))
+        return self._valued
+
+    @property
+    def cost_columns(self) -> Matrix:
+        """Per auction, each bidder's cost, every zero as the ZERO object;
+        computed on first use and kept."""
+        if self._cost_columns is None:
+            object.__setattr__(self, "_cost_columns", tuple(
+                tuple(c or ZERO for c in column) for column in zip(*self.costs)))
+        return self._cost_columns
 
     @staticmethod
     def from_rows(values: Iterable[Iterable[int | str | Fraction]],

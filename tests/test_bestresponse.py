@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from bidarena.bestresponse import (ResponseResult, best_response_against_bids,
                                    best_response_oracle, quasilinear_best_bid_check,
                                    threshold_table)
-from bidarena.mechanisms import (Bids, SecondPrice, Threshold, calibrate_single_bidder,
-                                 compute_auction_params, min_winning_bid, run_all,
-                                 standing)
+from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice, Threshold,
+                                 calibrate_single_bidder, compute_auction_params,
+                                 min_winning_bid, run_all, standing)
 from bidarena.model import Instance, MultiplierProfile, bids_from
 
 from conftest import all_specs, instances_with_profiles
@@ -51,6 +51,16 @@ def test_problem_validation():
             quasilinear_best_bid_check(inst, SecondPrice(), 0, bidder, [F(1)])
     with pytest.raises(ValueError, match="profile has 2 bidders"):
         bids_from(MultiplierProfile.uniform(2), inst)
+    other = Instance.from_rows([[2]], [[0]])
+    for wrong in (Bids(GlobalCostMultiplier(F(1)), inst, inst.values),
+                  Bids(SecondPrice(), other, other.values)):
+        for respond in (threshold_table, best_response_against_bids, best_response_oracle):
+            with pytest.raises(ValueError, match="another mechanism or instance"):
+                respond(inst, SecondPrice(), 0, wrong)
+    # Bids built for an equal spec and an equal instance are accepted.
+    same = Bids(SecondPrice(), Instance(inst.values, inst.costs), inst.values)
+    assert best_response_against_bids(inst, SecondPrice(), 0, same) == \
+        best_response_against_bids(inst, SecondPrice(), 0, bids)
 
 
 def test_thresholds_against_calibrated_reserves():

@@ -4,18 +4,23 @@
 whole threshold table. Every comparison here covers the multiplier, the won
 set, the value and the payment, on random quarter-grid bids (where ratios
 often tie) and again with every bid moved onto its own threshold (where
-non-inclusive thresholds decide who wins a tie).
+non-inclusive thresholds decide who wins a tie). Markets off the quarter
+grid, under rivals whose multipliers have long coprime denominators, check
+the sweep's integer scaling where every common denominator is large.
 """
 
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import reference_bestresponse as ref
 from bidarena.bestresponse import best_response_against_bids, threshold_table
 from bidarena.mechanisms import Bids, min_winning_bid, standing
+from bidarena.model import Instance, MultiplierProfile, bids_from
 from bidarena.rationals import Infinity
 from bidarena.verify import standard_specs
 
-from conftest import seeded_market
+from conftest import all_specs, seeded_market
 
 
 def at_thresholds(spec, inst, bid_rows):
@@ -52,3 +57,59 @@ def test_sweep_matches_reference_loop():
     # auctions, and thresholds that an equal bid does not clear.
     assert tied > 200
     assert non_inclusive > 1000
+
+
+def off_grid_market(seed):
+    """Values and costs p/q with q <= 9 (about a fifth of them zero), and
+    uniform bids whose multipliers have pairwise coprime denominators of 10
+    to 20 digits."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 5), rng.randint(1, 8)
+
+    def entry():
+        return Fraction(0) if rng.random() < 0.2 else \
+            Fraction(rng.randint(1, 30), rng.randint(1, 9))
+
+    inst = Instance(tuple(tuple(entry() for _ in range(m)) for _ in range(n)),
+                    tuple(tuple(entry() for _ in range(m)) for _ in range(n)))
+    dens = []
+    while len(dens) < n:
+        den = rng.randrange(10 ** 9, 10 ** rng.randint(10, 20))
+        if all(gcd(den, other) == 1 for other in dens):
+            dens.append(den)
+    profile = MultiplierProfile(tuple(1 + Fraction(rng.randrange(den), den) for den in dens))
+    return inst, bids_from(profile, inst)
+
+
+def test_integer_sweep_matches_reference_off_the_grid():
+    problems = long_b = scaled_d = scaled_w = tied = 0
+    for seed in range(120):
+        inst, bids = off_grid_market(seed)
+        for spec in all_specs(inst):
+            for rows in (bids, at_thresholds(spec, inst, bids)):
+                bid_rows = Bids(spec, inst, rows)
+                for bidder in range(inst.num_bidders):
+                    got = best_response_against_bids(inst, spec, bidder, bid_rows)
+                    want = ref.best_response_against_bids(inst, spec, bidder, bid_rows)
+                    assert (got.multiplier, got.won_auctions, got.total_value,
+                            got.total_payment) == \
+                        (want.multiplier, want.won_auctions, want.total_value,
+                         want.total_payment)
+                    problems += 1
+                    # The common denominators the sweep scales by.
+                    table = threshold_table(inst, spec, bidder, bid_rows)
+                    d = lcm(*[v.denominator for _, _, _, v in table])
+                    w = lcm(*[(v * d).numerator for _, _, _, v in table])
+                    long_b += lcm(*[t.value.denominator for _, _, t, _ in table]) > 10 ** 20
+                    scaled_d += d > 1
+                    scaled_w += w > 1 and len(table) > 1
+                    ratios = [r for r, _, _, _ in table]
+                    tied += len(set(ratios)) < len(ratios)
+    assert problems > 4000
+    # Cases where every scale is nontrivial: B past 20 digits, D above 1,
+    # and W above 1 over two or more rows; and ratios that tie.
+    assert long_b > 1500
+    assert scaled_d > 3000
+    assert scaled_w > 2500
+    assert tied > 500
+

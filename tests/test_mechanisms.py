@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bidarena.equilibrium import run_dynamics
 from bidarena.mechanisms import (AuctionDependent, AuctionResult,
@@ -11,11 +11,11 @@ from bidarena.mechanisms import (AuctionDependent, AuctionResult,
                                  compute_bidder_params, mechanism_from_label,
                                  mechanism_label, min_winning_bid, rightful_winners,
                                  run_all, run_auction, standing)
-from bidarena.model import (Instance, MultiplierProfile, bids_from,
+from bidarena.model import (ZERO, Instance, MultiplierProfile, bids_from,
                             optimal_welfare, welfare)
 from bidarena.rationals import INF, Infinity
 
-from conftest import all_specs, instances_with_profiles
+from conftest import all_specs, instances_with_profiles, small_instances
 
 F = Fraction
 
@@ -442,3 +442,31 @@ def test_no_outcome_beats_optimal_welfare(pair):
     cap = optimal_welfare(inst)
     for spec in all_specs(inst):
         assert welfare(inst, run_all(spec, inst, profile)) <= cap
+
+
+# A zero-value, zero-cost rightful winner (auction 0) gives auction-dep an
+# infinite alpha whose zero-cost reserve is half of a zero value.
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+@example(Instance.from_rows([[0, 2], [0, 1]], [[0, 1], [1, 0]]))
+def test_every_zero_term_is_the_zero_object(inst):
+    # The kernel's identity shortcuts skip a comparison or a subtraction only
+    # for the ZERO object; the instance's own zeros are other objects.
+    for spec in all_specs(inst):
+        for reserves, shifts in auction_terms(spec, inst):
+            for term in reserves + shifts:
+                assert term is ZERO or isinstance(term, Infinity) or term != 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_instances())
+def test_kept_instance_fields_leave_equality_and_hash_alone(inst):
+    twin = Instance(inst.values, inst.costs)
+    before = hash(inst)
+    assert inst.valued == tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                                for row in inst.values)
+    assert inst.optimum == optimal_welfare(inst)
+    assert inst.cost_columns == tuple(zip(*inst.costs))
+    assert inst == twin and twin == inst
+    assert hash(inst) == before == hash(twin)
+    assert repr(inst) == repr(twin)
