@@ -3,10 +3,10 @@
 Fixing rival bids fixes, for each auction, the minimum bid that wins.
 Dividing by the bidder's value turns each threshold into a multiplier ratio;
 `threshold_table` lists them for the auctions worth contesting, walking only
-the auctions the bidder values (`Instance.valued`) and reading each
-threshold in O(1) from the standings that a `Bids` value keeps. The set of
-auctions won is a prefix of the ratio order: it only grows as the multiplier
-climbs. The best response therefore lives on finitely many candidates (1,
+the auctions the bidder values (`Instance.valued`); `min_winning_bid` reads
+each in O(1) from the int standings of a `Bids` value and builds its one
+`Fraction`. The set of auctions won is a prefix of the ratio order: it only
+grows as the multiplier climbs. The best response lives on candidates (1,
 each ratio of at least 1, the midpoints between consecutive ratios, and one
 past the largest), and `best_response_against_bids` scores them all in one
 sweep of the thresholds sorted by ratio. Running sums of won value and of

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -200,7 +201,9 @@ def cmd_debug_br(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `arena` parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="arena",
         description="Deterministic autobidding auction simulator with user costs.")

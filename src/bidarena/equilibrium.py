@@ -10,13 +10,13 @@ verification reuses it and recomputes only the rest. Non-convergence within
 `max_rounds` is reported, never raised.
 
 The bids live in one `Bids` value built from truthful bids, which keeps
-every auction's top two. A best response reads each threshold from it in
-O(1); a move walks only the auctions the mover values (`Instance.valued`;
-its zero-value bids stay zero), each in O(1) unless the mover held one of
-the top two places and fell, which rescans that one column. The final
+every bid as an int pair over the instance's `Market` and every auction's
+top two. A best response reads each threshold from it in O(1); a move walks
+only the auctions the mover values (`Instance.valued`), storing each new bid
+with one int product and updating its standing in O(1) unless the mover held
+one of the top two places and fell, which rescans that one column. The final
 outcome is priced from the same standings, every bidder's won value and
-payment come from one pass over it, and the optimum is the instance's own,
-computed once on first use.
+payment come from one pass over it, and the optimum is the instance's own.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bestresponse import ResponseResult, best_response_against_bids
-from .mechanisms import BidderDependent, Bids, MechanismSpec, auction_terms
+from .mechanisms import BidderDependent, Bids, MechanismSpec, market
 from .model import Instance, MultiplierProfile, Outcome, ZERO, welfare
 from .rationals import Infinity
 
@@ -122,8 +122,9 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
 def core_auctions(inst: Instance, spec: BidderDependent) -> tuple[frozenset[int], ...]:
     """Per bidder, its rightful auctions whose value reaches its own
     prescreen level, the reserve (1 + alpha) * cost."""
-    terms = auction_terms(spec, inst)
-    return tuple(frozenset(j for j in rightful if inst.values[i][j] >= terms[j][0][i])
+    mk = market(spec, inst)
+    return tuple(frozenset(j for j in rightful if mk.reserves[j][i] is not None
+                           and mk.values[j][i] >= mk.reserves[j][i])
                  for i, rightful in enumerate(spec.rightful_auctions))
 
 

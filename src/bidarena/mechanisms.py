@@ -2,19 +2,19 @@
 
 Every rule is VCG with user costs plus a cost multiplier, and differs from
 the others only in the reserve and the shift each bidder gets in each
-auction (`auction_terms`, the only rule-specific step of an auction). One
-kernel then runs them all: a bidder whose bid reaches its reserve competes
-with score bid - shift, the highest score wins, and the winner pays the
-smallest bid that still wins. All ties break toward the lowest bidder index,
-so every outcome is deterministic.
+auction (`market`, the only rule-specific step of an auction). One kernel
+then runs them all: a bidder whose bid reaches its reserve competes with
+score bid - shift, the highest score wins, and the winner pays the smallest
+bid that still wins. All ties break toward the lowest bidder index.
 
-One scan of a bid column (`standing`) keeps the auction's best and
-second-best eligible (score, bidder); `run_auction` prices the winner from
-it and `min_winning_bid` reads any bidder's threshold from it in O(1). A
-`Bids` value keeps every auction's standing beside the bid rows, so a
-best response reads each threshold without scanning a column, and a move
-costs O(1) per auction the mover values (a scan of n bids only where the
-mover held one of the top two places and fell). The tests check the kernel
+A `Market` holds one (spec, instance) in ints, each auction over its own
+denominator, and the kernel runs on those ints. One scan of a bid column
+(`standing`) keeps the auction's best and second-best eligible (score,
+bidder); `run_auction` prices the winner from it and `min_winning_bid` reads
+any bidder's threshold from it in O(1). A `Bids` value keeps every auction's
+standing beside the int bids, so a best response reads each threshold
+without a scan, and a move costs O(1) per auction the mover values. Fractions
+are built only for what leaves the kernel. The tests check the kernel
 against an independent per-rule derivation (`tests/reference_mechanisms.py`).
 """
 
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .model import Instance, MultiplierProfile, Outcome, ZERO, bids_from
 from .rationals import (INF, ExtRational, Infinity, format_ratio, format_rational,
@@ -142,16 +143,7 @@ NEVER = Threshold(INF, False)
 def rightful_winners(inst: Instance) -> tuple[int | None, ...]:
     """Per auction, the lowest-index maximizer of value minus cost, or None
     when even the best allocation would destroy welfare."""
-    out: list[int | None] = []
-    for j in range(inst.num_auctions):
-        best: Fraction | None = None
-        best_i = 0
-        for i in range(inst.num_bidders):
-            s = inst.values[i][j] - inst.costs[i][j]
-            if best is None or s > best:
-                best, best_i = s, i
-        out.append(best_i if best is not None and best >= 0 else None)
-    return tuple(out)
+    return tuple(i if best >= 0 else None for *_, best, i in inst.columns)
 
 
 def _solve_alpha(value: Fraction, cost: Fraction) -> ExtRational:
@@ -199,28 +191,24 @@ def calibrate_single_bidder(inst: Instance) -> SingleBidderCalibrated:
 # ---------------------------------------------------------------------------
 # Reserves and shifts: the only rule-specific step of an auction
 
-# Per auction, the column of reserves and the column of shifts, one entry per bidder.
-AuctionTerms = tuple[tuple[tuple[ExtRational, ...], tuple[ExtRational, ...]], ...]
 
-# The last (spec, instance, terms) built. Specs and instances are frozen, and
-# the entry keeps both alive, so an identity match can never be stale. It is
-# read and replaced as one tuple, never updated field by field.
-_last_terms: tuple[object, object, AuctionTerms] = (None, None, ())
+class Market(NamedTuple):
+    """One (spec, instance) in ints, built by `market`. For auction j,
+    `scale[j]` is a common denominator d_j, and `values[j][i]`,
+    `reserves[j][i]` and `shifts[j][i]` are bidder i's terms times d_j. An
+    infinite reserve is None, and the shift beside it is never read."""
 
-
-def _scaled_cost(factor: ExtRational, cost: Fraction,
-                 at_zero_cost: Fraction = ZERO) -> ExtRational:
-    """factor * cost for a positive factor and a cost whose zero is the ZERO
-    object: ZERO on a zero cost, except that an infinite factor gives
-    `at_zero_cost` there and infinity on a positive cost."""
-    if cost is ZERO:
-        return at_zero_cost if isinstance(factor, Infinity) else ZERO
-    return INF if isinstance(factor, Infinity) else factor * cost
+    spec: MechanismSpec
+    scale: tuple[int, ...]
+    values: tuple[list[int], ...]
+    reserves: tuple[list[int | None], ...]
+    shifts: tuple[list[int | None], ...]
 
 
-def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
-    """Per auction, each bidder's reserve (the least bid it may win with;
-    infinite when it can never win) and shift (what its score subtracts).
+def market(spec: MechanismSpec, inst: Instance) -> Market:
+    """The `Market` of (spec, inst): in every auction, each bidder's reserve
+    (the least bid it may win with; infinite when it can never win) and shift
+    (what its score subtracts).
 
     | rule | reserve | shift |
     | second price | 0 | 0 |
@@ -235,62 +223,71 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
     market: auction-dep needs one alpha per auction, bidder-dep one per
     bidder, and single-bidder a one-bidder market; otherwise ValueError.
 
-    Every zero term of a calibrated spec is the ZERO object, which the kernel
-    tests by identity to skip a comparison or a subtraction. The terms are
-    built from `Instance.cost_columns`, whose zeros already are, so that
-    needs no pass over the terms.
+    All zero-cost bidders of an auction get the same terms, so per-entry work
+    is done only on the nonzero values and costs of `Instance.columns`. The
+    last market built is kept on the instance, found by spec identity.
     """
-    global _last_terms
-    last = _last_terms
-    if last[0] is spec and last[1] is inst:
-        return last[2]
+    kept = inst._market
+    if kept is not None and kept.spec is spec:
+        return kept
     n, m = inst.num_bidders, inst.num_auctions
-    cost_columns = inst.cost_columns
-    zeros = (ZERO,) * n
-    if isinstance(spec, SecondPrice):
-        terms = [(zeros, zeros)] * m
-    elif isinstance(spec, GlobalCostMultiplier):
-        gamma = spec.gamma
-        terms = []
-        for costs in cost_columns:
-            # gamma = 0 would make each product a zero other than ZERO.
-            reserves = zeros if not gamma else \
-                tuple([c if c is ZERO else gamma * c for c in costs])
-            terms.append((reserves, reserves))
+    # Per auction, each bidder's factor on a positive cost, and the reserve of a zero cost.
+    zero_reserves: list[ExtRational] = [ZERO] * m
+    if isinstance(spec, (SecondPrice, GlobalCostMultiplier)):
+        gamma = spec.gamma if isinstance(spec, GlobalCostMultiplier) else ZERO
+        # A zero gamma becomes the ZERO factor, whose reserves and shifts stay 0 unbuilt.
+        factors = [(gamma or ZERO,) * n] * m
     elif isinstance(spec, SingleBidderCalibrated):
         if n != 1:
             raise ValueError(f"single-bidder spec needs 1 bidder, market has {n}")
-        terms = [((_scaled_cost(spec.cost_multiplier, costs[0]),), zeros)
-                 for costs in cost_columns]
+        factors = [(spec.cost_multiplier,)] * m
     elif isinstance(spec, AuctionDependent):
         if len(spec.rightful_winner) != m or len(spec.cost_multiplier) != m:
             raise ValueError(f"auction-dep spec covers {len(spec.cost_multiplier)} "
                              f"auctions, market has {m}")
-        terms = []
-        for j, (rw, alpha, costs) in enumerate(zip(spec.rightful_winner, spec.cost_multiplier,
-                                                   cost_columns)):
-            if rw is None:
-                reserves: tuple[ExtRational, ...] = (INF,) * n
-            else:
-                factor = alpha if isinstance(alpha, Infinity) else 1 + alpha
-                value = inst.values[rw][j]
-                half_value = value / 2 if value else ZERO
-                reserves = tuple([_scaled_cost(factor, c, half_value) for c in costs])
-            terms.append((reserves, reserves))
+        rules = list(enumerate(zip(spec.rightful_winner, spec.cost_multiplier)))
+        factors = [(INF if rw is None or a is INF else 1 + a,) * n for _, (rw, a) in rules]
+        zero_reserves = [INF if rw is None else inst.values[rw][j] / 2 if a is INF else ZERO
+                         for j, (rw, a) in rules]
     elif isinstance(spec, BidderDependent):
         if len(spec.cost_multiplier) != n:
             raise ValueError(f"bidder-dep spec covers {len(spec.cost_multiplier)} "
                              f"bidders, market has {n}")
-        factors = [a if isinstance(a, Infinity) else 1 + a for a in spec.cost_multiplier]
-        terms = []
-        for costs in cost_columns:
-            reserves = tuple([_scaled_cost(f, c) for f, c in zip(factors, costs)])
-            terms.append((reserves, costs))
+        factors = [tuple(a if a is INF else 1 + a for a in spec.cost_multiplier)] * m
     else:
         raise TypeError(f"unknown mechanism: {spec!r}")
-    result = tuple(terms)
-    _last_terms = (spec, inst, result)
-    return result
+    shift_is_cost = isinstance(spec, BidderDependent)
+    shift_is_reserve = not shift_is_cost and not isinstance(spec, SingleBidderCalibrated)
+
+    columns = []
+    for (scale, valued, costed, *_), factor, zero in zip(inst.columns, factors, zero_reserves):
+        terms = [(i, c, INF if factor[i] is INF else factor[i] * c)
+                 for i, c in costed if factor[i] is not ZERO]
+        d = lcm(scale, 1 if zero is INF else zero.denominator,
+                *[x.denominator for _, c, r in terms for x in (c, r) if x is not INF])
+        column_values = [0] * n
+        for i, v in valued:
+            column_values[i] = v * (d // scale)
+        column_reserves = [None if zero is INF else zero.numerator * (d // zero.denominator)] * n
+        column_shifts = column_reserves if shift_is_reserve else [0] * n
+        for i, c, r in terms:
+            column_reserves[i] = None if r is INF else r.numerator * (d // r.denominator)
+            if shift_is_cost:
+                column_shifts[i] = c.numerator * (d // c.denominator)
+        columns.append((d, column_values, column_reserves, column_shifts))
+    built = Market(spec, *map(tuple, zip(*columns)))
+    object.__setattr__(inst, "_market", built)
+    return built
+
+
+def auction_terms(spec: MechanismSpec, inst: Instance) -> tuple:
+    """Per auction, the column of reserves and the column of shifts of
+    `market` as rationals: INF for an infinite reserve (and its shift when
+    that is the reserve), every zero as ZERO."""
+    mk = market(spec, inst)
+    rational = lambda x, d: INF if x is None else Fraction(x, d) if x else ZERO
+    return tuple((tuple([rational(r, d) for r in rs]), tuple([rational(s, d) for s in ss]))
+                 for d, rs, ss in zip(mk.scale, mk.reserves, mk.shifts))
 
 
 # ---------------------------------------------------------------------------
@@ -299,41 +296,43 @@ def auction_terms(spec: MechanismSpec, inst: Instance) -> AuctionTerms:
 # Bidder i is eligible when its bid reaches its reserve r_i; its score is
 # bid - s_i. The highest score wins, ties to the lowest index, and the winner
 # pays max(r_w, s_w + best rival score): the least bid that still wins. Bids
-# are nonnegative, so a zero reserve admits every bid without a comparison,
-# and a zero shift is not subtracted; any other zero just takes the long way.
+# are nonnegative, so a zero reserve admits every bid without a comparison.
 #
-# Everything an auction decides depends on its top two eligible bidders in
-# rank order (higher score first, ties to the lower index): the winner, its
-# price, and every bidder's threshold, whose rival is the first of the two
-# that is not the bidder itself.
+# It runs on the `Market`'s ints. In auction j a bid is a pair (P, Q) meaning
+# P / (Q * d_j): it is eligible when P >= Q * R_i, and its score is the pair
+# (P - Q * S_i, Q). Two scores (A, Q) and (A', Q') compare as A * Q' against
+# A' * Q, with no gcd. A move by theta = p / q stores (p * V_i, q). Fractions
+# are built only for thresholds, payments and bid rows. Everything an auction
+# decides depends on its top two eligible bidders in rank order (higher score
+# first, ties to the lower index): the winner, its price, and every bidder's
+# threshold, whose rival is the first of the two that is not the bidder itself.
 
-# The best and second-best eligible (score, bidder) pairs of one auction in
+# The best and second-best eligible (A, Q, bidder) entries of one auction in
 # rank order; shorter when fewer than two bidders are eligible.
-Standing = tuple[tuple[Fraction, int], ...]
+Standing = tuple[tuple[int, int, int], ...]
 
 
-def _scan(bids: Sequence[Fraction], reserves: Sequence[ExtRational],
-          shifts: Sequence[ExtRational]) -> Standing:
-    """The one loop over a bid column."""
-    best = second = None
-    best_i = second_i = 0
-    for i, (bid, reserve, shift) in enumerate(zip(bids, reserves, shifts)):
-        if reserve is not ZERO and bid < reserve:
+def _scan(nums: Sequence[int], dens: Sequence[int], reserves: Sequence[int | None],
+          shifts: Sequence[int | None]) -> Standing:
+    """The one loop over a bid column of (nums[i], dens[i]) pairs."""
+    best_a = second_a = second_q = None
+    best_q = best_i = second_i = 0
+    for i, p, q, r, s in zip(range(len(nums)), nums, dens, reserves, shifts):
+        if r is None or (r and p < q * r):
             continue
-        score = bid if shift is ZERO else bid - shift
-        if best is None:
-            best, best_i = score, i
-        elif score is second:
-            continue  # the same object at a lower index already holds second place
-        elif score is not best and score > best:
-            best, best_i, second, second_i = score, i, best, best_i
-        elif second is None or score > second:
-            second, second_i = score, i
-    if best is None:
+        a = p - q * s if s else p
+        if a == second_a and q == second_q:
+            continue  # a lower index already holds second place with this score
+        if best_a is None:
+            best_a, best_q, best_i = a, q, i
+        elif a * best_q > best_a * q:
+            best_a, best_q, best_i, second_a, second_q, second_i = a, q, i, best_a, best_q, best_i
+        elif second_a is None or a * second_q > second_a * q:
+            second_a, second_q, second_i = a, q, i
+    if best_a is None:
         return ()
-    if second is None:
-        return ((best, best_i),)
-    return ((best, best_i), (second, second_i))
+    best = (best_a, best_q, best_i)
+    return (best,) if second_a is None else (best, (second_a, second_q, second_i))
 
 
 def standing(spec: MechanismSpec, inst: Instance, auction: int,
@@ -341,31 +340,30 @@ def standing(spec: MechanismSpec, inst: Instance, auction: int,
     """The top two eligible bidders of `auction` for the given bid column."""
     if len(bids) != inst.num_bidders:
         raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
-    reserves, shifts = auction_terms(spec, inst)[auction]
-    return _scan(bids, reserves, shifts)
+    mk = market(spec, inst)
+    d = mk.scale[auction]
+    return _scan([b.numerator * d for b in bids], [b.denominator for b in bids],
+                 mk.reserves[auction], mk.shifts[auction])
 
 
-def _priced(reserves: Sequence[ExtRational], shifts: Sequence[ExtRational],
-            top: Standing) -> AuctionResult:
+def _priced(mk: Market, auction: int, top: Standing) -> AuctionResult:
     """The winner of a standing and the least bid with which it still wins."""
     if not top:
         return AuctionResult(None, ZERO)
-    winner = top[0][1]
-    reserve = reserves[winner]
-    if len(top) == 1:
-        return AuctionResult(winner, reserve)
-    shift = shifts[winner]
-    pay = top[1][0] if shift is ZERO else shift + top[1][0]
-    return AuctionResult(winner, pay if reserve is ZERO else max(reserve, pay))
+    winner = top[0][2]
+    d, reserve = mk.scale[auction], mk.reserves[auction][winner]
+    if len(top) == 2:
+        a, q, _ = top[1]
+        pay = mk.shifts[auction][winner] * q + a
+        if pay > reserve * q:
+            return AuctionResult(winner, Fraction(pay, q * d))
+    return AuctionResult(winner, Fraction(reserve, d) if reserve else ZERO)
 
 
 def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
                 bids: Sequence[Fraction]) -> AuctionResult:
     """Resolve auction `auction` under `spec` for the given bid column."""
-    if len(bids) != inst.num_bidders:
-        raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
-    reserves, shifts = auction_terms(spec, inst)[auction]
-    return _priced(reserves, shifts, _scan(bids, reserves, shifts))
+    return _priced(market(spec, inst), auction, standing(spec, inst, auction, bids))
 
 
 def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: int,
@@ -379,66 +377,64 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
     """
     if not 0 <= bidder < inst.num_bidders:
         raise ValueError(f"bidder {bidder} out of range")
-    reserves, shifts = auction_terms(spec, inst)[auction]
-    own = reserves[bidder]
-    if isinstance(own, Infinity):
+    mk = market(spec, inst)
+    own = mk.reserves[auction][bidder]
+    if own is None:
         return NEVER
-    for score, rival in top:
+    d = mk.scale[auction]
+    for a, q, rival in top:
         if rival != bidder:
             break
     else:
-        return Threshold(own, True)
-    shift = shifts[bidder]
-    price = score if shift is ZERO else shift + score
-    if own is not ZERO and own > price:
-        return Threshold(own, True)
-    return Threshold(price, bidder < rival)
+        return Threshold(Fraction(own, d) if own else ZERO, True)
+    price = mk.shifts[auction][bidder] * q + a
+    if own * q > price:
+        return Threshold(Fraction(own, d), True)
+    return Threshold(Fraction(price, q * d), bidder < rival)
 
 
-def _moved(top: Standing, bidder: int, bid: Fraction, reserves: Sequence[ExtRational],
-           shifts: Sequence[ExtRational], rows: Sequence[Sequence[Fraction]],
-           auction: int) -> Standing:
-    """`top` once `bidder` bids `bid` in `auction`.
-
-    The bidder's new entry is placed against the kept rivals in O(1). Only
-    when it held one of two places and fell, or is no longer eligible, is
-    the column scanned again (`rows` already holds `bid`): the bidder that
-    rises into the top two is not kept.
-    """
-    reserve, shift = reserves[bidder], shifts[bidder]
-    entry = None if reserve is not ZERO and bid < reserve else \
-        (bid if shift is ZERO else bid - shift, bidder)
-    if top and top[0][1] == bidder:
+def _moved(top: Standing, bidder: int, nums: Sequence[int], dens: Sequence[int],
+           reserves: Sequence[int | None], shifts: Sequence[int | None]) -> Standing:
+    """`top` once `bidder`'s entry of the column (nums, dens) has changed: the
+    new entry is placed against the kept rivals in O(1), and the column is
+    scanned again only when the bidder held one of the two places and fell or
+    is no longer eligible (the bidder that rises into the top two is not kept)."""
+    p, q, reserve, shift = nums[bidder], dens[bidder], reserves[bidder], shifts[bidder]
+    entry = None if reserve is None or (reserve and p < q * reserve) else \
+        (p - q * shift if shift else p, q, bidder)
+    if top and top[0][2] == bidder:
         held, rest = top[0], top[1:]
-    elif len(top) == 2 and top[1][1] == bidder:
+    elif len(top) == 2 and top[1][2] == bidder:
         held, rest = top[1], top[:1]
     else:
         held, rest = None, top
     if entry is not None:
-        score = entry[0]
-        for k, (rival_score, rival) in enumerate(rest):
-            if score > rival_score or (score == rival_score and bidder < rival):
+        a = entry[0]
+        for k, (rival_a, rival_q, rival) in enumerate(rest):
+            mine, theirs = a * rival_q, rival_a * q
+            if mine > theirs or (mine == theirs and bidder < rival):
                 return (rest[:k] + (entry,) + rest[k:])[:2]
         if held is None:
             return rest if len(rest) == 2 else rest + (entry,)
-        if len(top) < 2 or not score < held[0]:
+        if len(top) < 2 or not a * held[1] < held[0] * q:
             return rest + (entry,)
     elif held is None or len(top) < 2:
         return rest
-    return _scan([row[auction] for row in rows], reserves, shifts)
+    return _scan(nums, dens, reserves, shifts)
 
 
 class Bids:
     """Bid rows under one (spec, instance), with every auction's standing.
 
-    `bids[i]` is bidder i's row. `move` sets a bidder to a new uniform
-    multiplier: it walks only the auctions the bidder values
+    Bidder i's bid in auction j is the kernel's pair (`nums[j][i]`,
+    `dens[j][i]`). `bids[i]` is bidder i's row of Fractions; after a move, its
+    next read rebuilds only the moved entries. `move` sets a bidder to a new
+    uniform multiplier: it walks only the auctions the bidder values
     (`Instance.valued`), since a zero-value bid stays zero, and updates each
-    of their standings in O(1) unless the mover held one of the top two
-    places and fell (`_moved`).
+    standing in O(1) unless the mover held one of the top two places and fell.
     """
 
-    __slots__ = ("spec", "inst", "rows", "standings")
+    __slots__ = ("spec", "inst", "market", "nums", "dens", "standings", "_rows", "_stale")
 
     def __init__(self, spec: MechanismSpec, inst: Instance,
                  rows: Sequence[Sequence[Fraction]]) -> None:
@@ -446,40 +442,54 @@ class Bids:
         if len(rows) != n or any(len(row) != m for row in rows):
             raise ValueError(f"expected {n} bid rows of {m} entries")
         self.spec, self.inst = spec, inst
-        self.rows = list(rows)
-        self.standings = [_scan(column, reserves, shifts) for column, (reserves, shifts)
-                          in zip(zip(*rows), auction_terms(spec, inst))]
+        self.market = mk = market(spec, inst)
+        self._rows, self._stale = list(rows), set()
+        # Truthful bids are (V, 1); only other rows are converted entry by entry.
+        self.nums = nums = [list(column) for column in mk.values]
+        self.dens = dens = [[1] * n for _ in range(m)]
+        for i, (row, values) in enumerate(zip(rows, inst.values)):
+            if row is not values:
+                for j, (bid, d) in enumerate(zip(row, mk.scale)):
+                    nums[j][i], dens[j][i] = bid.numerator * d, bid.denominator
+        self.standings = [_scan(*c) for c in zip(nums, dens, mk.reserves, mk.shifts)]
 
     def __getitem__(self, bidder: int) -> Sequence[Fraction]:
-        return self.rows[bidder]
+        row = self._rows[bidder]
+        if bidder in self._stale:
+            self._stale.discard(bidder)
+            row, scale = list(row), self.market.scale
+            for j, _ in self.inst.valued[bidder]:
+                row[j] = Fraction(self.nums[j][bidder], self.dens[j][bidder] * scale[j])
+            self._rows[bidder] = row = tuple(row)
+        return row
+
+    @property
+    def rows(self) -> list[Sequence[Fraction]]:
+        return [self[i] for i in range(self.inst.num_bidders)]
 
     def move(self, bidder: int, theta: Fraction) -> None:
         """Bidder `bidder` bids `theta` times its value in every auction it
         values; its other entries are left as they are."""
-        rows, standings = self.rows, self.standings
-        rows[bidder] = row = list(rows[bidder])
-        terms = auction_terms(self.spec, self.inst)
-        for j, value in self.inst.valued[bidder]:
-            row[j] = bid = theta * value
-            reserves, shifts = terms[j]
-            standings[j] = _moved(standings[j], bidder, bid, reserves, shifts, rows, j)
+        p, q = theta.numerator, theta.denominator
+        mk, standings = self.market, self.standings
+        self._stale.add(bidder)
+        for j, _ in self.inst.valued[bidder]:
+            nums, dens = self.nums[j], self.dens[j]
+            nums[bidder] = p * mk.values[j][bidder]
+            dens[bidder] = q
+            standings[j] = _moved(standings[j], bidder, nums, dens,
+                                  mk.reserves[j], mk.shifts[j])
 
     def outcome(self) -> Outcome:
         """Every auction's winner and price, read from the standings."""
-        results = [_priced(reserves, shifts, top) for (reserves, shifts), top
-                   in zip(auction_terms(self.spec, self.inst), self.standings)]
+        results = [_priced(self.market, j, top) for j, top in enumerate(self.standings)]
         return Outcome(tuple(r.winner for r in results), tuple(r.payment for r in results))
 
 
-# ---------------------------------------------------------------------------
-# Running every auction
-
-
 def run_all(spec: MechanismSpec, inst: Instance, profile: MultiplierProfile) -> Outcome:
-    """Run every auction under uniform bids derived from `profile`."""
-    bids = bids_from(profile, inst)
-    results = [run_auction(spec, inst, j, column) for j, column in enumerate(zip(*bids))]
-    return Outcome(tuple(r.winner for r in results), tuple(r.payment for r in results))
+    """Run every auction under uniform bids derived from `profile`, priced
+    from the standings of one `Bids`."""
+    return Bids(spec, inst, bids_from(profile, inst)).outcome()
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .rationals import as_fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+# One auction of `Instance.columns`: the lcm L of its values' denominators,
+# (bidder, value * L) for each nonzero value, (bidder, cost) for each nonzero
+# cost, and the best value minus cost with the lowest bidder index reaching it.
+Column = tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, Fraction], ...], Fraction, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +50,10 @@ class Instance:
     _valued: tuple[tuple[tuple[int, Fraction], ...], ...] | None = \
         field(default=None, init=False, repr=False, compare=False)
     _cost_columns: Matrix | None = field(default=None, init=False, repr=False, compare=False)
+    _columns: tuple[Column, ...] | None = \
+        field(default=None, init=False, repr=False, compare=False)
+    # The last `mechanisms.Market` built on this instance; see `mechanisms.market`.
+    _market: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.values)
@@ -88,6 +97,22 @@ class Instance:
             object.__setattr__(self, "_cost_columns", tuple(
                 tuple(c or ZERO for c in column) for column in zip(*self.costs)))
         return self._cost_columns
+
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        """Per auction, its `Column`; computed on first use and kept."""
+        if self._columns is None:
+            out = []
+            for values, costs in zip(zip(*self.values), self.cost_columns):
+                scale = lcm(*[v.denominator for v in values])
+                margins = [v if c is ZERO else v - c for v, c in zip(values, costs)]
+                best = max(range(len(margins)), key=margins.__getitem__)
+                out.append((scale, tuple([(i, v.numerator * (scale // v.denominator))
+                                          for i, v in enumerate(values) if v]),
+                            tuple([(i, c) for i, c in enumerate(costs) if c is not ZERO]),
+                            margins[best], best))
+            object.__setattr__(self, "_columns", tuple(out))
+        return self._columns
 
     @staticmethod
     def from_rows(values: Iterable[Iterable[int | str | Fraction]],
@@ -161,12 +186,7 @@ def welfare(inst: Instance, outcome: Outcome) -> Fraction:
 def optimal_welfare(inst: Instance) -> Fraction:
     """Best possible welfare: per auction, the largest value-minus-cost if
     positive, else leave the auction unallocated."""
-    total = ZERO
-    for j in range(inst.num_auctions):
-        best = max(inst.values[i][j] - inst.costs[i][j] for i in range(inst.num_bidders))
-        if best > 0:
-            total += best
-    return total
+    return sum((best for *_, best, _ in inst.columns if best > 0), ZERO)
 
 
 def bidder_value(inst: Instance, outcome: Outcome, bidder: int) -> Fraction:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -55,3 +56,28 @@ def seeded_market(seed: int) -> tuple[Instance, list[list[Fraction]]]:
     bids = [[Fraction(rng.randrange(0, 17), 4) for _ in range(inst.num_auctions)]
             for _ in range(inst.num_bidders)]
     return inst, bids
+
+
+def off_grid_instance(seed: int, zero_share: float = 0.2) -> Instance:
+    """A 1-5 x 1-6 market with values and costs p/q for q <= 9, about
+    `zero_share` of them zero."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 5), rng.randint(1, 6)
+
+    def entry():
+        return Fraction(0) if rng.random() < zero_share else \
+            Fraction(rng.randint(1, 30), rng.randint(1, 9))
+
+    return Instance(tuple(tuple(entry() for _ in range(m)) for _ in range(n)),
+                    tuple(tuple(entry() for _ in range(m)) for _ in range(n)))
+
+
+def coprime_profile(rng: random.Random, num_bidders: int) -> MultiplierProfile:
+    """Multipliers above 1 whose denominators are pairwise coprime and 10 to
+    20 digits long."""
+    dens: list[int] = []
+    while len(dens) < num_bidders:
+        den = rng.randrange(10 ** 9, 10 ** rng.randint(10, 20))
+        if all(math.gcd(den, other) == 1 for other in dens):
+            dens.append(den)
+    return MultiplierProfile(tuple(1 + Fraction(rng.randrange(den), den) for den in dens))

@@ -15,10 +15,11 @@ import reference_dynamics as ref
 from bidarena.cli import parse_gamma_grid, sweep_global
 from bidarena.equilibrium import run_dynamics
 from bidarena.instances import RandomFamilyParams, counterexample, random_instance
-from bidarena.mechanisms import GlobalCostMultiplier, mechanism_from_label
+from bidarena.mechanisms import (GlobalCostMultiplier, compute_auction_params,
+                                 mechanism_from_label)
 from bidarena.verify import standard_specs
 
-from conftest import seeded_market
+from conftest import off_grid_instance, seeded_market
 
 F = Fraction
 
@@ -59,3 +60,41 @@ def test_dynamics_match_reference_across_the_sweep():
     assert len(gammas) > 10
     for gamma in gammas:
         assert same_report(inst, GlobalCostMultiplier(gamma), 50), gamma
+
+
+def test_dynamics_match_reference_off_the_grid():
+    # Values and costs p/q for q <= 9. Every move gives the mover's bids a
+    # new denominator, so the bids of one column soon differ in it, and the
+    # kept standings compare them by cross-multiplying.
+    mismatches = [(seed, spec, rounds)
+                  for seed in range(40)
+                  for inst in [off_grid_instance(seed)]
+                  for spec in standard_specs(inst)
+                  for rounds in (1, 2, 12)
+                  if not same_report(inst, spec, rounds)]
+    assert mismatches == []
+    # Runs that end with two or more distinct multiplier denominators.
+    mixed = sum(len({t.denominator for t in run_dynamics(inst, spec, 12).profile.multipliers}) > 1
+                for seed in range(40) for inst in [off_grid_instance(seed)]
+                for spec in standard_specs(inst))
+    assert mixed > 35
+
+
+def test_dynamics_match_reference_with_half_value_reserves():
+    # Many zero costs give auction-dep infinite alphas, whose zero-cost
+    # reserves are half the rightful winner's value, and auctions that
+    # nobody may win.
+    for seed in range(60):
+        inst = off_grid_instance(seed, zero_share=0.45)
+        for rounds in (1, 2, 12):
+            assert same_report(inst, compute_auction_params(inst), rounds), (seed, rounds)
+
+
+def test_dynamics_match_reference_on_a_sparse_market():
+    # Each auction has one bidder with a nonzero value or cost; the other
+    # eleven bid zero on the auction's zero-cost terms.
+    delta = F(1, 12)
+    inst = counterexample(delta)
+    for gamma in (F(0), F(1, 2), 1 + delta, 1 + delta ** 3, 1 + delta ** 12, F(2)):
+        for rounds in (1, 2, 50):
+            assert same_report(inst, GlobalCostMultiplier(gamma), rounds), (gamma, rounds)

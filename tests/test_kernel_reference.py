@@ -8,17 +8,22 @@ with each bidder bidding exactly its threshold, where ties decide.
 
 import ast
 import inspect
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 
 import reference_mechanisms as ref
 from bidarena import mechanisms
-from bidarena.mechanisms import GlobalCostMultiplier, SecondPrice, compute_bidder_params
+from bidarena.instances import counterexample
+from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
+                                 compute_auction_params, compute_bidder_params, market,
+                                 run_all)
 from bidarena.model import Instance, MultiplierProfile, bids_from
 from bidarena.rationals import Infinity
 
-from conftest import all_specs, instances_with_profiles, seeded_market
+from conftest import (all_specs, coprime_profile, instances_with_profiles, off_grid_instance,
+                      seeded_market, small_instances)
 
 F = Fraction
 
@@ -100,3 +105,141 @@ def test_reference_imports_no_function_from_bidarena():
                 for alias in node.names]
     assert "Threshold" in imported
     assert [name for name in imported if inspect.isfunction(getattr(ref, name))] == []
+
+
+# The int kernel: `Bids` keeps each bid as a pair (P, Q) over the auction's
+# scale d_j, and compares scores by cross-multiplying. The cases below make
+# Q differ within a column, make d_j and Q long, leave most bidders of an
+# auction on the zero-cost default terms, and give auction-dep its
+# half-value reserves and its columns where nobody may win.
+
+
+def check_bids(spec, inst, bids, rows) -> int:
+    """A `Bids` against the reference on the Fraction rows it should hold:
+    its rows, its outcome, and every threshold read from its standings.
+    Returns the number of comparisons."""
+    n = inst.num_bidders
+    assert [list(bids[i]) for i in range(n)] == [list(row) for row in rows]
+    outcome = bids.outcome()
+    for j in range(inst.num_auctions):
+        column = [row[j] for row in rows]
+        want = ref.run_auction(spec, inst, j, column)
+        assert (outcome.winners[j], outcome.prices[j]) == (want.winner, want.payment)
+        for i in range(n):
+            assert mechanisms.min_winning_bid(spec, inst, j, i, bids.standings[j]) == \
+                ref.min_winning_bid(spec, inst, j, i, column)
+    return inst.num_auctions * (1 + n)
+
+
+def mixed_rows(rng, inst):
+    """Non-uniform bid rows whose entries have denominators from 1 to 12."""
+    return [[F(rng.randint(0, 60), rng.randint(1, 12)) for _ in range(inst.num_auctions)]
+            for _ in range(inst.num_bidders)]
+
+
+def unequal_dens_in_a_column(bids) -> bool:
+    return any(len(set(dens)) > 1 for dens in bids.dens)
+
+
+def moved_through(spec, inst, profiles) -> int:
+    """Truthful `Bids` whose bidders move, one at a time, to each profile in
+    turn, checked against the reference after every move; `run_all` on each
+    full profile too. Returns the number of comparisons."""
+    bids = Bids(spec, inst, inst.values)
+    thetas = [F(1)] * inst.num_bidders
+    cases = check_bids(spec, inst, bids, inst.values)
+    for profile in profiles:
+        for i, theta in enumerate(profile.multipliers):
+            bids.move(i, theta)
+            thetas[i] = theta
+            cases += check_bids(spec, inst, bids,
+                                bids_from(MultiplierProfile(tuple(thetas)), inst))
+        assert run_all(spec, inst, profile) == bids.outcome()
+    return cases
+
+
+def test_bids_match_reference_on_rows_with_mixed_denominators():
+    cases = unequal = 0
+    for seed in range(80):
+        inst = off_grid_instance(seed)
+        rows = mixed_rows(random.Random(seed), inst)
+        for spec in all_specs(inst):
+            bids = Bids(spec, inst, rows)
+            cases += check_bids(spec, inst, bids, rows) + check_market(spec, inst, rows)
+            unequal += unequal_dens_in_a_column(bids)
+    assert cases > 25000
+    assert unequal > 300
+
+
+def test_moves_match_reference_under_long_coprime_multipliers():
+    cases = unequal = long_scale = 0
+    for seed in range(50):
+        inst = off_grid_instance(seed)
+        rng = random.Random(seed)
+        profiles = [coprime_profile(rng, inst.num_bidders) for _ in range(2)]
+        for spec in all_specs(inst):
+            cases += moved_through(spec, inst, profiles)
+            bids = Bids(spec, inst, bids_from(profiles[0], inst))
+            unequal += unequal_dens_in_a_column(bids)
+            long_scale += any(q * d > 10 ** 20 for dens, d in zip(bids.dens, bids.market.scale)
+                              for q in dens)
+    assert cases > 25000
+    assert unequal > 200
+    assert long_scale > 100
+
+
+def test_sparse_counterexample_markets_match_reference():
+    # Each auction of the family has one bidder with a nonzero value or cost;
+    # every other bidder takes the auction's zero-cost terms.
+    cases = 0
+    for delta in (F(1, 4), F(1, 8), F(1, 12)):
+        inst = counterexample(delta)
+        assert all(len(valued) == len(costed) == 1 for _, valued, costed, _, _ in inst.columns)
+        n = inst.num_bidders
+        gammas = [F(0), F(1, 2), F(1), F(2)] + [1 + delta ** i for i in range(1, n + 2)]
+        rng = random.Random(n)
+        profiles = [MultiplierProfile(tuple(1 + delta ** rng.randint(1, n) for _ in range(n))),
+                    coprime_profile(rng, n)]
+        for gamma in gammas:
+            spec = GlobalCostMultiplier(gamma)
+            cases += moved_through(spec, inst, profiles)
+            rows = mixed_rows(rng, inst)
+            cases += check_bids(spec, inst, Bids(spec, inst, rows), rows)
+    assert cases > 100000
+
+
+def test_auction_dep_half_value_reserves_and_closed_auctions_match_reference():
+    cases = half_value = closed = 0
+    for seed in range(120):
+        inst = off_grid_instance(seed, zero_share=0.45)
+        spec = compute_auction_params(inst)
+        mk = market(spec, inst)
+        for j, (rw, alpha) in enumerate(zip(spec.rightful_winner, spec.cost_multiplier)):
+            closed += rw is None
+            # An infinite alpha on a zero cost: a reserve of half the rightful
+            # winner's value, for every zero-cost bidder of the auction.
+            half_value += rw is not None and isinstance(alpha, Infinity) and \
+                inst.values[rw][j] > 0 and any(
+                    not inst.costs[i][j] and mk.reserves[j][i] * 2 == mk.values[j][rw]
+                    for i in range(inst.num_bidders))
+        rng = random.Random(seed)
+        profiles = [coprime_profile(rng, inst.num_bidders) for _ in range(2)]
+        cases += moved_through(spec, inst, profiles)
+        rows = mixed_rows(rng, inst)
+        cases += check_bids(spec, inst, Bids(spec, inst, rows), rows)
+        cases += check_market(spec, inst, rows)
+    assert cases > 15000
+    assert half_value > 150
+    assert closed > 40
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances())
+def test_a_built_market_leaves_instance_equality_hash_and_repr_alone(inst):
+    twin = Instance(inst.values, inst.costs)
+    before = (hash(inst), repr(inst))
+    for spec in all_specs(inst):
+        built = market(spec, inst)
+        assert market(spec, inst) is built and built.spec is spec
+        assert inst == twin and twin == inst
+        assert (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))

@@ -1,9 +1,10 @@
+import re
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from bidarena.rationals import (INF, as_fraction, decimal_text, format_ratio,
@@ -92,3 +93,46 @@ def test_as_fraction_rejects_inexact_types():
 def test_parse_inverts_format(x):
     assert parse_rational(format_rational(x)) == x
     assert parse_rational(format_ratio(x)) == x
+
+
+LIMIT = sys.get_int_max_str_digits()
+# Digit runs: plain ASCII, ones mixing in digits that are not ASCII (the
+# superscript two is no decimal digit; the Arabic-Indic and fullwidth ones
+# are), and runs at Python's integer-string limit.
+DIGIT_RUNS = st.one_of(
+    st.text(alphabet="0123456789", max_size=6),
+    st.text(alphabet="0123456789\u00b2\u0661\u0663\uff10 ", max_size=4),
+    st.integers(LIMIT - 1, LIMIT + 1).map(lambda k: "7" * k),
+)
+
+
+@st.composite
+def digit_texts(draw):
+    """"p" or "p/q" digit text with leading zeros and surrounding whitespace."""
+    def run():
+        return draw(st.sampled_from(["", "0", "00"])) + draw(DIGIT_RUNS)
+    text = run() + ("/" + run() if draw(st.booleans()) else "")
+    pad = st.sampled_from(["", " ", "\t", "\n "])
+    return draw(pad) + text + draw(pad)
+
+
+@given(digit_texts())
+@example("0/0")
+@example("000/0")
+@example("007/008")
+@example(" 12/04 ")
+@example("\u00b2")
+@example("3/\u00b2")
+@example("\u0661/\u0662")
+@example("7" * LIMIT + "/1")
+@example("1/" + "7" * (LIMIT + 1))
+def test_parse_agrees_with_fraction_on_digit_text(text):
+    # The fast path for plain "p" and "p/q" text must give what `Fraction`
+    # gives, or reject what it rejects, with the same message.
+    try:
+        want = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match=re.escape(f"not a rational: {text!r}")):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == want
