@@ -174,7 +174,7 @@ def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
             points.add(low + quarter * k)
 
     values = inst.values[bidder]
-    columns = [list(column) for column in zip(*bids.rows)]
+    columns = [list(column) for column in zip(*[bids[i] for i in range(inst.num_bidders)])]
     best: ResponseResult | None = None
     for theta in sorted(points):
         value = payment = ZERO

@@ -81,7 +81,7 @@ class AuctionDependent:
     maximizing value minus cost, absent when that maximum is negative): the
     multiplier solves value = (1 + 2 * alpha) * cost for that bidder, every
     score is bid - (1 + alpha) * cost, and the top score wins if nonnegative.
-    A zero-cost rightful winner makes alpha infinite (see `auction_terms`).
+    A zero-cost rightful winner makes alpha infinite (see `market`).
     """
 
     rightful_winner: tuple[int | None, ...]
@@ -96,7 +96,7 @@ class BidderDependent:
     rightful winner: total value = (1 + 2 * alpha_i) * total cost there.
     In every auction, bidders whose bid falls short of (1 + alpha_i) * cost
     are discarded; survivors compete on bid minus cost. A zero total cost
-    makes alpha_i infinite (see `auction_terms`).
+    makes alpha_i infinite (see `market`).
     """
 
     rightful_auctions: tuple[frozenset[int], ...]
@@ -280,16 +280,6 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
     return built
 
 
-def auction_terms(spec: MechanismSpec, inst: Instance) -> tuple:
-    """Per auction, the column of reserves and the column of shifts of
-    `market` as rationals: INF for an infinite reserve (and its shift when
-    that is the reserve), every zero as ZERO."""
-    mk = market(spec, inst)
-    rational = lambda x, d: INF if x is None else Fraction(x, d) if x else ZERO
-    return tuple((tuple([rational(r, d) for r in rs]), tuple([rational(s, d) for s in ss]))
-                 for d, rs, ss in zip(mk.scale, mk.reserves, mk.shifts))
-
-
 # ---------------------------------------------------------------------------
 # The auction kernel
 #
@@ -341,6 +331,8 @@ def standing(spec: MechanismSpec, inst: Instance, auction: int,
     if len(bids) != inst.num_bidders:
         raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
     mk = market(spec, inst)
+    if not 0 <= auction < len(mk.scale):
+        raise ValueError(f"auction {auction} out of range")
     d = mk.scale[auction]
     return _scan([b.numerator * d for b in bids], [b.denominator for b in bids],
                  mk.reserves[auction], mk.shifts[auction])
@@ -378,6 +370,8 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
     if not 0 <= bidder < inst.num_bidders:
         raise ValueError(f"bidder {bidder} out of range")
     mk = market(spec, inst)
+    if not 0 <= auction < len(mk.scale):
+        raise ValueError(f"auction {auction} out of range")
     own = mk.reserves[auction][bidder]
     if own is None:
         return NEVER
@@ -462,10 +456,6 @@ class Bids:
                 row[j] = Fraction(self.nums[j][bidder], self.dens[j][bidder] * scale[j])
             self._rows[bidder] = row = tuple(row)
         return row
-
-    @property
-    def rows(self) -> list[Sequence[Fraction]]:
-        return [self[i] for i in range(self.inst.num_bidders)]
 
     def move(self, bidder: int, theta: Fraction) -> None:
         """Bidder `bidder` bids `theta` times its value in every auction it

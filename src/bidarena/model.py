@@ -36,22 +36,22 @@ def _check_matrix(name: str, rows: Matrix, num_rows: int, num_cols: int) -> None
         for j, entry in enumerate(row):
             if not isinstance(entry, Fraction):
                 raise TypeError(f"{name}[{i}][{j}] is {type(entry).__name__}, expected Fraction")
-            if entry < 0:
+            if entry.numerator < 0:
                 raise ValueError(f"{name}[{i}][{j}] is negative: {entry}")
 
 
 @dataclass(frozen=True, slots=True)
 class Instance:
-    """One market: values[i][j] and costs[i][j] for bidder i, auction j."""
+    """One market: values[i][j] and costs[i][j] for bidder i, auction j.
+
+    It keeps its `optimum`, its views `valued` and `columns` (derived together
+    on the first read of either) and the last `Market` built on it, none of
+    them part of equality, hashing or repr."""
 
     values: Matrix
     costs: Matrix
     _optimum: Fraction | None = field(default=None, init=False, repr=False, compare=False)
-    _valued: tuple[tuple[tuple[int, Fraction], ...], ...] | None = \
-        field(default=None, init=False, repr=False, compare=False)
-    _cost_columns: Matrix | None = field(default=None, init=False, repr=False, compare=False)
-    _columns: tuple[Column, ...] | None = \
-        field(default=None, init=False, repr=False, compare=False)
+    _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # The last `mechanisms.Market` built on this instance; see `mechanisms.market`.
     _market: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -82,37 +82,29 @@ class Instance:
 
     @property
     def valued(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Per bidder, its (auction, value) pairs with a nonzero value, in
-        auction order; computed on first use and kept."""
-        if self._valued is None:
-            object.__setattr__(self, "_valued", tuple(
-                tuple((j, v) for j, v in enumerate(row) if v) for row in self.values))
-        return self._valued
-
-    @property
-    def cost_columns(self) -> Matrix:
-        """Per auction, each bidder's cost, every zero as the ZERO object;
-        computed on first use and kept."""
-        if self._cost_columns is None:
-            object.__setattr__(self, "_cost_columns", tuple(
-                tuple(c or ZERO for c in column) for column in zip(*self.costs)))
-        return self._cost_columns
+        """Per bidder, its (auction, value) pairs of nonzero value, in auction order."""
+        return (self._derived or self._derive())[0]
 
     @property
     def columns(self) -> tuple[Column, ...]:
-        """Per auction, its `Column`; computed on first use and kept."""
-        if self._columns is None:
-            out = []
-            for values, costs in zip(zip(*self.values), self.cost_columns):
-                scale = lcm(*[v.denominator for v in values])
-                margins = [v if c is ZERO else v - c for v, c in zip(values, costs)]
-                best = max(range(len(margins)), key=margins.__getitem__)
-                out.append((scale, tuple([(i, v.numerator * (scale // v.denominator))
+        """Per auction, its `Column`."""
+        return (self._derived or self._derive())[1]
+
+    def _derive(self) -> tuple:
+        """Compute and keep (`valued`, `columns`), which no spec changes."""
+        valued = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.values)
+        columns = []
+        for values, costs in zip(zip(*self.values), zip(*self.costs)):
+            scale = lcm(*[v.denominator for v in values])
+            margins = [v - c if c else v for v, c in zip(values, costs)]
+            best = max(range(len(margins)), key=margins.__getitem__)
+            columns.append((scale, tuple([(i, v.numerator * (scale // v.denominator))
                                           for i, v in enumerate(values) if v]),
-                            tuple([(i, c) for i, c in enumerate(costs) if c is not ZERO]),
+                            tuple([(i, c) for i, c in enumerate(costs) if c]),
                             margins[best], best))
-            object.__setattr__(self, "_columns", tuple(out))
-        return self._columns
+        derived = (valued, tuple(columns))
+        object.__setattr__(self, "_derived", derived)
+        return derived
 
     @staticmethod
     def from_rows(values: Iterable[Iterable[int | str | Fraction]],

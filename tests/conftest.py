@@ -19,11 +19,11 @@ thetas = st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2),
 
 
 @st.composite
-def small_instances(draw, max_side: int = 3):
+def small_instances(draw, max_side: int = 3, entries=grid_rationals):
     n = draw(st.integers(1, max_side))
     m = draw(st.integers(1, max_side))
-    values = tuple(tuple(draw(grid_rationals) for _ in range(m)) for _ in range(n))
-    costs = tuple(tuple(draw(grid_rationals) for _ in range(m)) for _ in range(n))
+    values = tuple(tuple(draw(entries) for _ in range(m)) for _ in range(n))
+    costs = tuple(tuple(draw(entries) for _ in range(m)) for _ in range(n))
     return Instance(values, costs)
 
 

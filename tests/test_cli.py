@@ -122,6 +122,19 @@ def test_sweep_peak_matches_closed_form():
         "f4202f6b69d8bdf987cc96b7f6c2c869c0d01fee381f0ecaa2bebec5499651ac"
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sweep_peak_is_only_at_the_last_critical_multiplier(k):
+    # On 1/delta bidders, the peak is attained only at 1 + delta^(1/delta),
+    # with welfare 3 - 2*delta of the optimum 1/delta.
+    delta = F(1, 2 ** k)
+    rows = sweep_global(delta, parse_gamma_grid("0:2:40"))
+    peak = max(row.ratio for row in rows)
+    assert [row.gamma for row in rows if row.ratio == peak] == [1 + delta ** 2 ** k]
+    top = next(row for row in rows if row.ratio == peak)
+    assert (top.welfare, top.opt) == (3 - 2 * delta, 2 ** k)
+    assert peak == 3 * delta - 2 * delta ** 2
+
+
 def test_sweep_csv_layout():
     rows = sweep_global(F(1, 4), [F(0), F(2)])
     text = sweep_to_csv(rows)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from bidarena.mechanisms import (Bids, SecondPrice, calibrate_single_bidder,
                                  compute_auction_params, compute_bidder_params,
                                  run_all)
 from bidarena.model import (Instance, MultiplierProfile, bidder_value, bids_from,
-                            optimal_welfare, roi_satisfied)
+                            optimal_welfare, roi_satisfied, welfare)
 from bidarena.verify import family_instance, standard_specs
 
 from conftest import all_specs, small_instances
@@ -188,3 +189,20 @@ def test_optimum_follows_the_instance_when_two_alternate():
     assert (a.optimum, b.optimum) == (5, 4)
     # The kept optimum is no part of the instance's value.
     assert a == Instance.from_rows([[4, 1], [2, 3]], [[1, 0], [2, 1]])
+
+
+def test_auction_dependent_half_is_attained():
+    # The paper's auction-dep bound of 1/2 is tight: dynamics from truthful
+    # bids reach an equilibrium with exactly half the optimum, and a second
+    # profile passes the independent predicate at the same ratio.
+    inst = Instance.from_rows([[1, 1, 1], [0, "3/2", 3]], [["11/4", 1, 1], [2, 2, 2]])
+    spec = compute_auction_params(inst)
+    report = run_dynamics(inst, spec)
+    assert report.converged and report.verified and report.rounds_used == 2
+    assert report.profile == MultiplierProfile.of([1, "7/3"])
+    assert (report.welfare, report.opt, report.poa) == (F(1, 2), 1, F(1, 2))
+    assert independently_verified(inst, spec, report)
+    profile = MultiplierProfile.of([1, "3/2"])
+    other = SimpleNamespace(profile=profile, outcome=run_all(spec, inst, profile))
+    assert independently_verified(inst, spec, other)
+    assert welfare(inst, other.outcome) / optimal_welfare(inst) == F(1, 2)

@@ -1,17 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 
 from bidarena.equilibrium import run_dynamics
 from bidarena.mechanisms import (AuctionDependent, AuctionResult,
                                  GlobalCostMultiplier, SecondPrice,
-                                 SingleBidderCalibrated, Threshold, auction_terms,
+                                 SingleBidderCalibrated, Threshold,
                                  calibrate_single_bidder, compute_auction_params,
-                                 compute_bidder_params, mechanism_from_label,
+                                 compute_bidder_params, market, mechanism_from_label,
                                  mechanism_label, min_winning_bid, rightful_winners,
                                  run_all, run_auction, standing)
-from bidarena.model import (ZERO, Instance, MultiplierProfile, bids_from,
+from bidarena.model import (Instance, MultiplierProfile, bids_from,
                             optimal_welfare, welfare)
 from bidarena.rationals import INF, Infinity
 
@@ -203,10 +203,10 @@ def test_infinite_alpha_times_zero_cost_is_half_rightful_value():
     inst = Instance.from_rows([[4, 8], [1, 1]], [[0, 2], [1, 0]])
     spec = compute_auction_params(inst)
     assert spec == AuctionDependent((0, 0), (INF, F(3, 2)))
-    (first, _), (second, _) = auction_terms(spec, inst)
-    assert first[0] == 2
-    assert first[1] is INF
-    assert second[0] == 5
+    mk = market(spec, inst)
+    assert mk.reserves[0][0] == 2 * mk.scale[0]
+    assert mk.reserves[0][1] is None
+    assert mk.reserves[1][0] == 5 * mk.scale[1]
 
 
 def test_bidder_prescreen_convention():
@@ -215,10 +215,10 @@ def test_bidder_prescreen_convention():
     inst = Instance.from_rows([[2, 0], [0, 6]], [[0, 1], [0, 2]])
     spec = compute_bidder_params(inst)
     assert spec.cost_multiplier == (INF, F(1))
-    (first, _), (second, _) = auction_terms(spec, inst)
-    assert first[0] == 0
-    assert second[0] is INF
-    assert second[1] == 4
+    mk = market(spec, inst)
+    assert mk.reserves[0][0] == 0
+    assert mk.reserves[1][0] is None
+    assert mk.reserves[1][1] == 4 * mk.scale[1]
 
 
 # A calibrated spec on a market of another shape would otherwise drop the
@@ -247,6 +247,21 @@ def test_spec_that_does_not_fit_the_market_is_rejected(spec, inst):
         run_all(spec, inst, MultiplierProfile.uniform(inst.num_bidders))
     with pytest.raises(ValueError, match="market has"):
         run_dynamics(inst, spec)
+
+
+@pytest.mark.parametrize("auction", [-1, 3])
+def test_auction_out_of_range_is_rejected(auction):
+    # Unchecked, auction -1 would be read as the last auction.
+    inst = Instance.from_rows([[1, 2, 3], [2, 1, 1]], [[0, 0, 1], [1, 0, 0]])
+    column = [F(1), F(2)]
+    top = standing(SecondPrice(), inst, 0, column)
+    for spec in all_specs(inst):
+        with pytest.raises(ValueError, match=f"auction {auction} out of range"):
+            run_auction(spec, inst, auction, column)
+        with pytest.raises(ValueError, match=f"auction {auction} out of range"):
+            standing(spec, inst, auction, column)
+        with pytest.raises(ValueError, match=f"auction {auction} out of range"):
+            min_winning_bid(spec, inst, auction, 0, top)
 
 
 # --- auction-dependent mechanism -------------------------------------------
@@ -444,20 +459,6 @@ def test_no_outcome_beats_optimal_welfare(pair):
         assert welfare(inst, run_all(spec, inst, profile)) <= cap
 
 
-# A zero-value, zero-cost rightful winner (auction 0) gives auction-dep an
-# infinite alpha whose zero-cost reserve is half of a zero value.
-@settings(max_examples=100, deadline=None)
-@given(small_instances())
-@example(Instance.from_rows([[0, 2], [0, 1]], [[0, 1], [1, 0]]))
-def test_every_zero_term_is_the_zero_object(inst):
-    # The kernel's identity shortcuts skip a comparison or a subtraction only
-    # for the ZERO object; the instance's own zeros are other objects.
-    for spec in all_specs(inst):
-        for reserves, shifts in auction_terms(spec, inst):
-            for term in reserves + shifts:
-                assert term is ZERO or isinstance(term, Infinity) or term != 0
-
-
 @settings(max_examples=30, deadline=None)
 @given(small_instances())
 def test_kept_instance_fields_leave_equality_and_hash_alone(inst):
@@ -466,7 +467,6 @@ def test_kept_instance_fields_leave_equality_and_hash_alone(inst):
     assert inst.valued == tuple(tuple((j, v) for j, v in enumerate(row) if v)
                                 for row in inst.values)
     assert inst.optimum == optimal_welfare(inst)
-    assert inst.cost_columns == tuple(zip(*inst.costs))
     assert inst == twin and twin == inst
     assert hash(inst) == before == hash(twin)
     assert repr(inst) == repr(twin)

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import lcm
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from bidarena.model import (Instance, MultiplierProfile, Outcome, bidder_payment,
                             bidder_value, bids_from, optimal_welfare, roi_satisfied,
@@ -34,6 +36,11 @@ def test_instance_rejects_ragged_rows():
 def test_instance_rejects_negative_entries():
     with pytest.raises(ValueError, match="negative"):
         Instance.from_rows([[1]], [["-1/2"]])
+    # Entries are checked in row-major order, each for its type first.
+    with pytest.raises(ValueError, match=r"values\[0\]\[1\] is negative: -1$"):
+        Instance.from_rows([[1, -1], ["-1/2", 0]], [[0, 0], [0, 0]])
+    with pytest.raises(TypeError, match=r"costs\[0\]\[0\] is float"):
+        Instance(((Fraction(1),),), ((-0.5,),))
 
 
 def test_instance_rejects_mismatched_matrices():
@@ -55,6 +62,40 @@ def test_instance_rejects_floats():
         Instance.from_rows([[0.5]], [[0]])
     with pytest.raises(TypeError, match=r"values\[0\]\[0\] is float"):
         Instance(((0.5,),), ((Fraction(0),),))
+
+
+def dense_views(inst):
+    """`valued` and `columns` recomputed from every entry of the matrices."""
+    n, m = inst.num_bidders, inst.num_auctions
+    valued = tuple(tuple((j, inst.values[i][j]) for j in range(m) if inst.values[i][j] != 0)
+                   for i in range(n))
+    columns = []
+    for j in range(m):
+        values = [inst.values[i][j] for i in range(n)]
+        costs = [inst.costs[i][j] for i in range(n)]
+        scale = lcm(*(v.denominator for v in values))
+        margins = [v - c for v, c in zip(values, costs)]
+        best = max(margins)
+        columns.append((scale,
+                        tuple((i, int(v * scale)) for i, v in enumerate(values) if v != 0),
+                        tuple((i, c) for i, c in enumerate(costs) if c != 0),
+                        best, margins.index(best)))
+    return valued, tuple(columns)
+
+
+# Entries from {0, 1/2, 1} make zero values, zero costs and tied best margins
+# common; the examples tie the best margin between bidders with and without
+# a cost, at a positive, a zero and a negative best margin.
+@given(small_instances(entries=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])))
+@example(Instance.from_rows([[1, 0, 0], ["1/2", 0, 0], [1, 0, 0]],
+                            [["1/2", 0, 1], [0, 0, 1], ["1/2", 0, 1]]))
+@example(Instance.from_rows([[0, 2], [1, 3]], [[0, 1], [1, 2]]))
+def test_instance_views_match_a_dense_recomputation(inst):
+    valued = inst.valued
+    assert (valued, inst.columns) == dense_views(inst)
+    # Both views come from one derivation, kept for every later read.
+    assert inst.valued is valued
+    assert inst.columns is inst.columns
 
 
 def test_profile_requires_multiplier_at_least_one():
