@@ -25,8 +25,12 @@ on it is the ratio order, and the sums, the feasibility test
 few integer operations per row; no bid column is scanned.
 
 `best_response_oracle` answers the same question by brute force, resolving
-every auction on a dense multiplier grid. It exists so tests can check the
-two routes agree; it never feeds the dynamics.
+every auction on a dense multiplier grid; `arena verify` and the tests check
+that the two routes agree, and it never feeds the dynamics. Its samples are
+integers over one denominator, and each sample scans every auction's int bid
+column with the bidder's entry replaced. `quasilinear_best_bid_check` probes
+one auction's bids the same way. Both price a winner through the kernel's
+`_price` and sum or compare on ints, building `Fraction`s only for results.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from math import lcm
 from operator import itemgetter
 from typing import Sequence
 
-from .mechanisms import (Bids, MechanismSpec, Threshold, min_winning_bid, run_auction,
-                         standing)
-from .model import Instance, ONE, ZERO
+from .mechanisms import (Bids, MechanismSpec, Threshold, _price, _scan, market,
+                         min_winning_bid, standing)
+from .model import Instance, ONE
 from .rationals import Infinity
 
 ORACLE_GRID = 40  # evenly spaced steps of `best_response_oracle`'s multiplier grid
@@ -150,73 +154,79 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
 
 def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
                          bids: Bids) -> ResponseResult:
-    """Brute-force reference for `best_response_against_bids`.
+    """Brute-force check of `best_response_against_bids`, run by `arena verify`.
 
     Samples multipliers on a grid of ORACLE_GRID steps over [1, largest
-    ratio + 1], refined between consecutive threshold ratios so every
-    constant-won-set interval gets a sample, and evaluates each sample by
-    running every auction on the bid columns with row `bidder` replaced.
-    Returns the best feasible sample (highest value, then smallest
-    multiplier). Test-only: quadratically slower than the exact enumeration.
+    ratio + 1], plus each ratio of at least 1 and the quarter points between
+    consecutive ones, so every constant-won-set interval gets a sample. Over
+    den = 4 * ORACLE_GRID * lcm(ratio denominators) every sample is an
+    integer P / den. Each sample resolves every auction by a scan of its bid
+    column with the bidder's entry set to the kernel pair (P * V_j, den), and
+    sums won value and payment as ints over one common denominator. Returns
+    the best feasible sample (highest value, then smallest multiplier).
     """
-    ratios = sorted({r for r, _, _, _ in threshold_table(inst, spec, bidder, bids)
-                     if r >= 1} | {ONE})
-    top = ratios[-1] + 1
-    points = set(ratios)
-    points.add(top)
-    step = (top - ONE) / ORACLE_GRID
-    for k in range(1, ORACLE_GRID):
-        points.add(ONE + step * k)
-    marks = sorted(set(ratios) | {top})
+    ratios = {r for r, _, _, _ in threshold_table(inst, spec, bidder, bids) if r >= 1} | {ONE}
+    den = 4 * ORACLE_GRID * lcm(*[r.denominator for r in ratios])
+    marks = sorted(r.numerator * (den // r.denominator) for r in ratios)
+    marks.append(marks[-1] + den)
+    step = (marks[-1] - den) // ORACLE_GRID
+    points = set(marks) | {den + step * k for k in range(1, ORACLE_GRID)}
     for low, high in zip(marks, marks[1:]):
-        quarter = (high - low) / 4
-        for k in range(1, 4):
-            points.add(low + quarter * k)
+        points.update(low + (high - low) // 4 * k for k in range(1, 4))
 
-    values = inst.values[bidder]
-    columns = [list(column) for column in zip(*[bids[i] for i in range(inst.num_bidders)])]
-    best: ResponseResult | None = None
-    for theta in sorted(points):
-        value = payment = ZERO
+    mk = bids.market
+    columns = [(list(nums), list(dens)) for nums, dens in zip(bids.nums, bids.dens)]
+    # Every value V / d_j and payment P / (Q * d_j) the bidder can meet is an
+    # integer over c, since Q is 1 or a rival's denominator.
+    c = lcm(*[d * lcm(*dens[:bidder], *dens[bidder + 1:])
+              for d, (_, dens) in zip(mk.scale, columns)])
+    best = None
+    for point in sorted(points):
+        value = payment = 0
         won = []
-        for j, column in enumerate(columns):
-            column[bidder] = theta * values[j]
-            result = run_auction(spec, inst, j, column)
-            if result.winner == bidder:
-                payment += result.payment
-                if values[j]:
-                    value += values[j]
+        for j, (nums, dens) in enumerate(columns):
+            v, d = mk.values[j][bidder], mk.scale[j]
+            nums[bidder], dens[bidder] = point * v, den
+            top = _scan(nums, dens, mk.reserves[j], mk.shifts[j])
+            if top and top[0][2] == bidder:
+                pay, q = _price(mk, j, top)
+                payment += pay * (c // (q * d))
+                if v:
+                    value += v * (c // d)
                     won.append(j)
-        if payment > value:
-            continue
-        if best is None or value > best.total_value:
-            best = ResponseResult(theta, frozenset(won), value, payment)
-    assert best is not None
-    return best
+        if payment <= value and (best is None or value > best[0]):
+            best = (value, payment, point, won)
+    value, payment, point, won = best
+    return ResponseResult(Fraction(point, den), frozenset(won), Fraction(value, c),
+                          Fraction(payment, c))
 
 
 def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int,
                                bidder: int, bids: Sequence[Fraction]) -> bool:
     """True when bidding the true value maximizes value-minus-payment in one
     auction against fixed rival bids, over a canonical probe set (zero, half
-    value, value, double value, and the win threshold plus/minus 1/1000)."""
+    value, value, double value, and the win threshold plus/minus 1/1000).
+    Each probe is a kernel pair, resolved by a scan of the bid column."""
     t = min_winning_bid(spec, inst, auction, bidder, standing(spec, inst, auction, bids))
-    value = inst.values[bidder][auction]
-    probes = {ZERO, value / 2, value, 2 * value}
+    mk = market(spec, inst)
+    d, v = mk.scale[auction], mk.values[auction][bidder]
+    probes = [(0, 1), (v, 2), (v, 1), (2 * v, 1)]
     if not isinstance(t.value, Infinity):
-        probes.add(t.value)
-        probes.add(t.value + Fraction(1, 1000))
-        shaved = t.value - Fraction(1, 1000)
-        probes.add(shaved if shaved > 0 else ZERO)
+        # t and t +- 1/1000, each (P, Q) over 1000 * t's denominator.
+        p, q = t.value.numerator * 1000 * d, t.value.denominator * 1000
+        step = t.value.denominator * d
+        probes += [(p, q), (p + step, q), (max(p - step, 0), q)]
+    nums = [b.numerator * d for b in bids]
+    dens = [b.denominator for b in bids]
 
-    column = list(bids)
+    def utility(bid: tuple[int, int]) -> tuple[int, int]:
+        """Value minus payment as a pair (U, Q), meaning U / (Q * d)."""
+        nums[bidder], dens[bidder] = bid
+        top = _scan(nums, dens, mk.reserves[auction], mk.shifts[auction])
+        if not top or top[0][2] != bidder:
+            return 0, 1
+        pay, q = _price(mk, auction, top)
+        return v * q - pay, q
 
-    def utility(bid: Fraction) -> Fraction:
-        column[bidder] = bid
-        result = run_auction(spec, inst, auction, column)
-        if result.winner != bidder:
-            return ZERO
-        return value - result.payment
-
-    truthful = utility(value)
-    return all(truthful >= utility(bid) for bid in probes)
+    truthful, truthful_q = utility((v, 1))
+    return all(truthful * q >= u * truthful_q for u, q in map(utility, probes))

@@ -285,8 +285,10 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 #
 # Bidder i is eligible when its bid reaches its reserve r_i; its score is
 # bid - s_i. The highest score wins, ties to the lowest index, and the winner
-# pays max(r_w, s_w + best rival score): the least bid that still wins. Bids
-# are nonnegative, so a zero reserve admits every bid without a comparison.
+# pays max(r_w, s_w + best rival score): the least bid that still wins.
+# `_price` is that rule's one statement; auctions, the oracle and the
+# truthfulness probes all price through it. Bids are nonnegative, so a zero
+# reserve admits every bid without a comparison.
 #
 # It runs on the `Market`'s ints. In auction j a bid is a pair (P, Q) meaning
 # P / (Q * d_j): it is eligible when P >= Q * R_i, and its score is the pair
@@ -338,18 +340,26 @@ def standing(spec: MechanismSpec, inst: Instance, auction: int,
                  mk.reserves[auction], mk.shifts[auction])
 
 
-def _priced(mk: Market, auction: int, top: Standing) -> AuctionResult:
-    """The winner of a standing and the least bid with which it still wins."""
-    if not top:
-        return AuctionResult(None, ZERO)
+def _price(mk: Market, auction: int, top: Standing) -> tuple[int, int]:
+    """The winner's price in a nonempty standing, max(r_w, s_w + the second
+    score): the least bid with which it still wins, as a pair (P, Q) meaning
+    P / (Q * d_j)."""
     winner = top[0][2]
-    d, reserve = mk.scale[auction], mk.reserves[auction][winner]
+    reserve = mk.reserves[auction][winner]
     if len(top) == 2:
         a, q, _ = top[1]
         pay = mk.shifts[auction][winner] * q + a
         if pay > reserve * q:
-            return AuctionResult(winner, Fraction(pay, q * d))
-    return AuctionResult(winner, Fraction(reserve, d) if reserve else ZERO)
+            return pay, q
+    return reserve, 1
+
+
+def _priced(mk: Market, auction: int, top: Standing) -> AuctionResult:
+    """The winner of a standing and its `_price`."""
+    if not top:
+        return AuctionResult(None, ZERO)
+    pay, q = _price(mk, auction, top)
+    return AuctionResult(top[0][2], Fraction(pay, q * mk.scale[auction]) if pay else ZERO)
 
 
 def run_auction(spec: MechanismSpec, inst: Instance, auction: int,

@@ -200,11 +200,12 @@ def myerson_checks(seeds: Iterable[int]) -> CheckStats:
     stats = CheckStats()
     for seed in seeds:
         inst = family_instance(seed)
-        specs = standard_specs(inst)
-        for profile in (MultiplierProfile.uniform(inst.num_bidders),
-                        probe_profile(seed, inst.num_bidders)):
-            bids = bids_from(profile, inst)
-            for spec in specs:
+        # Specs outside: an instance keeps only the last `Market` built on it.
+        profiles = [(profile, bids_from(profile, inst))
+                    for profile in (MultiplierProfile.uniform(inst.num_bidders),
+                                    probe_profile(seed, inst.num_bidders))]
+        for spec in standard_specs(inst):
+            for profile, bids in profiles:
                 outcome = run_all(spec, inst, profile)
                 for j, winner in enumerate(outcome.winners):
                     if winner is None:

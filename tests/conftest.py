@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 
 from bidarena import Instance, MultiplierProfile
 from bidarena.mechanisms import (GlobalCostMultiplier, MechanismSpec, SecondPrice,
@@ -81,3 +82,15 @@ def coprime_profile(rng: random.Random, num_bidders: int) -> MultiplierProfile:
         if all(math.gcd(den, other) == 1 for other in dens):
             dens.append(den)
     return MultiplierProfile(tuple(1 + Fraction(rng.randrange(den), den) for den in dens))
+
+
+@pytest.fixture
+def first_price(monkeypatch):
+    """Every winner pays its own bid (its score plus its shift) in place of
+    the kernel's `_price`, in every module that prices through it."""
+    def price(mk, auction, top):
+        a, q, winner = top[0]
+        return a + mk.shifts[auction][winner] * q, q
+
+    for module in ("bidarena.mechanisms", "bidarena.bestresponse"):
+        monkeypatch.setattr(f"{module}._price", price)

@@ -7,20 +7,28 @@ often tie) and again with every bid moved onto its own threshold (where
 non-inclusive thresholds decide who wins a tie). Markets off the quarter
 grid, under rivals whose multipliers have long coprime denominators, check
 the sweep's integer scaling where every common denominator is large.
+
+The integer brute-force oracle and truthfulness probe are checked against
+their `Fraction` versions in `reference_bestresponse`, which resolve every
+sample through `run_auction`.
 """
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
+from hypothesis import given, settings
+
 import reference_bestresponse as ref
-from bidarena.bestresponse import best_response_against_bids, threshold_table
+from bidarena.bestresponse import (best_response_against_bids, best_response_oracle,
+                                   quasilinear_best_bid_check, threshold_table)
 from bidarena.mechanisms import Bids, min_winning_bid, standing
 from bidarena.model import Instance, MultiplierProfile, bids_from
 from bidarena.rationals import Infinity
-from bidarena.verify import standard_specs
+from bidarena.verify import probe_profile, standard_specs
 
-from conftest import all_specs, seeded_market
+from conftest import all_specs, instances_with_profiles, seeded_market
 
 
 def at_thresholds(spec, inst, bid_rows):
@@ -113,3 +121,67 @@ def test_integer_sweep_matches_reference_off_the_grid():
     assert scaled_w > 2500
     assert tied > 500
 
+
+
+def oracle_cases(seeds):
+    """(inst, spec, bidder, Bids) for every spec and bidder of each seeded
+    market, under the `verify` probe profile and under random quarter-grid
+    rows."""
+    for seed in seeds:
+        inst, random_rows = seeded_market(seed)
+        for spec in all_specs(inst):
+            for rows in (bids_from(probe_profile(seed, inst.num_bidders), inst), random_rows):
+                bids = Bids(spec, inst, rows)
+                for bidder in range(inst.num_bidders):
+                    yield inst, spec, bidder, bids
+
+
+def test_integer_oracle_matches_reference_oracle():
+    problems = stretched = 0
+    for inst, spec, bidder, bids in oracle_cases(range(50)):
+        got = best_response_oracle(inst, spec, bidder, bids)
+        want = ref.best_response_oracle(inst, spec, bidder, bids)
+        assert (got.multiplier, got.won_auctions, got.total_value, got.total_payment) == \
+            (want.multiplier, want.won_auctions, want.total_value, want.total_payment)
+        problems += 1
+        stretched += want.multiplier > 1 and want.total_payment > 0
+    assert problems > 1400
+    # Replies that bid above value and pay for what they win.
+    assert stretched > 200
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances_with_profiles())
+def test_integer_oracle_matches_reference_on_small_instances(pair):
+    inst, profile = pair
+    for spec in all_specs(inst):
+        bids = Bids(spec, inst, bids_from(profile, inst))
+        for bidder in range(inst.num_bidders):
+            got = best_response_oracle(inst, spec, bidder, bids)
+            want = ref.best_response_oracle(inst, spec, bidder, bids)
+            assert (got.multiplier, got.won_auctions, got.total_value, got.total_payment) == \
+                (want.multiplier, want.won_auctions, want.total_value, want.total_payment)
+
+
+@pytest.mark.parametrize("pricing", ["kernel", "first price"])
+def test_integer_probe_matches_reference_probe(pricing, request):
+    # The kernel's pricing is truthful, so every verdict is True. Under first
+    # price (every winner pays its own bid) shading pays, and many are False.
+    if pricing == "first price":
+        request.getfixturevalue("first_price")
+    columns = rejected = 0
+    for seed in range(60):
+        inst, random_rows = seeded_market(seed)
+        for spec in all_specs(inst):
+            for rows in (bids_from(probe_profile(seed, inst.num_bidders), inst), random_rows,
+                         at_thresholds(spec, inst, random_rows)):
+                for j in range(inst.num_auctions):
+                    column = [rows[i][j] for i in range(inst.num_bidders)]
+                    columns += 1
+                    for bidder in range(inst.num_bidders):
+                        verdict = quasilinear_best_bid_check(inst, spec, j, bidder, column)
+                        assert verdict == \
+                            ref.quasilinear_best_bid_check(inst, spec, j, bidder, column)
+                        rejected += not verdict
+    assert columns > 2500
+    assert (rejected > 1000) if pricing == "first price" else rejected == 0

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import re
 from fractions import Fraction
+
+import bidarena.verify
 
 from bidarena.instances import instance_from_json
 from bidarena.mechanisms import (AuctionDependent, BidderDependent,
@@ -72,6 +75,26 @@ def test_violations_replay_to_their_seeded_instance(monkeypatch):
         match = re.fullmatch(r"seed=(\d+) (.*) instance=(\{.*\})", line)
         assert match and "welfare exceeds optimum" in match[2]
         assert instance_from_json(json.loads(match[3])) == family_instance(int(match[1]))
+
+
+def test_truthfulness_reports_a_first_price_rule(first_price):
+    # A winner that pays its own bid gains by shading below its value.
+    stats = truthfulness_probes(range(5))
+    assert 0 < len(stats.violations) <= stats.checks
+    assert all("prefers deviating from its value" in line for line in stats.violations)
+
+
+def test_oracle_agreement_reports_each_disagreement(monkeypatch):
+    exact = bidarena.verify.best_response_against_bids
+
+    def overstated(*args):
+        result = exact(*args)
+        return dataclasses.replace(result, total_value=result.total_value + 1)
+
+    monkeypatch.setattr("bidarena.verify.best_response_against_bids", overstated)
+    stats = oracle_agreement(range(3))
+    assert len(stats.violations) == stats.checks > 0
+    assert all("exact value" in line for line in stats.violations)
 
 
 def test_checks_actually_count():
