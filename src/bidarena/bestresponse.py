@@ -4,25 +4,27 @@ Fixing rival bids fixes, for each auction, the minimum bid that wins.
 Dividing by the bidder's value turns each threshold into a multiplier ratio;
 `threshold_table` lists them for the auctions worth contesting, walking only
 the auctions the bidder values (`Instance.valued`); `min_winning_bid` reads
-each in O(1) from the int standings of a `Bids` value and builds its one
-`Fraction`. The set of auctions won is a prefix of the ratio order: it only
-grows as the multiplier climbs. The best response lives on candidates (1,
-each ratio of at least 1, the midpoints between consecutive ratios, and one
-past the largest), and `best_response_against_bids` scores them all in one
-sweep of the thresholds sorted by ratio. Running sums of won value and of
-won threshold payment grow as the sweep passes each ratio; at a ratio
-itself only the thresholds that admit an equal bid (`inclusive`) count as
-won. A candidate is feasible when value covers payment.
+each in O(1) from the int standings of a `Bids` value, as the kernel's int
+pair with no `Fraction`. The set of auctions won is a prefix of the ratio
+order: it only grows as the multiplier climbs. The best response lives on
+candidates (1, each ratio of at least 1, the midpoints between consecutive
+ratios, and one past the largest), and `best_response_against_bids` scores
+them all in one sweep of the thresholds sorted by ratio. Running sums of won
+value and of won threshold payment grow as the sweep passes each ratio; at a
+ratio itself only the thresholds that admit an equal bid (`inclusive`) count
+as won. A candidate is feasible when value covers payment.
 
-The sweep runs on Python ints. Over the lcm B of the thresholds'
-denominators and the lcm D of the values' denominators, each threshold is
-an integer T / B and each value V / D; with W the lcm of the V's, the key
-T * D * (W // V) is the ratio times W * B exactly, so sorting and grouping
-on it is the ratio order, and the sums, the feasibility test
-(sum T * D <= sum V * B) and the comparisons are integer operations.
-`Fraction`s are built only for the result, which equals the one a
-`Fraction` sweep gives. One call costs a sort of its valued auctions plus a
-few integer operations per row; no bid column is scanned.
+The sweep runs on Python ints. Over the lcm D of the `Market` scales of the
+bidder's valued auctions each value is an integer V / D; with W the lcm of
+the V's, these and each auction's key factor D * (W // V) depend only on the
+market, so they are computed once per bidder per `Bids` (`Bids.sweeps`).
+A call then takes the lcm B of its thresholds' denominators, making each
+threshold an integer T / B, and the key T * D * (W // V) is the ratio times
+W * B exactly, so sorting and grouping on it is the ratio order, and the
+sums, the feasibility test (sum T * D <= sum V * B) and the comparisons are
+integer operations. `Fraction`s are built only for the result, which equals
+the one a `Fraction` sweep gives. One call costs a sort of its valued
+auctions plus a few integer operations per row; no bid column is scanned.
 
 `best_response_oracle` answers the same question by brute force, resolving
 every auction on a dense multiplier grid; `arena verify` and the tests check
@@ -44,7 +46,6 @@ from typing import Sequence
 from .mechanisms import (Bids, MechanismSpec, Threshold, _price, _scan, market,
                          min_winning_bid, standing)
 from .model import Instance, ONE
-from .rationals import Infinity
 
 ORACLE_GRID = 40  # evenly spaced steps of `best_response_oracle`'s multiplier grid
 
@@ -57,32 +58,43 @@ class ResponseResult:
     total_payment: Fraction
 
 
-def _valued_thresholds(inst: Instance, spec: MechanismSpec, bidder: int,
-                       bids: Bids) -> list[tuple[int, Threshold, Fraction]]:
-    """(auction, threshold, value) for each auction the bidder values and
-    can win, in auction order; row `bidder` is ignored. Winning an auction
-    the bidder does not value adds no value and nonnegative payment."""
+def _check_bids(inst: Instance, spec: MechanismSpec, bidder: int, bids: Bids) -> None:
+    """Reject a bidder out of range, or bids built for another (spec, inst)."""
     if not 0 <= bidder < inst.num_bidders:
         raise ValueError(f"bidder {bidder} out of range")
     if (bids.spec is not spec and bids.spec != spec) or \
             (bids.inst is not inst and bids.inst != inst):
         raise ValueError("bids were built for another mechanism or instance")
-    standings = bids.standings
-    found = []
-    for j, value in inst.valued[bidder]:
-        t = min_winning_bid(spec, inst, j, bidder, standings[j])
-        if not isinstance(t.value, Infinity):
-            found.append((j, t, value))
-    return found
 
 
 def threshold_table(inst: Instance, spec: MechanismSpec, bidder: int,
                     bids: Bids) -> list[tuple[Fraction, int, Threshold, Fraction]]:
     """(threshold / value, auction, threshold, value) for each auction the
     bidder values and can win, in auction order; row `bidder` is ignored.
-    `bids` must have been built for `spec` and `inst`."""
-    return [(t.value / value, j, t, value)
-            for j, t, value in _valued_thresholds(inst, spec, bidder, bids)]
+    Winning an auction the bidder does not value adds no value and
+    nonnegative payment. `bids` must have been built for `spec` and `inst`."""
+    _check_bids(inst, spec, bidder, bids)
+    table = []
+    for j, value in inst.valued[bidder]:
+        t = min_winning_bid(spec, inst, j, bidder, bids.standings[j])
+        if t.den:
+            table.append((t.value / value, j, t, value))
+    return table
+
+
+def _sweep_constants(bids: Bids, bidder: int) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(D, W, [(auction, V, D * (W // V))]) over the auctions the bidder
+    values: D is the lcm of their `Market` scales, each value is V / D, and W
+    is the lcm of the V's. Kept in `bids.sweeps` after the first call."""
+    kept = bids.sweeps[bidder]
+    if kept is None:
+        mk = bids.market
+        valued = [j for j, _ in bids.inst.valued[bidder]]
+        d = lcm(*[mk.scale[j] for j in valued])
+        values = [(j, mk.values[j][bidder] * (d // mk.scale[j])) for j in valued]
+        w = lcm(*[v for _, v in values])
+        kept = bids.sweeps[bidder] = (d, w, [(j, v, d * (w // v)) for j, v in values])
+    return kept
 
 
 def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
@@ -90,18 +102,23 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     """Exact best response to rival bids (row `bidder` is ignored): maximize
     won value subject to value >= payment, ties broken toward the smallest
     multiplier."""
-    found = _valued_thresholds(inst, spec, bidder, bids)
-    # Over common denominators b and d, each threshold is an integer T over b
-    # and each value an integer V over d (the t and v of `scaled` and `rows`).
-    # With w the lcm of the V's, a ratio is key / (w * b) for the integer key
-    # T * d * (w // V).
-    b = lcm(*[t.value.denominator for _, t, _ in found])
-    d = lcm(*[v.denominator for _, _, v in found])
-    scaled = [(j, t.inclusive, t.value.numerator * (b // t.value.denominator),
-               v.numerator * (d // v.denominator)) for j, t, v in found]
-    w = lcm(*[v for _, _, _, v in scaled])
-    rows = sorted([(t * d * (w // v), j, inclusive, t, v) for j, inclusive, t, v in scaled],
-                  key=itemgetter(0))
+    _check_bids(inst, spec, bidder, bids)
+    d, w, valued = _sweep_constants(bids, bidder)
+    standings = bids.standings
+    found = []
+    for j, v, factor in valued:
+        t = min_winning_bid(spec, inst, j, bidder, standings[j])
+        if t.den:
+            found.append((t, j, v, factor))
+    # Each threshold is an integer T over the lcm b of their denominators, and
+    # each value an integer V over d. A ratio is then key / (w * b) for the
+    # integer key T * d * (w // V).
+    b = lcm(*[t.den for t, *_ in found])
+    rows = []
+    for t, j, v, factor in found:
+        scaled = t.num * (b // t.den)
+        rows.append((scaled * factor, j, t.inclusive, scaled, v))
+    rows.sort(key=itemgetter(0))
     one = w * b  # the key of ratio 1
     # Every multiplier of at least 1 wins the rows whose ratio is below 1.
     # `value` and `payment` add up V and T, so payment <= value reads
@@ -211,10 +228,9 @@ def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int
     mk = market(spec, inst)
     d, v = mk.scale[auction], mk.values[auction][bidder]
     probes = [(0, 1), (v, 2), (v, 1), (2 * v, 1)]
-    if not isinstance(t.value, Infinity):
+    if t.den:
         # t and t +- 1/1000, each (P, Q) over 1000 * t's denominator.
-        p, q = t.value.numerator * 1000 * d, t.value.denominator * 1000
-        step = t.value.denominator * d
+        p, q, step = t.num * 1000 * d, t.den * 1000, t.den * d
         probes += [(p, q), (p + step, q), (max(p - step, 0), q)]
     nums = [b.numerator * d for b in bids]
     dens = [b.denominator for b in bids]

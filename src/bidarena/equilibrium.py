@@ -7,7 +7,11 @@ no bidder's best response may win more value than it achieves, and every
 bidder's ROI constraint must hold in the realized outcome. A reply computed
 since the last move is still the best response to the final bids, so
 verification reuses it and recomputes only the rest. Non-convergence within
-`max_rounds` is reported, never raised.
+`max_rounds` is reported, never raised. The state of the dynamics at a round
+boundary is the multiplier profile, so once a profile repeats, the rounds
+since its first sighting repeat until the cap: the run then moves every
+bidder to the profile the cap would reach and stops, with the report a full
+replay gives (`tests/reference_dynamics.py` replays every round).
 
 The bids live in one `Bids` value built from truthful bids, which keeps
 every bid as an int pair over the instance's `Market` and every auction's
@@ -77,6 +81,9 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     # replies[i] is i's best response to the current bids, or None once a
     # rival has moved since it was computed (a reply ignores its own row).
     replies: list[ResponseResult | None] = [None] * n
+    # The multiplier profile of each round boundary so far, by round (round 0
+    # is truthful play); no profile occurs twice.
+    seen = {tuple(theta): 0}
     converged = False
     rounds_used = 0
     for _ in range(max_rounds):
@@ -92,6 +99,19 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
             replies[i] = reply
         if not changed:
             converged = True
+            break
+        profile = tuple(theta)
+        first = seen.setdefault(profile, rounds_used)
+        if first < rounds_used:
+            # A round is a function of the profile, so rounds first + 1 to
+            # rounds_used repeat until the cap: jump to the profile it ends on.
+            at_cap = list(seen)[first + (max_rounds - first) % (rounds_used - first)]
+            for i, (old, new) in enumerate(zip(theta, at_cap)):
+                if new != old:
+                    theta[i] = new
+                    bids.move(i, new)
+                    replies = [None] * n
+            rounds_used = max_rounds
             break
 
     profile = MultiplierProfile(tuple(theta))

@@ -111,6 +111,8 @@ def instance_from_json(obj: dict) -> Instance:
             not isinstance(n, int) or not isinstance(m, int):
         raise ValueError("num_bidders and num_auctions must be integers")
 
+    parsed_texts: dict[str, Fraction] = {}  # each distinct entry text is parsed once
+
     def matrix(name: str) -> tuple[tuple[Fraction, ...], ...]:
         rows = obj[name]
         if not isinstance(rows, list) or len(rows) != n:
@@ -123,10 +125,14 @@ def instance_from_json(obj: dict) -> Instance:
             for j, entry in enumerate(row):
                 if isinstance(entry, float):
                     raise ValueError(f"{name}[{i}][{j}]: float {entry!r} is not exact")
-                try:
-                    parsed.append(parse_rational(str(entry)))
-                except ValueError as exc:
-                    raise ValueError(f"{name}[{i}][{j}]: {exc}") from exc
+                text = str(entry)
+                x = parsed_texts.get(text)
+                if x is None:
+                    try:
+                        x = parsed_texts[text] = parse_rational(text)
+                    except ValueError as exc:
+                        raise ValueError(f"{name}[{i}][{j}]: {exc}") from exc
+                parsed.append(x)
             out.append(tuple(parsed))
         return tuple(out)
 

@@ -13,9 +13,11 @@ denominator, and the kernel runs on those ints. One scan of a bid column
 bidder); `run_auction` prices the winner from it and `min_winning_bid` reads
 any bidder's threshold from it in O(1). A `Bids` value keeps every auction's
 standing beside the int bids, so a best response reads each threshold
-without a scan, and a move costs O(1) per auction the mover values. Fractions
-are built only for what leaves the kernel. The tests check the kernel
-against an independent per-rule derivation (`tests/reference_mechanisms.py`).
+without a scan, and a move costs O(1) per auction the mover values. A
+`Threshold` carries the kernel's int pair and builds its `Fraction` only
+when its `value` is read; payments and bid rows are built as `Fraction`s
+when they leave the kernel. The tests check the kernel against an
+independent per-rule derivation (`tests/reference_mechanisms.py`).
 """
 
 from __future__ import annotations
@@ -115,22 +117,56 @@ class AuctionResult:
     payment: Fraction
 
 
-@dataclass(frozen=True, slots=True)
 class Threshold:
     """Minimum bid that wins one auction, holding rival bids fixed.
 
     `inclusive` says whether bidding exactly `value` wins (it does not when a
     lower-index rival holds the same score). The winner's payment always
     equals `value`, inclusive or not.
+
+    It keeps the kernel's ints: value = `num` / `den`, not necessarily in
+    lowest terms, and `den` is 0 (with `num` 1) for an infinite threshold.
+    `value` builds the normalised `Fraction`, or `INF`, when read. Equality,
+    hashing and repr go by (value, inclusive).
     """
 
-    value: ExtRational
-    inclusive: bool
+    __slots__ = ("num", "den", "inclusive")
+
+    def __init__(self, value: ExtRational, inclusive: bool) -> None:
+        if isinstance(value, Infinity):
+            self.num, self.den = 1, 0
+        else:
+            self.num, self.den = value.numerator, value.denominator
+        self.inclusive = inclusive
+
+    @property
+    def value(self) -> ExtRational:
+        return Fraction(self.num, self.den) if self.den else INF
 
     def admits(self, bid: Fraction) -> bool:
-        if isinstance(self.value, Infinity):
+        if not self.den:
             return False
-        return bid > self.value or (bid == self.value and self.inclusive)
+        mine, theirs = bid.numerator * self.den, self.num * bid.denominator
+        return mine > theirs or (mine == theirs and self.inclusive)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.inclusive == other.inclusive and \
+            self.num * other.den == other.num * self.den
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.inclusive))
+
+    def __repr__(self) -> str:
+        return f"Threshold(value={self.value!r}, inclusive={self.inclusive!r})"
+
+
+def _threshold(num: int, den: int, inclusive: bool) -> Threshold:
+    """The `Threshold` num / den of the kernel's ints, built with no gcd."""
+    t = object.__new__(Threshold)
+    t.num, t.den, t.inclusive = num, den, inclusive
+    return t
 
 
 NEVER = Threshold(INF, False)
@@ -293,11 +329,12 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 # It runs on the `Market`'s ints. In auction j a bid is a pair (P, Q) meaning
 # P / (Q * d_j): it is eligible when P >= Q * R_i, and its score is the pair
 # (P - Q * S_i, Q). Two scores (A, Q) and (A', Q') compare as A * Q' against
-# A' * Q, with no gcd. A move by theta = p / q stores (p * V_i, q). Fractions
-# are built only for thresholds, payments and bid rows. Everything an auction
-# decides depends on its top two eligible bidders in rank order (higher score
-# first, ties to the lower index): the winner, its price, and every bidder's
-# threshold, whose rival is the first of the two that is not the bidder itself.
+# A' * Q, with no gcd. A move by theta = p / q stores (p * V_i, q). A
+# threshold is the pair (P, Q * d_j), unreduced; Fractions are built only for
+# payments and bid rows. Everything an auction decides depends on its top two
+# eligible bidders in rank order (higher score first, ties to the lower
+# index): the winner, its price, and every bidder's threshold, whose rival is
+# the first of the two that is not the bidder itself.
 
 # The best and second-best eligible (A, Q, bidder) entries of one auction in
 # rank order; shorter when fewer than two bidders are eligible.
@@ -375,11 +412,15 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
 
     The bidder's own entry in the standing is skipped. The value is infinite
     when the bidder can never win; `inclusive` follows the lowest-index
-    tie-break.
+    tie-break. The `Threshold` holds the kernel's ints as they are: no gcd
+    and no `Fraction`. The instance's kept `Market` is used when it was
+    built for `spec`.
     """
     if not 0 <= bidder < inst.num_bidders:
         raise ValueError(f"bidder {bidder} out of range")
-    mk = market(spec, inst)
+    mk = inst._market
+    if mk is None or mk.spec is not spec:
+        mk = market(spec, inst)
     if not 0 <= auction < len(mk.scale):
         raise ValueError(f"auction {auction} out of range")
     own = mk.reserves[auction][bidder]
@@ -390,11 +431,11 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
         if rival != bidder:
             break
     else:
-        return Threshold(Fraction(own, d) if own else ZERO, True)
+        return _threshold(own, d, True)
     price = mk.shifts[auction][bidder] * q + a
     if own * q > price:
-        return Threshold(Fraction(own, d), True)
-    return Threshold(Fraction(price, q * d), bidder < rival)
+        return _threshold(own, d, True)
+    return _threshold(price, q * d, bidder < rival)
 
 
 def _moved(top: Standing, bidder: int, nums: Sequence[int], dens: Sequence[int],
@@ -436,9 +477,12 @@ class Bids:
     uniform multiplier: it walks only the auctions the bidder values
     (`Instance.valued`), since a zero-value bid stays zero, and updates each
     standing in O(1) unless the mover held one of the top two places and fell.
+    `sweeps[i]` holds bidder i's best-response sweep constants, which depend
+    only on the `Market`; `bestresponse` fills it on first use.
     """
 
-    __slots__ = ("spec", "inst", "market", "nums", "dens", "standings", "_rows", "_stale")
+    __slots__ = ("spec", "inst", "market", "nums", "dens", "standings", "sweeps",
+                 "_rows", "_stale")
 
     def __init__(self, spec: MechanismSpec, inst: Instance,
                  rows: Sequence[Sequence[Fraction]]) -> None:
@@ -456,6 +500,7 @@ class Bids:
                 for j, (bid, d) in enumerate(zip(row, mk.scale)):
                     nums[j][i], dens[j][i] = bid.numerator * d, bid.denominator
         self.standings = [_scan(*c) for c in zip(nums, dens, mk.reserves, mk.shifts)]
+        self.sweeps: list[tuple | None] = [None] * n
 
     def __getitem__(self, bidder: int) -> Sequence[Fraction]:
         row = self._rows[bidder]

@@ -5,6 +5,8 @@ recomputes every threshold from the full column with the per-rule reference,
 so each comparison covers the final multipliers, rounds, convergence,
 verification, winners and prices. Runs cut off after one or two rounds end
 mid-move, where a standing left stale by a move would decide the report.
+The reference replays every round up to the cap, where `run_dynamics`
+jumps ahead once its profile repeats.
 """
 
 from fractions import Fraction
@@ -12,12 +14,13 @@ from fractions import Fraction
 import pytest
 
 import reference_dynamics as ref
+from bidarena import equilibrium
 from bidarena.cli import parse_gamma_grid, sweep_global
 from bidarena.equilibrium import run_dynamics
 from bidarena.instances import RandomFamilyParams, counterexample, random_instance
-from bidarena.mechanisms import (GlobalCostMultiplier, compute_auction_params,
+from bidarena.mechanisms import (GlobalCostMultiplier, SecondPrice, compute_auction_params,
                                  mechanism_from_label)
-from bidarena.verify import standard_specs
+from bidarena.verify import FAMILY_ZERO_COST, family_instance, standard_specs
 
 from conftest import off_grid_instance, seeded_market
 
@@ -98,3 +101,39 @@ def test_dynamics_match_reference_on_a_sparse_market():
     for gamma in (F(0), F(1, 2), 1 + delta, 1 + delta ** 3, 1 + delta ** 12, F(2)):
         for rounds in (1, 2, 50):
             assert same_report(inst, GlobalCostMultiplier(gamma), rounds), (gamma, rounds)
+
+
+def test_dynamics_match_reference_past_a_cycle():
+    # Odd caps end a cycle at each of its phases. The zero-cost second-price
+    # and auction-dep families hold many short exact cycles.
+    compared = mismatches = 0
+    for kind, zero_cost in (("second-price", F(1)), ("auction-dep", FAMILY_ZERO_COST)):
+        for seed in range(200):
+            inst = family_instance(seed, zero_cost_probability=zero_cost)
+            spec = mechanism_from_label(kind, inst)
+            for rounds in (3, 5, 7, 10, 11):
+                mismatches += not same_report(inst, spec, rounds)
+                compared += not run_dynamics(inst, spec, rounds).converged
+    assert mismatches == 0
+    assert compared >= 100
+
+
+def test_a_cycle_is_fast_forwarded_to_the_cap(monkeypatch):
+    # Round 1 reaches (1, 5/2), round 2 (5/4, 25/8), and round 3 (1, 5/2)
+    # again, so the run stops after three rounds at the cap's profile.
+    inst = family_instance(25, zero_cost_probability=F(1))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return best_response(*args)
+
+    best_response = equilibrium.best_response_against_bids
+    monkeypatch.setattr(equilibrium, "best_response_against_bids", counted)
+    report = run_dynamics(inst, SecondPrice(), 50)
+    assert report.profile.multipliers == (F(5, 4), F(25, 8))
+    assert (report.rounds_used, report.converged, report.verified) == (50, False, False)
+    # Three rounds of two best responses, then verification stops at bidder 0.
+    assert calls == [0, 1] * 3 + [0]
+    for rounds in (3, 4, 50, 51):
+        assert same_report(inst, SecondPrice(), rounds)

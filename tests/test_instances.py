@@ -168,6 +168,22 @@ def test_load_rejects_huge_exponents_at_once(tmp_path):
         assert time.perf_counter() - started < 0.5
 
 
+def test_json_parses_each_entry_text_once_and_reports_the_first_bad_entry():
+    obj = {"num_bidders": 2, "num_auctions": 2,
+           "values": [["7/3", "14/6"], ["7/3", 1]], "costs": [["1", "0"], ["0", "7/3"]]}
+    inst = instance_from_json(obj)
+    assert inst.values == ((F(7, 3), F(7, 3)), (F(7, 3), F(1)))
+    assert inst.costs == ((F(1), F(0)), (F(0), F(7, 3)))
+    # Row-major order, values before costs, even when the bad text repeats.
+    obj["values"] = [["7/3", "squid"], ["squid", "7/3"]]
+    obj["costs"] = [["squid", "0"], ["0", "0"]]
+    with pytest.raises(ValueError, match=r"^values\[0\]\[1\]: not a rational: 'squid'$"):
+        instance_from_json(obj)
+    obj["values"] = [["7/3", "1"], ["7/3", 0.5]]
+    with pytest.raises(ValueError, match=r"^values\[1\]\[1\]: float 0.5 is not exact$"):
+        instance_from_json(obj)
+
+
 def test_json_rejects_float_entries():
     broken = instance_to_json(Instance.from_rows([[1, 2]], [[0, 0]]))
     broken["values"] = [["1", 0.5]]

@@ -55,6 +55,27 @@ def test_second_price_threshold_side_depends_on_index():
     assert threshold(SecondPrice(), inst, 0, 2, bids) == Threshold(F(5), False)
 
 
+def test_kernel_threshold_pair_behaves_like_its_fraction():
+    # Scale 2 (a value of 1/2) and a rival bid of 1 make the kernel's pair
+    # 2/2, which is not in lowest terms.
+    inst = one_auction([F(1, 2), 1], [0, 0])
+    t = threshold(SecondPrice(), inst, 0, 0, [F(1, 2), F(1)])
+    assert (t.num, t.den) == (2, 2)
+    reference = Threshold(F(1), True)
+    assert t == reference and not t != reference
+    assert hash(t) == hash(reference) == hash((F(1), True))
+    assert repr(t) == repr(reference) == "Threshold(value=Fraction(1, 1), inclusive=True)"
+    assert type(t.value) is Fraction and t.value.denominator == 1
+    assert t != Threshold(F(1), False) and t != Threshold(F(3, 2), True)
+    assert t.admits(F(1)) and t.admits(F(3, 2)) and not t.admits(F(99, 100))
+    never = Threshold(INF, False)
+    assert (never.num, never.den) == (1, 0) and never.value is INF
+    assert never != Threshold(F(0), False) and never == Threshold(INF, False)
+    assert repr(never) == "Threshold(value=inf, inclusive=False)"
+    assert hash(never) == hash((INF, False))
+    assert not never.admits(F(10 ** 9))
+
+
 def test_second_price_threshold_without_rivals_is_zero():
     inst = one_auction([7], [0])
     assert threshold(SecondPrice(), inst, 0, 0, [F(0)]) == Threshold(F(0), True)
