@@ -4,35 +4,21 @@ Fixing rival bids fixes, for each auction, the minimum bid that wins.
 Dividing by the bidder's value turns each threshold into a multiplier ratio;
 `threshold_table` lists them for the auctions worth contesting, walking only
 the auctions the bidder values (`Instance.valued`); `min_winning_bid` reads
-each in O(1) from the int standings of a `Bids` value, as the kernel's int
-pair with no `Fraction`. The set of auctions won is a prefix of the ratio
-order: it only grows as the multiplier climbs. The best response lives on
-candidates (1, each ratio of at least 1, the midpoints between consecutive
-ratios, and one past the largest), and `best_response_against_bids` scores
-them all in one sweep of the thresholds sorted by ratio. Running sums of won
-value and of won threshold payment grow as the sweep passes each ratio; at a
-ratio itself only the thresholds that admit an equal bid (`inclusive`) count
-as won. A candidate is feasible when value covers payment.
+each in O(1) from the int standings of a `Bids` value. The set of auctions
+won is a prefix of the ratio order: it only grows as the multiplier climbs.
+The best response lives on candidates (1, each ratio of at least 1, the
+midpoints between consecutive ratios, and one past the largest), and
+`best_response_against_bids` scores them all in one sweep of the thresholds
+sorted by ratio. Running sums of won value and of won threshold payment grow
+as the sweep passes each ratio; at a ratio itself only the thresholds that
+admit an equal bid (`inclusive`) count as won. A candidate is feasible when
+value covers payment. The sweep runs on Python ints scaled by
+`_sweep_constants` and builds `Fraction`s only for its result; one call
+costs a sort of the bidder's valued auctions, and no bid column is scanned.
 
-The sweep runs on Python ints. Over the lcm D of the `Market` scales of the
-bidder's valued auctions each value is an integer V / D; with W the lcm of
-the V's, these and each auction's key factor D * (W // V) depend only on the
-market, so they are computed once per bidder per `Bids` (`Bids.sweeps`).
-A call then takes the lcm B of its thresholds' denominators, making each
-threshold an integer T / B, and the key T * D * (W // V) is the ratio times
-W * B exactly, so sorting and grouping on it is the ratio order, and the
-sums, the feasibility test (sum T * D <= sum V * B) and the comparisons are
-integer operations. `Fraction`s are built only for the result, which equals
-the one a `Fraction` sweep gives. One call costs a sort of its valued
-auctions plus a few integer operations per row; no bid column is scanned.
-
-`best_response_oracle` answers the same question by brute force, resolving
-every auction on a dense multiplier grid; `arena verify` and the tests check
-that the two routes agree, and it never feeds the dynamics. Its samples are
-integers over one denominator, and each sample scans every auction's int bid
-column with the bidder's entry replaced. `quasilinear_best_bid_check` probes
-one auction's bids the same way. Both price a winner through the kernel's
-`_price` and sum or compare on ints, building `Fraction`s only for results.
+`best_response_oracle` and `quasilinear_best_bid_check` answer the same
+questions by brute force on the kernel's ints; `arena verify` and the tests
+check them against the exact route, and neither feeds the dynamics.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,16 +35,6 @@ from .verify import run_verify_suite
 CSV_HEADER = ["mechanism", "param_name", "param_value", "welfare", "opt", "ratio",
               "converged", "rounds", "param_value_dec", "welfare_dec", "opt_dec",
               "ratio_dec"]
-
-
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    gamma: Fraction
-    welfare: Fraction
-    opt: Fraction
-    ratio: Fraction
-    converged: bool
-    rounds: int
 
 
 def report_to_json(report: EquilibriumReport, mechanism) -> dict:
@@ -104,37 +93,35 @@ def parse_gamma_grid(spec: str) -> list[Fraction]:
     return [start + step * k for k in range(count + 1)]
 
 
-def sweep_global(delta: Fraction, gammas: list[Fraction]) -> list[SweepRow]:
-    """Dynamics under every global multiplier on the worst-case instance,
-    always including the per-bidder critical multipliers 1 + delta^i."""
+def sweep_global(delta: Fraction,
+                 gammas: list[Fraction]) -> list[tuple[Fraction, EquilibriumReport]]:
+    """(gamma, report) of the dynamics under every global multiplier on the
+    worst-case instance, always including the critical multipliers 1 + delta^i."""
     inst = counterexample(delta)
-    n = inst.num_bidders
     points = set(gammas)
-    for i in range(1, n + 2):
+    for i in range(1, inst.num_bidders + 2):
         points.add(1 + delta ** i)
     rows = []
     for gamma in sorted(points):
         report = run_dynamics(inst, GlobalCostMultiplier(gamma))
         assert report.opt > 0
-        rows.append(SweepRow(gamma, report.welfare, report.opt,
-                             report.welfare / report.opt,
-                             report.converged, report.rounds_used))
+        rows.append((gamma, report))
     return rows
 
 
-def sweep_to_csv(rows: list[SweepRow]) -> str:
+def sweep_to_csv(rows: list[tuple[Fraction, EquilibriumReport]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
+    for gamma, report in rows:
         writer.writerow([
-            "global", "gamma", format_ratio(row.gamma), format_ratio(row.welfare),
-            format_ratio(row.opt), format_ratio(row.ratio),
-            str(row.converged).lower(), row.rounds,
-            decimal_text(row.gamma), decimal_text(row.welfare),
-            decimal_text(row.opt), decimal_text(row.ratio),
+            "global", "gamma", format_ratio(gamma), format_ratio(report.welfare),
+            format_ratio(report.opt), format_ratio(report.poa),
+            str(report.converged).lower(), report.rounds_used,
+            decimal_text(gamma), decimal_text(report.welfare),
+            decimal_text(report.opt), decimal_text(report.poa),
         ])
-    peak = max(row.ratio for row in rows)
+    peak = max(report.poa for _, report in rows)
     writer.writerow(["global", "max-ratio", format_ratio(peak), "", "",
                      format_ratio(peak), "", "", decimal_text(peak), "", "",
                      decimal_text(peak)])

@@ -19,8 +19,8 @@ top two. A best response reads each threshold from it in O(1); a move walks
 only the auctions the mover values (`Instance.valued`), storing each new bid
 with one int product and updating its standing in O(1) unless the mover held
 one of the top two places and fell, which rescans that one column. The final
-outcome is priced from the same standings, every bidder's won value and
-payment come from one pass over it, and the optimum is the instance's own.
+outcome is priced from the same standings, and every bidder's won value and
+payment come from one pass over it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .bestresponse import ResponseResult, best_response_against_bids
 from .mechanisms import BidderDependent, Bids, MechanismSpec, market
-from .model import Instance, MultiplierProfile, Outcome, ZERO, welfare
+from .model import Instance, MultiplierProfile, Outcome, ZERO, optimal_welfare, welfare
 from .rationals import Infinity
 
 
@@ -132,7 +132,7 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
             break
 
     total = welfare(inst, outcome)
-    opt = inst.optimum
+    opt = optimal_welfare(inst)
     poa = total / opt if opt > 0 else None
     diag = diagnostics(inst, spec, profile, outcome) if isinstance(spec, BidderDependent) else None
     return EquilibriumReport(profile, converged, rounds_used, verified, outcome,

@@ -5,19 +5,9 @@ the others only in the reserve and the shift each bidder gets in each
 auction (`market`, the only rule-specific step of an auction). One kernel
 then runs them all: a bidder whose bid reaches its reserve competes with
 score bid - shift, the highest score wins, and the winner pays the smallest
-bid that still wins. All ties break toward the lowest bidder index.
-
-A `Market` holds one (spec, instance) in ints, each auction over its own
-denominator, and the kernel runs on those ints. One scan of a bid column
-(`standing`) keeps the auction's best and second-best eligible (score,
-bidder); `run_auction` prices the winner from it and `min_winning_bid` reads
-any bidder's threshold from it in O(1). A `Bids` value keeps every auction's
-standing beside the int bids, so a best response reads each threshold
-without a scan, and a move costs O(1) per auction the mover values. A
-`Threshold` carries the kernel's int pair and builds its `Fraction` only
-when its `value` is read; payments and bid rows are built as `Fraction`s
-when they leave the kernel. The tests check the kernel against an
-independent per-rule derivation (`tests/reference_mechanisms.py`).
+bid that still wins. All ties break toward the lowest bidder index. The
+tests check the kernel against an independent per-rule derivation
+(`tests/reference_mechanisms.py`).
 """
 
 from __future__ import annotations
@@ -132,12 +122,8 @@ class Threshold:
 
     __slots__ = ("num", "den", "inclusive")
 
-    def __init__(self, value: ExtRational, inclusive: bool) -> None:
-        if isinstance(value, Infinity):
-            self.num, self.den = 1, 0
-        else:
-            self.num, self.den = value.numerator, value.denominator
-        self.inclusive = inclusive
+    def __init__(self, num: int, den: int, inclusive: bool) -> None:
+        self.num, self.den, self.inclusive = num, den, inclusive
 
     @property
     def value(self) -> ExtRational:
@@ -162,14 +148,7 @@ class Threshold:
         return f"Threshold(value={self.value!r}, inclusive={self.inclusive!r})"
 
 
-def _threshold(num: int, den: int, inclusive: bool) -> Threshold:
-    """The `Threshold` num / den of the kernel's ints, built with no gcd."""
-    t = object.__new__(Threshold)
-    t.num, t.den, t.inclusive = num, den, inclusive
-    return t
-
-
-NEVER = Threshold(INF, False)
+NEVER = Threshold(1, 0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +298,15 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 # ---------------------------------------------------------------------------
 # The auction kernel
 #
-# Bidder i is eligible when its bid reaches its reserve r_i; its score is
-# bid - s_i. The highest score wins, ties to the lowest index, and the winner
-# pays max(r_w, s_w + best rival score): the least bid that still wins.
-# `_price` is that rule's one statement; auctions, the oracle and the
-# truthfulness probes all price through it. Bids are nonnegative, so a zero
-# reserve admits every bid without a comparison.
-#
 # It runs on the `Market`'s ints. In auction j a bid is a pair (P, Q) meaning
-# P / (Q * d_j): it is eligible when P >= Q * R_i, and its score is the pair
-# (P - Q * S_i, Q). Two scores (A, Q) and (A', Q') compare as A * Q' against
-# A' * Q, with no gcd. A move by theta = p / q stores (p * V_i, q). A
-# threshold is the pair (P, Q * d_j), unreduced; Fractions are built only for
-# payments and bid rows. Everything an auction decides depends on its top two
-# eligible bidders in rank order (higher score first, ties to the lower
-# index): the winner, its price, and every bidder's threshold, whose rival is
-# the first of the two that is not the bidder itself.
+# P / (Q * d_j): it is eligible when P >= Q * R_i (bids are nonnegative, so a
+# zero reserve admits every bid without a comparison), and its score is the
+# pair (P - Q * S_i, Q). Two scores (A, Q) and (A', Q') compare as A * Q'
+# against A' * Q, with no gcd. Everything an auction decides depends on its
+# top two eligible bidders in rank order (`standing`): the winner, its price,
+# and every bidder's threshold, all read from `_least_bid`, the one statement
+# of the price rule. Auctions, the oracle and the truthfulness probes price
+# winners through `_price`; Fractions are built only for payments and bid rows.
 
 # The best and second-best eligible (A, Q, bidder) entries of one auction in
 # rank order; shorter when fewer than two bidders are eligible.
@@ -377,18 +349,22 @@ def standing(spec: MechanismSpec, inst: Instance, auction: int,
                  mk.reserves[auction], mk.shifts[auction])
 
 
+def _least_bid(mk: Market, auction: int, bidder: int, top: Standing) -> tuple[int, int, bool]:
+    """The price rule max(r_i, s_i + best rival score): the least bid with which
+    `bidder` (reserve finite) beats its rivals in `top`, as (P, Q, inclusive) = P / (Q * d_j)."""
+    own = mk.reserves[auction][bidder]
+    for a, q, rival in top:
+        if rival != bidder:
+            price = mk.shifts[auction][bidder] * q + a
+            if own * q <= price:
+                return price, q, bidder < rival
+            break
+    return own, 1, True
+
+
 def _price(mk: Market, auction: int, top: Standing) -> tuple[int, int]:
-    """The winner's price in a nonempty standing, max(r_w, s_w + the second
-    score): the least bid with which it still wins, as a pair (P, Q) meaning
-    P / (Q * d_j)."""
-    winner = top[0][2]
-    reserve = mk.reserves[auction][winner]
-    if len(top) == 2:
-        a, q, _ = top[1]
-        pay = mk.shifts[auction][winner] * q + a
-        if pay > reserve * q:
-            return pay, q
-    return reserve, 1
+    """The winner's price in a nonempty standing: its `_least_bid` (P, Q)."""
+    return _least_bid(mk, auction, top[0][2], top)[:2]
 
 
 def _priced(mk: Market, auction: int, top: Standing) -> AuctionResult:
@@ -423,19 +399,10 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
         mk = market(spec, inst)
     if not 0 <= auction < len(mk.scale):
         raise ValueError(f"auction {auction} out of range")
-    own = mk.reserves[auction][bidder]
-    if own is None:
+    if mk.reserves[auction][bidder] is None:
         return NEVER
-    d = mk.scale[auction]
-    for a, q, rival in top:
-        if rival != bidder:
-            break
-    else:
-        return _threshold(own, d, True)
-    price = mk.shifts[auction][bidder] * q + a
-    if own * q > price:
-        return _threshold(own, d, True)
-    return _threshold(price, q * d, bidder < rival)
+    num, q, inclusive = _least_bid(mk, auction, bidder, top)
+    return Threshold(num, q * mk.scale[auction], inclusive)
 
 
 def _moved(top: Standing, bidder: int, nums: Sequence[int], dens: Sequence[int],
@@ -472,17 +439,16 @@ class Bids:
     """Bid rows under one (spec, instance), with every auction's standing.
 
     Bidder i's bid in auction j is the kernel's pair (`nums[j][i]`,
-    `dens[j][i]`). `bids[i]` is bidder i's row of Fractions; after a move, its
-    next read rebuilds only the moved entries. `move` sets a bidder to a new
-    uniform multiplier: it walks only the auctions the bidder values
-    (`Instance.valued`), since a zero-value bid stays zero, and updates each
-    standing in O(1) unless the mover held one of the top two places and fell.
+    `dens[j][i]`). `bids[i]` builds bidder i's row of Fractions from them.
+    `move` sets a bidder to a new uniform multiplier: it walks only the
+    auctions the bidder values (`Instance.valued`), since a zero-value bid
+    stays zero, and updates each standing in O(1) unless the mover held one
+    of the top two places and fell.
     `sweeps[i]` holds bidder i's best-response sweep constants, which depend
     only on the `Market`; `bestresponse` fills it on first use.
     """
 
-    __slots__ = ("spec", "inst", "market", "nums", "dens", "standings", "sweeps",
-                 "_rows", "_stale")
+    __slots__ = ("spec", "inst", "market", "nums", "dens", "standings", "sweeps")
 
     def __init__(self, spec: MechanismSpec, inst: Instance,
                  rows: Sequence[Sequence[Fraction]]) -> None:
@@ -491,7 +457,6 @@ class Bids:
             raise ValueError(f"expected {n} bid rows of {m} entries")
         self.spec, self.inst = spec, inst
         self.market = mk = market(spec, inst)
-        self._rows, self._stale = list(rows), set()
         # Truthful bids are (V, 1); only other rows are converted entry by entry.
         self.nums = nums = [list(column) for column in mk.values]
         self.dens = dens = [[1] * n for _ in range(m)]
@@ -503,21 +468,14 @@ class Bids:
         self.sweeps: list[tuple | None] = [None] * n
 
     def __getitem__(self, bidder: int) -> Sequence[Fraction]:
-        row = self._rows[bidder]
-        if bidder in self._stale:
-            self._stale.discard(bidder)
-            row, scale = list(row), self.market.scale
-            for j, _ in self.inst.valued[bidder]:
-                row[j] = Fraction(self.nums[j][bidder], self.dens[j][bidder] * scale[j])
-            self._rows[bidder] = row = tuple(row)
-        return row
+        return tuple([Fraction(nums[bidder], dens[bidder] * d)
+                      for nums, dens, d in zip(self.nums, self.dens, self.market.scale)])
 
     def move(self, bidder: int, theta: Fraction) -> None:
         """Bidder `bidder` bids `theta` times its value in every auction it
         values; its other entries are left as they are."""
         p, q = theta.numerator, theta.denominator
         mk, standings = self.market, self.standings
-        self._stale.add(bidder)
         for j, _ in self.inst.valued[bidder]:
             nums, dens = self.nums[j], self.dens[j]
             nums[bidder] = p * mk.values[j][bidder]

@@ -44,13 +44,12 @@ def _check_matrix(name: str, rows: Matrix, num_rows: int, num_cols: int) -> None
 class Instance:
     """One market: values[i][j] and costs[i][j] for bidder i, auction j.
 
-    It keeps its `optimum`, its views `valued` and `columns` (derived together
-    on the first read of either) and the last `Market` built on it, none of
-    them part of equality, hashing or repr."""
+    It keeps its views `valued` and `columns` (derived together on the first
+    read of either) and the last `Market` built on it, neither part of
+    equality, hashing or repr."""
 
     values: Matrix
     costs: Matrix
-    _optimum: Fraction | None = field(default=None, init=False, repr=False, compare=False)
     _derived: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # The last `mechanisms.Market` built on this instance; see `mechanisms.market`.
     _market: object = field(default=None, init=False, repr=False, compare=False)
@@ -72,13 +71,6 @@ class Instance:
     @property
     def num_auctions(self) -> int:
         return len(self.values[0])
-
-    @property
-    def optimum(self) -> Fraction:
-        """`optimal_welfare` of this instance, computed on first use and kept."""
-        if self._optimum is None:
-            object.__setattr__(self, "_optimum", optimal_welfare(self))
-        return self._optimum
 
     @property
     def valued(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -178,18 +170,12 @@ def welfare(inst: Instance, outcome: Outcome) -> Fraction:
 def optimal_welfare(inst: Instance) -> Fraction:
     """Best possible welfare: per auction, the largest value-minus-cost if
     positive, else leave the auction unallocated."""
-    return sum((best for *_, best, _ in inst.columns if best > 0), ZERO)
-
-
-def bidder_value(inst: Instance, outcome: Outcome, bidder: int) -> Fraction:
-    return sum((inst.values[bidder][j] for j, i in enumerate(outcome.winners) if i == bidder),
-               ZERO)
-
-
-def bidder_payment(outcome: Outcome, bidder: int) -> Fraction:
-    return sum((p for i, p in zip(outcome.winners, outcome.prices) if i == bidder), ZERO)
+    positive = [best for *_, best, _ in inst.columns if best.numerator > 0]
+    d = lcm(*[best.denominator for best in positive])
+    return Fraction(sum(best.numerator * (d // best.denominator) for best in positive), d)
 
 
 def roi_satisfied(inst: Instance, outcome: Outcome, bidder: int) -> bool:
     """True when the bidder's total won value covers its total payment."""
-    return bidder_value(inst, outcome, bidder) >= bidder_payment(outcome, bidder)
+    won = zip(inst.values[bidder], outcome.winners, outcome.prices)
+    return sum((v - price for v, i, price in won if i == bidder), ZERO) >= 0

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .bestresponse import (best_response_against_bids, best_response_oracle,
                            quasilinear_best_bid_check)
-from .equilibrium import core_auctions, diagnostics, run_dynamics
+from .equilibrium import EquilibriumReport, core_auctions, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, instance_to_json, random_instance
 from .mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice,
                          compute_auction_params, compute_bidder_params,
@@ -70,6 +70,15 @@ class FamilyStats:
     bound_checked: int = 0
     violations: list[str] = field(default_factory=list)
 
+    def settled(self, report: EquilibriumReport) -> bool:
+        """Count one run; True (and floor-checked) when it converged and verified."""
+        self.runs += 1
+        self.converged += report.converged
+        self.verified += report.verified
+        settled = report.converged and report.verified
+        self.bound_checked += settled
+        return settled
+
 
 def equilibrium_family(kind: str, seeds: Iterable[int], *, welfare_floor: Fraction,
                        zero_cost_probability: Fraction = FAMILY_ZERO_COST) -> FamilyStats:
@@ -80,17 +89,10 @@ def equilibrium_family(kind: str, seeds: Iterable[int], *, welfare_floor: Fracti
         inst = family_instance(seed, zero_cost_probability=zero_cost_probability)
         spec = mechanism_from_label(kind, inst)
         report = run_dynamics(inst, spec)
-        stats.runs += 1
-        if report.converged:
-            stats.converged += 1
-        if report.verified:
-            stats.verified += 1
-        if report.converged and report.verified:
-            stats.bound_checked += 1
-            if report.welfare < welfare_floor * report.opt:
-                stats.violations.append(_describe(
-                    seed, inst,
-                    f"{kind}: welfare {report.welfare} < {welfare_floor} * opt {report.opt}"))
+        if stats.settled(report) and report.welfare < welfare_floor * report.opt:
+            stats.violations.append(_describe(
+                seed, inst,
+                f"{kind}: welfare {report.welfare} < {welfare_floor} * opt {report.opt}"))
     return stats
 
 
@@ -108,16 +110,9 @@ def single_bidder_family(count: int, *, start_seed: int = 0) -> FamilyStats:
             continue
         spec = calibrate_single_bidder(inst)
         report = run_dynamics(inst, spec)
-        stats.runs += 1
-        if report.converged:
-            stats.converged += 1
-        if report.verified:
-            stats.verified += 1
-        if not (report.converged and report.verified):
+        if not stats.settled(report):
             stats.violations.append(_describe(seed - 1, inst, "single-bidder: did not settle"))
-            continue
-        stats.bound_checked += 1
-        if report.poa != 1:
+        elif report.poa != 1:
             stats.violations.append(_describe(
                 seed - 1, inst, f"single-bidder: poa {report.poa} != 1"))
     return stats

@@ -19,6 +19,13 @@ from bidarena.model import ZERO, Instance
 from bidarena.rationals import INF, ExtRational, Infinity
 
 
+def threshold(value: ExtRational, inclusive: bool) -> Threshold:
+    """The `Threshold` of an exact value, infinite or not."""
+    if isinstance(value, Infinity):
+        return Threshold(1, 0, inclusive)
+    return Threshold(value.numerator, value.denominator, inclusive)
+
+
 # Required bids. Auction-dep and bidder-dep require (1 + alpha) * cost and
 # single-bidder alpha * cost. An infinite alpha (a zero calibration cost)
 # shuts out every positive-cost bid; a zero-cost bid then needs half the
@@ -151,8 +158,8 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
             if best is None or bid > best:
                 best, best_i = bid, i
         if best is None:
-            return Threshold(ZERO, True)
-        return Threshold(best, bidder < best_i)
+            return threshold(ZERO, True)
+        return threshold(best, bidder < best_i)
 
     if isinstance(spec, GlobalCostMultiplier):
         gamma = spec.gamma
@@ -169,14 +176,14 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
             if best is None or score > best:
                 best, best_i = score, i
         if best is None:
-            return Threshold(own, True)
-        return Threshold(own + best, bidder < best_i)
+            return threshold(own, True)
+        return threshold(own + best, bidder < best_i)
 
     if isinstance(spec, SingleBidderCalibrated):
         required = single_required(spec.cost_multiplier, inst.costs[0][auction])
         if isinstance(required, Infinity):
             return NEVER
-        return Threshold(required, True)
+        return threshold(required, True)
 
     if isinstance(spec, AuctionDependent):
         rw = spec.rightful_winner[auction]
@@ -200,8 +207,8 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
             if best is None or score > best:
                 best, best_i = score, i
         if best is None or best < 0:
-            return Threshold(own, True)
-        return Threshold(own + best, bidder < best_i)
+            return threshold(own, True)
+        return threshold(own + best, bidder < best_i)
 
     if isinstance(spec, BidderDependent):
         own = bidder_dep_required(spec.cost_multiplier[bidder], inst.costs[bidder][auction])
@@ -219,10 +226,10 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
             if best is None or score > best:
                 best, best_i = score, i
         if best is None:
-            return Threshold(own, True)
+            return threshold(own, True)
         rival = best + inst.costs[bidder][auction]
         if own > rival:
-            return Threshold(own, True)
-        return Threshold(rival, bidder < best_i)
+            return threshold(own, True)
+        return threshold(rival, bidder < best_i)
 
     raise TypeError(f"unknown mechanism: {spec!r}")

@@ -35,7 +35,7 @@ def test_criterion_01_global_multiplier_sweep(capsys):
     for delta in (F(1, 4), F(1, 8), F(1, 16)):
         rows = sweep_global(delta, grid)
         assert len(rows) >= 201
-        peaks[delta] = max(row.ratio for row in rows)
+        peaks[delta] = max(report.poa for _, report in rows)
     elapsed = time.monotonic() - start
     ok = elapsed < budget
     for delta, peak in peaks.items():

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from bidarena.bestresponse import (ResponseResult, best_response_against_bids,
                                    best_response_oracle, quasilinear_best_bid_check,
                                    threshold_table)
-from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice, Threshold,
+from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
                                  calibrate_single_bidder, compute_auction_params,
                                  min_winning_bid, run_all, standing)
 from bidarena.model import Instance, MultiplierProfile, bids_from
 
 from conftest import all_specs, instances_with_profiles
+from reference_mechanisms import threshold
 
 F = Fraction
 
@@ -68,9 +69,9 @@ def test_thresholds_against_calibrated_reserves():
     spec = calibrate_single_bidder(inst)
     bids = Bids(spec, inst, bids_from(MultiplierProfile.uniform(1), inst))
     assert threshold_table(inst, spec, 0, bids) == [
-        (F(3, 4), 0, Threshold(F(3, 2), True), F(2)),
-        (F(3, 2), 1, Threshold(F(3, 2), True), F(1)),
-        (F(3), 2, Threshold(F(3), True), F(1)),
+        (F(3, 4), 0, threshold(F(3, 2), True), F(2)),
+        (F(3, 2), 1, threshold(F(3, 2), True), F(1)),
+        (F(3), 2, threshold(F(3), True), F(1)),
     ]
 
 

@@ -23,8 +23,10 @@ from hypothesis import given, settings
 import reference_bestresponse as ref
 from bidarena.bestresponse import (best_response_against_bids, best_response_oracle,
                                    quasilinear_best_bid_check, threshold_table)
-from bidarena.mechanisms import Bids, min_winning_bid, standing
-from bidarena.model import Instance, MultiplierProfile, bids_from
+from bidarena import mechanisms
+from bidarena.mechanisms import (AuctionResult, Bids, GlobalCostMultiplier, min_winning_bid,
+                                 standing)
+from bidarena.model import Instance, MultiplierProfile, Outcome, bids_from
 from bidarena.rationals import Infinity
 from bidarena.verify import probe_profile, standard_specs
 
@@ -185,3 +187,44 @@ def test_integer_probe_matches_reference_probe(pricing, request):
                         rejected += not verdict
     assert columns > 2500
     assert (rejected > 1000) if pricing == "first price" else rejected == 0
+
+
+@pytest.mark.parametrize("values, winner, inclusive", [([3, 1], 0, True), ([1, 3], 1, False)])
+def test_price_at_an_exact_reserve_tie(values, winner, inclusive):
+    # Under global:1 with unit costs the winner's reserve 1 equals its cost
+    # share 1 plus the rival's score 1 - 1 = 0: both sides of the price rule
+    # max(r, s + rival score) are 1. A bid of exactly 1 ties the rival's
+    # score, so it wins only for the lower index.
+    inst = Instance.from_rows([[v] for v in values], [[1], [1]])
+    spec = GlobalCostMultiplier(Fraction(1))
+    bids = Bids(spec, inst, inst.values)
+    t = min_winning_bid(spec, inst, 0, winner, bids.standings[0])
+    assert (t.value, t.inclusive) == (1, inclusive)
+    assert bids.outcome() == Outcome((winner,), (Fraction(1),))
+    column = [Fraction(v) for v in values]
+    assert mechanisms.run_auction(spec, inst, 0, column) == AuctionResult(winner, t.value)
+    # The integer oracle and probe price through the kernel's `_price`; their
+    # Fraction references go through `run_auction`.
+    got = best_response_oracle(inst, spec, winner, bids)
+    want = ref.best_response_oracle(inst, spec, winner, bids)
+    assert got == want and got.total_payment == t.value
+    assert quasilinear_best_bid_check(inst, spec, 0, winner, column) is True
+    assert ref.quasilinear_best_bid_check(inst, spec, 0, winner, column) is True
+
+
+def test_price_at_a_reserve_tie_against_a_rival_pair_over_two():
+    # The rival's value 2/3 (scale 3) at multiplier 3/2 is the pair (6, 2): a
+    # bid of 1 over a denominator that is not 1, with score 0 at its cost 1.
+    # The winner's price still reads 1, now from the rival side of the rule.
+    inst = Instance.from_rows([[3], ["2/3"]], [[1], [1]])
+    spec = GlobalCostMultiplier(Fraction(1))
+    bids = Bids(spec, inst, inst.values)
+    bids.move(1, Fraction(3, 2))
+    top = bids.standings[0]
+    assert top[1] == (0, 2, 1)
+    pay, q = mechanisms._price(bids.market, 0, top)
+    assert Fraction(pay, q * bids.market.scale[0]) == 1
+    t = min_winning_bid(spec, inst, 0, 0, top)
+    assert (t.value, t.inclusive) == (1, True)
+    assert bids.outcome() == Outcome((0,), (Fraction(1),))
+    assert best_response_oracle(inst, spec, 0, bids) == ref.best_response_oracle(inst, spec, 0, bids)

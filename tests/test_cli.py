@@ -102,12 +102,12 @@ def test_gamma_grid_is_exact():
 
 def test_sweep_always_includes_critical_multipliers():
     rows = sweep_global(F(1, 4), [F(1)])
-    gammas = [row.gamma for row in rows]
+    gammas = [gamma for gamma, _ in rows]
     assert gammas == sorted(gammas)
     for i in range(1, 6):
         assert 1 + F(1, 4) ** i in gammas
-    assert all(row.opt == 4 for row in rows)
-    assert all(row.ratio == row.welfare / row.opt for row in rows)
+    assert all(report.opt == 4 for _, report in rows)
+    assert all(report.poa == report.welfare / report.opt for _, report in rows)
 
 
 def test_sweep_peak_matches_closed_form():
@@ -115,7 +115,7 @@ def test_sweep_peak_matches_closed_form():
     # equal 3*delta - 2*delta^2; so does the peak one halving further down.
     delta = F(1, 32)
     rows = sweep_global(delta, parse_gamma_grid("0:2:20"))
-    assert max(row.ratio for row in rows) == 3 * delta - 2 * delta ** 2 == F(47, 512)
+    assert max(report.poa for _, report in rows) == 3 * delta - 2 * delta ** 2 == F(47, 512)
     # The whole sweep, byte for byte, on 32 bidders (digest taken before the
     # dynamics kept standings between best responses).
     assert hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest() == \
@@ -128,9 +128,9 @@ def test_sweep_peak_is_only_at_the_last_critical_multiplier(k):
     # with welfare 3 - 2*delta of the optimum 1/delta.
     delta = F(1, 2 ** k)
     rows = sweep_global(delta, parse_gamma_grid("0:2:40"))
-    peak = max(row.ratio for row in rows)
-    assert [row.gamma for row in rows if row.ratio == peak] == [1 + delta ** 2 ** k]
-    top = next(row for row in rows if row.ratio == peak)
+    peak = max(report.poa for _, report in rows)
+    assert [gamma for gamma, report in rows if report.poa == peak] == [1 + delta ** 2 ** k]
+    top = next(report for _, report in rows if report.poa == peak)
     assert (top.welfare, top.opt) == (3 - 2 * delta, 2 ** k)
     assert peak == 3 * delta - 2 * delta ** 2
 
@@ -142,7 +142,7 @@ def test_sweep_csv_layout():
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == len(rows) + 2
     assert lines[-1].startswith("global,max-ratio,")
-    peak = max(row.ratio for row in rows)
+    peak = max(report.poa for _, report in rows)
     assert f"{peak.numerator}/{peak.denominator}" in lines[-1]
 
 

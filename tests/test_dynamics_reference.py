@@ -59,7 +59,7 @@ def test_dynamics_match_reference_on_a_seeded_market(label):
 def test_dynamics_match_reference_across_the_sweep():
     delta = F(1, 8)
     inst = counterexample(delta)
-    gammas = [row.gamma for row in sweep_global(delta, parse_gamma_grid("0:2:8"))]
+    gammas = [gamma for gamma, _ in sweep_global(delta, parse_gamma_grid("0:2:8"))]
     assert len(gammas) > 10
     for gamma in gammas:
         assert same_report(inst, GlobalCostMultiplier(gamma), 50), gamma

@@ -141,21 +141,29 @@ def unequal_dens_in_a_column(bids) -> bool:
     return any(len(set(dens)) > 1 for dens in bids.dens)
 
 
-def moved_through(spec, inst, profiles) -> int:
-    """Truthful `Bids` whose bidders move, one at a time, to each profile in
-    turn, checked against the reference after every move; `run_all` on each
+def moved_through(spec, inst, profiles, start=None) -> int:
+    """`Bids` from the rows `start` (truthful by default) whose bidders move,
+    one at a time, to each profile in turn, checked against the reference
+    after every move. A move sets the mover's bids on the auctions it values
+    and keeps its bids on the others. From truthful rows, `run_all` on each
     full profile too. Returns the number of comparisons."""
-    bids = Bids(spec, inst, inst.values)
-    thetas = [F(1)] * inst.num_bidders
-    cases = check_bids(spec, inst, bids, inst.values)
+    rows = [list(row) for row in (start or inst.values)]
+    bids = Bids(spec, inst, start or inst.values)
+    cases = check_bids(spec, inst, bids, rows)
     for profile in profiles:
         for i, theta in enumerate(profile.multipliers):
             bids.move(i, theta)
-            thetas[i] = theta
-            cases += check_bids(spec, inst, bids,
-                                bids_from(MultiplierProfile(tuple(thetas)), inst))
-        assert run_all(spec, inst, profile) == bids.outcome()
+            rows[i] = [theta * v if v else bid for v, bid in zip(inst.values[i], rows[i])]
+            cases += check_bids(spec, inst, bids, rows)
+        if start is None:
+            assert run_all(spec, inst, profile) == bids.outcome()
     return cases
+
+
+def unvalued_bids(inst, rows) -> int:
+    """Nonzero bids on auctions their bidder does not value."""
+    return sum(bool(bid) and not v for row, values in zip(rows, inst.values)
+               for bid, v in zip(row, values))
 
 
 def test_bids_match_reference_on_rows_with_mixed_denominators():
@@ -172,20 +180,24 @@ def test_bids_match_reference_on_rows_with_mixed_denominators():
 
 
 def test_moves_match_reference_under_long_coprime_multipliers():
-    cases = unequal = long_scale = 0
+    cases = unequal = long_scale = kept = 0
     for seed in range(50):
         inst = off_grid_instance(seed)
         rng = random.Random(seed)
         profiles = [coprime_profile(rng, inst.num_bidders) for _ in range(2)]
+        start = mixed_rows(rng, inst)
+        kept += unvalued_bids(inst, start)
         for spec in all_specs(inst):
             cases += moved_through(spec, inst, profiles)
+            cases += moved_through(spec, inst, profiles, start)
             bids = Bids(spec, inst, bids_from(profiles[0], inst))
             unequal += unequal_dens_in_a_column(bids)
             long_scale += any(q * d > 10 ** 20 for dens, d in zip(bids.dens, bids.market.scale)
                               for q in dens)
-    assert cases > 25000
+    assert cases > 50000
     assert unequal > 200
     assert long_scale > 100
+    assert kept > 80
 
 
 def test_sparse_counterexample_markets_match_reference():
@@ -226,6 +238,7 @@ def test_auction_dep_half_value_reserves_and_closed_auctions_match_reference():
         profiles = [coprime_profile(rng, inst.num_bidders) for _ in range(2)]
         cases += moved_through(spec, inst, profiles)
         rows = mixed_rows(rng, inst)
+        cases += moved_through(spec, inst, profiles, rows)
         cases += check_bids(spec, inst, Bids(spec, inst, rows), rows)
         cases += check_market(spec, inst, rows)
     assert cases > 15000

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from bidarena.equilibrium import run_dynamics
-from bidarena.mechanisms import (AuctionDependent, AuctionResult,
+from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult,
                                  GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated, Threshold,
                                  calibrate_single_bidder, compute_auction_params,
@@ -16,11 +16,12 @@ from bidarena.model import (Instance, MultiplierProfile, bids_from,
 from bidarena.rationals import INF, Infinity
 
 from conftest import all_specs, instances_with_profiles, small_instances
+from reference_mechanisms import threshold
 
 F = Fraction
 
 
-def threshold(spec, inst, auction, bidder, bids):
+def winning_bid(spec, inst, auction, bidder, bids):
     """`min_winning_bid` read from the standing of one bid column."""
     return min_winning_bid(spec, inst, auction, bidder, standing(spec, inst, auction, bids))
 
@@ -50,44 +51,48 @@ def test_second_price_tie_goes_to_lowest_index():
 def test_second_price_threshold_side_depends_on_index():
     inst = one_auction([0, 0, 0], [0, 0, 0])
     bids = [F(0), F(3), F(5)]
-    assert threshold(SecondPrice(), inst, 0, 0, bids) == Threshold(F(5), True)
+    assert winning_bid(SecondPrice(), inst, 0, 0, bids) == threshold(F(5), True)
     bids = [F(3), F(5), F(0)]
-    assert threshold(SecondPrice(), inst, 0, 2, bids) == Threshold(F(5), False)
+    assert winning_bid(SecondPrice(), inst, 0, 2, bids) == threshold(F(5), False)
 
 
 def test_kernel_threshold_pair_behaves_like_its_fraction():
     # Scale 2 (a value of 1/2) and a rival bid of 1 make the kernel's pair
     # 2/2, which is not in lowest terms.
     inst = one_auction([F(1, 2), 1], [0, 0])
-    t = threshold(SecondPrice(), inst, 0, 0, [F(1, 2), F(1)])
+    t = winning_bid(SecondPrice(), inst, 0, 0, [F(1, 2), F(1)])
     assert (t.num, t.den) == (2, 2)
-    reference = Threshold(F(1), True)
+    reference = threshold(F(1), True)
     assert t == reference and not t != reference
     assert hash(t) == hash(reference) == hash((F(1), True))
     assert repr(t) == repr(reference) == "Threshold(value=Fraction(1, 1), inclusive=True)"
     assert type(t.value) is Fraction and t.value.denominator == 1
-    assert t != Threshold(F(1), False) and t != Threshold(F(3, 2), True)
+    assert t != threshold(F(1), False) and t != threshold(F(3, 2), True)
     assert t.admits(F(1)) and t.admits(F(3, 2)) and not t.admits(F(99, 100))
-    never = Threshold(INF, False)
-    assert (never.num, never.den) == (1, 0) and never.value is INF
-    assert never != Threshold(F(0), False) and never == Threshold(INF, False)
+    assert Threshold(4, 4, True) == reference == Threshold(1, 1, True)
+    never = threshold(INF, False)
+    assert never == NEVER and (never.num, never.den) == (1, 0) and never.value is INF
+    assert never != threshold(F(0), False) and never == threshold(INF, False)
     assert repr(never) == "Threshold(value=inf, inclusive=False)"
     assert hash(never) == hash((INF, False))
     assert not never.admits(F(10 ** 9))
+    # The one constructor takes the int pair; the old (value, inclusive) form fails loudly.
+    with pytest.raises(TypeError):
+        Threshold(F(1), True)
 
 
 def test_second_price_threshold_without_rivals_is_zero():
     inst = one_auction([7], [0])
-    assert threshold(SecondPrice(), inst, 0, 0, [F(0)]) == Threshold(F(0), True)
+    assert winning_bid(SecondPrice(), inst, 0, 0, [F(0)]) == threshold(F(0), True)
 
 
 def test_threshold_rejects_a_bid_column_of_the_wrong_length():
     # A short column used to drop the rival bidding 5 and report threshold 0.
     inst = one_auction([1, 1], [0, 0])
     with pytest.raises(ValueError, match="expected 2 bids, got 1"):
-        threshold(SecondPrice(), inst, 0, 0, [F(1)])
+        winning_bid(SecondPrice(), inst, 0, 0, [F(1)])
     with pytest.raises(ValueError, match="expected 2 bids, got 3"):
-        threshold(SecondPrice(), inst, 0, 0, [F(1), F(5), F(0)])
+        winning_bid(SecondPrice(), inst, 0, 0, [F(1), F(5), F(0)])
     with pytest.raises(ValueError, match="expected 2 bids, got 1"):
         run_auction(SecondPrice(), inst, 0, [F(1)])
 
@@ -116,11 +121,11 @@ def test_global_payment_includes_own_cost_share():
 
 def test_global_threshold_adds_best_rival_score():
     inst = one_auction([0, 4], [1, F(1, 2)])
-    t = threshold(GlobalCostMultiplier(F(2)), inst, 0, 0, [F(0), F(4)])
-    assert t == Threshold(F(5), True)  # own cost share 2 plus rival score 3
+    t = winning_bid(GlobalCostMultiplier(F(2)), inst, 0, 0, [F(0), F(4)])
+    assert t == threshold(F(5), True)  # own cost share 2 plus rival score 3
     inst = one_auction([4, 0], [F(1, 2), 1])
-    t = threshold(GlobalCostMultiplier(F(2)), inst, 0, 1, [F(4), F(0)])
-    assert t == Threshold(F(5), False)  # same score, but the rival has the lower index
+    t = winning_bid(GlobalCostMultiplier(F(2)), inst, 0, 1, [F(4), F(0)])
+    assert t == threshold(F(5), False)  # same score, but the rival has the lower index
 
 
 def test_global_gamma_zero_matches_second_price():
@@ -263,7 +268,7 @@ def test_spec_that_does_not_fit_the_market_is_rejected(spec, inst):
     with pytest.raises(ValueError, match="market has"):
         run_auction(spec, inst, 0, bids)
     with pytest.raises(ValueError, match="market has"):
-        threshold(spec, inst, 0, 0, bids)
+        winning_bid(spec, inst, 0, 0, bids)
     with pytest.raises(ValueError, match="market has"):
         run_all(spec, inst, MultiplierProfile.uniform(inst.num_bidders))
     with pytest.raises(ValueError, match="market has"):
@@ -306,7 +311,7 @@ def test_auction_dep_rw_absent_means_nobody_wins():
     inst = one_auction([1], [2])
     spec = compute_auction_params(inst)
     assert run_auction(spec, inst, 0, [F(100)]) == AuctionResult(None, F(0))
-    assert threshold(spec, inst, 0, 0, [F(0)]) == Threshold(INF, False)
+    assert winning_bid(spec, inst, 0, 0, [F(0)]) == threshold(INF, False)
 
 
 def test_auction_dep_zero_cost_auction_prices_at_half_value():
@@ -318,7 +323,7 @@ def test_auction_dep_zero_cost_auction_prices_at_half_value():
     inst = one_auction([4, 2], [0, 1])
     spec = compute_auction_params(inst)
     assert spec.cost_multiplier[0] is INF
-    assert threshold(spec, inst, 0, 1, [F(4), F(2)]) == Threshold(INF, False)
+    assert winning_bid(spec, inst, 0, 1, [F(4), F(2)]) == threshold(INF, False)
     assert run_auction(spec, inst, 0, [F(4), F(100)]).winner == 0
 
 
@@ -335,9 +340,9 @@ def test_auction_dep_winner_payment_covers_half_margin():
 def test_auction_dep_threshold_example():
     inst = one_auction([4, 3], [1, 2])
     spec = compute_auction_params(inst)
-    assert threshold(spec, inst, 0, 0, [F(0), F(3)]) == Threshold(F(5, 2), True)
+    assert winning_bid(spec, inst, 0, 0, [F(0), F(3)]) == threshold(F(5, 2), True)
     # Rival bidding 6 has score 1, so bidder 0 needs 5/2 + 1.
-    assert threshold(spec, inst, 0, 0, [F(0), F(6)]) == Threshold(F(7, 2), True)
+    assert winning_bid(spec, inst, 0, 0, [F(0), F(6)]) == threshold(F(7, 2), True)
 
 
 # --- bidder-dependent mechanism --------------------------------------------
@@ -366,8 +371,8 @@ def test_bidder_dep_payment_rises_with_surviving_rival():
 def test_bidder_dep_threshold_example():
     inst = bdep_inst()
     spec = compute_bidder_params(inst)
-    assert threshold(spec, inst, 0, 1, [F(4), F(0)]) == Threshold(F(4), False)
-    assert threshold(spec, inst, 1, 1, [F(1), F(0)]) == Threshold(F(2), True)
+    assert winning_bid(spec, inst, 0, 1, [F(4), F(0)]) == threshold(F(4), False)
+    assert winning_bid(spec, inst, 1, 1, [F(1), F(0)]) == threshold(F(2), True)
 
 
 def test_bidder_dep_infinite_alpha_blocks_costly_bids_only():
@@ -395,7 +400,7 @@ def test_single_bidder_thresholds_are_reserves():
     inst = Instance.from_rows([[2, 1, 1]], [[1, 1, 2]])
     spec = calibrate_single_bidder(inst)
     for j, want in enumerate([F(3, 2), F(3, 2), F(3)]):
-        assert threshold(spec, inst, j, 0, [F(0)]) == Threshold(want, True)
+        assert winning_bid(spec, inst, j, 0, [F(0)]) == threshold(want, True)
 
 
 def test_single_bidder_infinite_reserve_blocks_costly_auctions():
@@ -434,7 +439,7 @@ def test_winner_pays_its_threshold_and_clears_it(pair):
             if winner is None:
                 continue
             column = [bids[i][j] for i in range(inst.num_bidders)]
-            t = threshold(spec, inst, j, winner, column)
+            t = winning_bid(spec, inst, j, winner, column)
             assert t.value == out.prices[j]
             assert not isinstance(t.value, Infinity)
             assert t.admits(column[winner])
@@ -452,7 +457,7 @@ def test_losers_fail_their_thresholds(pair):
             for i in range(inst.num_bidders):
                 if out.winners[j] == i:
                     continue
-                t = threshold(spec, inst, j, i, column)
+                t = winning_bid(spec, inst, j, i, column)
                 assert not t.admits(column[i])
 
 
@@ -487,7 +492,6 @@ def test_kept_instance_fields_leave_equality_and_hash_alone(inst):
     before = hash(inst)
     assert inst.valued == tuple(tuple((j, v) for j, v in enumerate(row) if v)
                                 for row in inst.values)
-    assert inst.optimum == optimal_welfare(inst)
     assert inst == twin and twin == inst
     assert hash(inst) == before == hash(twin)
     assert repr(inst) == repr(twin)

@@ -5,9 +5,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from bidarena.model import (Instance, MultiplierProfile, Outcome, bidder_payment,
-                            bidder_value, bids_from, optimal_welfare, roi_satisfied,
-                            welfare)
+from bidarena.model import (Instance, MultiplierProfile, Outcome, bids_from,
+                            optimal_welfare, roi_satisfied, welfare)
 
 from conftest import instances_with_profiles, small_instances
 
@@ -172,10 +171,10 @@ def test_optimal_welfare_is_invariant_under_bidder_order(inst):
 
 def test_roi_compares_value_to_payment():
     inst = Instance.from_rows([[2, 1, 1]], [[0, 0, 0]])
+    # Won value 2 + 1 = 3 against payment 3 + 1 = 4; the unsold auction adds nothing.
     out = Outcome((0, 0, None), (Fraction(3), Fraction(1), Fraction(0)))
-    assert bidder_value(inst, out, 0) == 3
-    assert bidder_payment(out, 0) == 4
     assert not roi_satisfied(inst, out, 0)
+    assert roi_satisfied(inst, Outcome((0, 0, None), (Fraction(3), Fraction(0), Fraction(0))), 0)
 
 
 def test_roi_holds_on_boundary_and_without_wins():
