@@ -1,7 +1,8 @@
 """Deterministic simulator for autobidding ad auctions with user costs.
 
-Exact rational arithmetic throughout: allocations, payments, best responses,
-and welfare ratios are computed with `fractions.Fraction`, so every reported
+Exact rational arithmetic throughout: the auction kernel, the best responses
+and the dynamics run on Python ints scaled by common denominators, and every
+number the API takes or returns is a `fractions.Fraction`, so every reported
 number is an exact fact about the instance, not an approximation.
 """
 
@@ -18,15 +19,14 @@ from .mechanisms import (AuctionDependent, AuctionResult, BidderDependent, Bids,
                          run_all, run_auction, standing)
 from .model import (Instance, MultiplierProfile, Outcome, bids_from, optimal_welfare,
                     roi_satisfied, welfare)
-from .rationals import INF, ExtRational, Infinity, as_fraction, parse_rational
+from .rationals import as_fraction, parse_rational
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AuctionDependent", "AuctionResult", "BidderDependent", "Bids",
-    "Diagnostics", "EquilibriumReport", "ExtRational",
-    "GlobalCostMultiplier", "INF", "Infinity", "Instance", "MechanismSpec",
-    "MultiplierProfile", "Outcome", "RandomFamilyParams",
+    "Diagnostics", "EquilibriumReport", "GlobalCostMultiplier", "Instance",
+    "MechanismSpec", "MultiplierProfile", "Outcome", "RandomFamilyParams",
     "ResponseResult", "SecondPrice", "SingleBidderCalibrated", "Threshold",
     "as_fraction", "best_response_against_bids", "best_response_oracle", "bids_from",
     "calibrate_single_bidder", "compute_auction_params", "compute_bidder_params",

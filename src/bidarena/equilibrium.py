@@ -31,7 +31,6 @@ from fractions import Fraction
 from .bestresponse import ResponseResult, best_response_against_bids
 from .mechanisms import BidderDependent, Bids, MechanismSpec, market
 from .model import Instance, MultiplierProfile, Outcome, ZERO, optimal_welfare, welfare
-from .rationals import Infinity
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +154,7 @@ def diagnostics(inst: Instance, spec: BidderDependent, profile: MultiplierProfil
     core = core_auctions(inst, spec)
     aggressive = frozenset(
         i for i in range(n)
-        if not isinstance(spec.cost_multiplier[i], Infinity)
+        if spec.cost_multiplier[i] is not None
         and profile.multipliers[i] >= spec.cost_multiplier[i]
     )
     conservative = frozenset(range(n)) - aggressive

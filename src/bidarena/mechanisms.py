@@ -18,8 +18,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .model import Instance, MultiplierProfile, Outcome, ZERO, bids_from
-from .rationals import (INF, ExtRational, Infinity, format_ratio, format_rational,
-                        parse_rational)
+from .rationals import format_ratio, format_rational, parse_rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,15 +52,13 @@ class SingleBidderCalibrated:
     The multiplier alpha is calibrated on the instance so that, over the
     auctions where value covers cost, total value equals alpha times total
     cost. The bidder wins auction j iff its bid reaches alpha * cost, and
-    pays exactly that reserve.
+    pays exactly that reserve. An infinite alpha is None.
     """
 
-    cost_multiplier: ExtRational
+    cost_multiplier: Fraction | None
 
     def __post_init__(self) -> None:
-        if isinstance(self.cost_multiplier, Infinity):
-            return
-        if self.cost_multiplier < 1:
+        if self.cost_multiplier is not None and self.cost_multiplier < 1:
             raise ValueError(f"cost multiplier must be >= 1, got {self.cost_multiplier}")
 
 
@@ -73,11 +70,12 @@ class AuctionDependent:
     maximizing value minus cost, absent when that maximum is negative): the
     multiplier solves value = (1 + 2 * alpha) * cost for that bidder, every
     score is bid - (1 + alpha) * cost, and the top score wins if nonnegative.
-    A zero-cost rightful winner makes alpha infinite (see `market`).
+    A zero-cost rightful winner makes alpha infinite, written None, as is
+    the alpha of an auction without a rightful winner (see `market`).
     """
 
     rightful_winner: tuple[int | None, ...]
-    cost_multiplier: tuple[ExtRational | None, ...]
+    cost_multiplier: tuple[Fraction | None, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,11 +86,11 @@ class BidderDependent:
     rightful winner: total value = (1 + 2 * alpha_i) * total cost there.
     In every auction, bidders whose bid falls short of (1 + alpha_i) * cost
     are discarded; survivors compete on bid minus cost. A zero total cost
-    makes alpha_i infinite (see `market`).
+    makes alpha_i infinite, written None (see `market`).
     """
 
     rightful_auctions: tuple[frozenset[int], ...]
-    cost_multiplier: tuple[ExtRational, ...]
+    cost_multiplier: tuple[Fraction | None, ...]
 
 
 MechanismSpec = (SecondPrice | GlobalCostMultiplier | SingleBidderCalibrated
@@ -116,7 +114,7 @@ class Threshold:
 
     It keeps the kernel's ints: value = `num` / `den`, not necessarily in
     lowest terms, and `den` is 0 (with `num` 1) for an infinite threshold.
-    `value` builds the normalised `Fraction`, or `INF`, when read. Equality,
+    `value` builds the normalised `Fraction`, or None, when read. Equality,
     hashing and repr go by (value, inclusive).
     """
 
@@ -126,8 +124,8 @@ class Threshold:
         self.num, self.den, self.inclusive = num, den, inclusive
 
     @property
-    def value(self) -> ExtRational:
-        return Fraction(self.num, self.den) if self.den else INF
+    def value(self) -> Fraction | None:
+        return Fraction(self.num, self.den) if self.den else None
 
     def admits(self, bid: Fraction) -> bool:
         if not self.den:
@@ -161,9 +159,9 @@ def rightful_winners(inst: Instance) -> tuple[int | None, ...]:
     return tuple(i if best >= 0 else None for *_, best, i in inst.columns)
 
 
-def _solve_alpha(value: Fraction, cost: Fraction) -> ExtRational:
-    """The alpha with value = (1 + 2 * alpha) * cost; infinite on a zero cost."""
-    return (value - cost) / (2 * cost) if cost else INF
+def _solve_alpha(value: Fraction, cost: Fraction) -> Fraction | None:
+    """The alpha with value = (1 + 2 * alpha) * cost; infinite (None) on a zero cost."""
+    return (value - cost) / (2 * cost) if cost else None
 
 
 def compute_auction_params(inst: Instance) -> AuctionDependent:
@@ -179,7 +177,7 @@ def compute_bidder_params(inst: Instance) -> BidderDependent:
     for j, rw in enumerate(rws):
         if rw is not None:
             sets[rw].add(j)
-    alphas: list[ExtRational] = []
+    alphas: list[Fraction | None] = []
     for i, owned in enumerate(sets):
         total_value = sum((inst.values[i][j] for j in owned), ZERO)
         total_cost = sum((inst.costs[i][j] for j in owned), ZERO)
@@ -194,10 +192,10 @@ def calibrate_single_bidder(inst: Instance) -> SingleBidderCalibrated:
     good = [j for j in range(inst.num_auctions) if inst.values[0][j] >= inst.costs[0][j]]
     total_value = sum((inst.values[0][j] for j in good), ZERO)
     total_cost = sum((inst.costs[0][j] for j in good), ZERO)
-    if not good or total_value == 0:
-        alpha: ExtRational = Fraction(1)
+    if total_value == 0:
+        alpha: Fraction | None = Fraction(1)
     elif total_cost == 0:
-        alpha = INF
+        alpha = None
     else:
         alpha = total_value / total_cost
     return SingleBidderCalibrated(alpha)
@@ -246,8 +244,9 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
     if kept is not None and kept.spec is spec:
         return kept
     n, m = inst.num_bidders, inst.num_auctions
-    # Per auction, each bidder's factor on a positive cost, and the reserve of a zero cost.
-    zero_reserves: list[ExtRational] = [ZERO] * m
+    # Per auction, each bidder's factor on a positive cost, and the reserve of a
+    # zero cost; None is infinite.
+    zero_reserves: list[Fraction | None] = [ZERO] * m
     if isinstance(spec, (SecondPrice, GlobalCostMultiplier)):
         gamma = spec.gamma if isinstance(spec, GlobalCostMultiplier) else ZERO
         # A zero gamma becomes the ZERO factor, whose reserves and shifts stay 0 unbuilt.
@@ -261,14 +260,14 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
             raise ValueError(f"auction-dep spec covers {len(spec.cost_multiplier)} "
                              f"auctions, market has {m}")
         rules = list(enumerate(zip(spec.rightful_winner, spec.cost_multiplier)))
-        factors = [(INF if rw is None or a is INF else 1 + a,) * n for _, (rw, a) in rules]
-        zero_reserves = [INF if rw is None else inst.values[rw][j] / 2 if a is INF else ZERO
+        factors = [(None if rw is None or a is None else 1 + a,) * n for _, (rw, a) in rules]
+        zero_reserves = [None if rw is None else inst.values[rw][j] / 2 if a is None else ZERO
                          for j, (rw, a) in rules]
     elif isinstance(spec, BidderDependent):
         if len(spec.cost_multiplier) != n:
             raise ValueError(f"bidder-dep spec covers {len(spec.cost_multiplier)} "
                              f"bidders, market has {n}")
-        factors = [tuple(a if a is INF else 1 + a for a in spec.cost_multiplier)] * m
+        factors = [tuple(None if a is None else 1 + a for a in spec.cost_multiplier)] * m
     else:
         raise TypeError(f"unknown mechanism: {spec!r}")
     shift_is_cost = isinstance(spec, BidderDependent)
@@ -276,17 +275,17 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 
     columns = []
     for (scale, valued, costed, *_), factor, zero in zip(inst.columns, factors, zero_reserves):
-        terms = [(i, c, INF if factor[i] is INF else factor[i] * c)
+        terms = [(i, c, None if factor[i] is None else factor[i] * c)
                  for i, c in costed if factor[i] is not ZERO]
-        d = lcm(scale, 1 if zero is INF else zero.denominator,
-                *[x.denominator for _, c, r in terms for x in (c, r) if x is not INF])
+        d = lcm(scale, 1 if zero is None else zero.denominator,
+                *[x.denominator for _, c, r in terms for x in (c, r) if x is not None])
         column_values = [0] * n
         for i, v in valued:
             column_values[i] = v * (d // scale)
-        column_reserves = [None if zero is INF else zero.numerator * (d // zero.denominator)] * n
+        column_reserves = [None if zero is None else zero.numerator * (d // zero.denominator)] * n
         column_shifts = column_reserves if shift_is_reserve else [0] * n
         for i, c, r in terms:
-            column_reserves[i] = None if r is INF else r.numerator * (d // r.denominator)
+            column_reserves[i] = None if r is None else r.numerator * (d // r.denominator)
             if shift_is_cost:
                 column_shifts[i] = c.numerator * (d // c.denominator)
         columns.append((d, column_values, column_reserves, column_shifts))
@@ -386,11 +385,11 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
     """Smallest bid with which `bidder` wins `auction`, rivals' bids fixed,
     read in O(1) from the auction's `standing`.
 
-    The bidder's own entry in the standing is skipped. The value is infinite
-    when the bidder can never win; `inclusive` follows the lowest-index
-    tie-break. The `Threshold` holds the kernel's ints as they are: no gcd
-    and no `Fraction`. The instance's kept `Market` is used when it was
-    built for `spec`.
+    The bidder's own entry in the standing is skipped. The value is None
+    (infinite) when the bidder can never win; `inclusive` follows the
+    lowest-index tie-break. The `Threshold` holds the kernel's ints as they
+    are: no gcd and no `Fraction`. The instance's kept `Market` is used when
+    it was built for `spec`.
     """
     if not 0 <= bidder < inst.num_bidders:
         raise ValueError(f"bidder {bidder} out of range")
@@ -527,7 +526,8 @@ def mechanism_to_json(spec: MechanismSpec) -> dict:
     if isinstance(spec, GlobalCostMultiplier):
         return {"kind": "global", "gamma": format_ratio(spec.gamma)}
     if isinstance(spec, SingleBidderCalibrated):
-        return {"kind": "single-bidder", "alpha": format_ratio(spec.cost_multiplier)}
+        alpha = spec.cost_multiplier
+        return {"kind": "single-bidder", "alpha": "inf" if alpha is None else format_ratio(alpha)}
     if isinstance(spec, AuctionDependent):
         return {"kind": "auction-dep"}
     if isinstance(spec, BidderDependent):

@@ -11,43 +11,6 @@ import sys
 from fractions import Fraction
 
 
-class Infinity:
-    """Positive infinity for thresholds and cost multipliers.
-
-    Compares above every finite rational. Arithmetic is deliberately not
-    implemented: any accidental use of an infinite value in a sum fails
-    loudly instead of propagating nonsense.
-    """
-
-    _instance: Infinity | None = None
-
-    def __new__(cls) -> Infinity:
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-
-INF = Infinity()
-
-# A rational that may be positive infinity (reserves, multipliers, thresholds).
-ExtRational = Fraction | Infinity
-
-
 def as_fraction(x: int | str | Fraction) -> Fraction:
     """Convert exact input to Fraction. Floats are rejected on purpose."""
     if isinstance(x, Fraction):
@@ -82,24 +45,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def format_rational(x: ExtRational) -> str:
+def format_rational(x: Fraction) -> str:
     """Canonical text for instance files: "p/q", or bare "p" for integers."""
-    if isinstance(x, Infinity):
-        return "inf"
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def format_ratio(x: ExtRational) -> str:
+def format_ratio(x: Fraction) -> str:
     """Text for reports: always "p/q", so consumers never guess the form."""
-    if isinstance(x, Infinity):
-        return "inf"
     return f"{x.numerator}/{x.denominator}"
 
 
-def decimal_text(x: ExtRational) -> str:
+def decimal_text(x: Fraction) -> str:
     """12-significant-digit decimal for plotting tools; never used internally."""
-    if isinstance(x, Infinity):
-        return "inf"
     return f"{float(x):.12g}"

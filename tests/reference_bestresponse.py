@@ -19,7 +19,6 @@ from bidarena.bestresponse import ORACLE_GRID, ResponseResult, threshold_table
 from bidarena.mechanisms import (Bids, MechanismSpec, Threshold, min_winning_bid,
                                  run_auction, standing)
 from bidarena.model import Instance, ONE, ZERO
-from bidarena.rationals import Infinity
 
 
 def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
@@ -109,7 +108,7 @@ def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int
     t = min_winning_bid(spec, inst, auction, bidder, standing(spec, inst, auction, bids))
     value = inst.values[bidder][auction]
     probes = {ZERO, value / 2, value, 2 * value}
-    if not isinstance(t.value, Infinity):
+    if t.value is not None:
         probes.add(t.value)
         probes.add(t.value + Fraction(1, 1000))
         shaved = t.value - Fraction(1, 1000)

@@ -20,7 +20,6 @@ from reference_bestresponse import best_response_from_table
 from bidarena.bestresponse import ResponseResult
 from bidarena.mechanisms import MechanismSpec
 from bidarena.model import Instance, ZERO
-from bidarena.rationals import Infinity
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ def best_response(inst: Instance, spec: MechanismSpec, bidder: int,
             continue
         column = [row[j] for row in bid_rows]
         t = ref.min_winning_bid(spec, inst, j, bidder, column)
-        if not isinstance(t.value, Infinity):
+        if t.value is not None:
             table.append((t.value / value, j, t, value))
     return best_response_from_table(table)
 

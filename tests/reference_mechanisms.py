@@ -16,36 +16,37 @@ from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, BidderD
                                  GlobalCostMultiplier, MechanismSpec, SecondPrice,
                                  SingleBidderCalibrated, Threshold)
 from bidarena.model import ZERO, Instance
-from bidarena.rationals import INF, ExtRational, Infinity
 
 
-def threshold(value: ExtRational, inclusive: bool) -> Threshold:
-    """The `Threshold` of an exact value, infinite or not."""
-    if isinstance(value, Infinity):
+def threshold(value: Fraction | None, inclusive: bool) -> Threshold:
+    """The `Threshold` of an exact value, or of an infinite one (None)."""
+    if value is None:
         return Threshold(1, 0, inclusive)
     return Threshold(value.numerator, value.denominator, inclusive)
 
 
 # Required bids. Auction-dep and bidder-dep require (1 + alpha) * cost and
-# single-bidder alpha * cost. An infinite alpha (a zero calibration cost)
-# shuts out every positive-cost bid; a zero-cost bid then needs half the
-# rightful winner's value under auction-dep and nothing under the others.
+# single-bidder alpha * cost. An infinite alpha (None; a zero calibration
+# cost) shuts out every positive-cost bid, whose required bid is then None;
+# a zero-cost bid then needs half the rightful winner's value under
+# auction-dep and nothing under the others.
 
-def auction_dep_required(alpha: ExtRational, cost: Fraction, rw_value: Fraction) -> ExtRational:
-    if isinstance(alpha, Infinity):
-        return rw_value / 2 if cost == 0 else INF
+def auction_dep_required(alpha: Fraction | None, cost: Fraction,
+                         rw_value: Fraction) -> Fraction | None:
+    if alpha is None:
+        return rw_value / 2 if cost == 0 else None
     return (1 + alpha) * cost
 
 
-def bidder_dep_required(alpha: ExtRational, cost: Fraction) -> ExtRational:
-    if isinstance(alpha, Infinity):
-        return ZERO if cost == 0 else INF
+def bidder_dep_required(alpha: Fraction | None, cost: Fraction) -> Fraction | None:
+    if alpha is None:
+        return ZERO if cost == 0 else None
     return (1 + alpha) * cost
 
 
-def single_required(alpha: ExtRational, cost: Fraction) -> ExtRational:
-    if isinstance(alpha, Infinity):
-        return ZERO if cost == 0 else INF
+def single_required(alpha: Fraction | None, cost: Fraction) -> Fraction | None:
+    if alpha is None:
+        return ZERO if cost == 0 else None
     return alpha * cost
 
 
@@ -88,7 +89,7 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
 
     if isinstance(spec, SingleBidderCalibrated):
         required = single_required(spec.cost_multiplier, inst.costs[0][auction])
-        if isinstance(required, Infinity) or bids[0] < required:
+        if required is None or bids[0] < required:
             return AuctionResult(None, ZERO)
         return AuctionResult(0, required)
 
@@ -97,13 +98,12 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
         if rw is None:
             return AuctionResult(None, ZERO)
         alpha = spec.cost_multiplier[auction]
-        assert alpha is not None
         rw_value = inst.values[rw][auction]
         best = runner = None
         best_s = runner_s = ZERO
         for i, bid in enumerate(bids):
             required = auction_dep_required(alpha, inst.costs[i][auction], rw_value)
-            if isinstance(required, Infinity):
+            if required is None:
                 continue
             score = bid - required
             if best is None or score > best_s:
@@ -114,7 +114,7 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
         if best is None or best_s < 0:
             return AuctionResult(None, ZERO)
         required = auction_dep_required(alpha, inst.costs[best][auction], rw_value)
-        assert isinstance(required, Fraction)
+        assert required is not None
         rival = runner_s if runner is not None and runner_s > 0 else ZERO
         return AuctionResult(best, required + rival)
 
@@ -123,7 +123,7 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
         best_s = runner_s = ZERO
         for i, bid in enumerate(bids):
             required = bidder_dep_required(spec.cost_multiplier[i], inst.costs[i][auction])
-            if isinstance(required, Infinity) or bid < required:
+            if required is None or bid < required:
                 continue
             score = bid - inst.costs[i][auction]
             if best is None or score > best_s:
@@ -134,7 +134,7 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
         if best is None:
             return AuctionResult(None, ZERO)
         required = bidder_dep_required(spec.cost_multiplier[best], inst.costs[best][auction])
-        assert isinstance(required, Fraction)
+        assert required is not None
         if runner is not None:
             required = max(required, runner_s + inst.costs[best][auction])
         return AuctionResult(best, required)
@@ -146,8 +146,8 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
                     bids: Sequence[Fraction]) -> Threshold:
     """Smallest bid with which `bidder` wins `auction`, rivals' bids fixed.
 
-    Entry `bidder` of `bids` is ignored. The value is infinite when the
-    bidder can never win; `inclusive` follows the lowest-index tie-break.
+    Entry `bidder` of `bids` is ignored. The value is None (infinite) when
+    the bidder can never win; `inclusive` follows the lowest-index tie-break.
     """
     if isinstance(spec, SecondPrice):
         best: Fraction | None = None
@@ -181,7 +181,7 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
 
     if isinstance(spec, SingleBidderCalibrated):
         required = single_required(spec.cost_multiplier, inst.costs[0][auction])
-        if isinstance(required, Infinity):
+        if required is None:
             return NEVER
         return threshold(required, True)
 
@@ -190,10 +190,9 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
         if rw is None:
             return NEVER
         alpha = spec.cost_multiplier[auction]
-        assert alpha is not None
         rw_value = inst.values[rw][auction]
         own = auction_dep_required(alpha, inst.costs[bidder][auction], rw_value)
-        if isinstance(own, Infinity):
+        if own is None:
             return NEVER
         best = None
         best_i = 0
@@ -201,7 +200,7 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
             if i == bidder:
                 continue
             required = auction_dep_required(alpha, inst.costs[i][auction], rw_value)
-            if isinstance(required, Infinity):
+            if required is None:
                 continue
             score = bid - required
             if best is None or score > best:
@@ -212,7 +211,7 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
 
     if isinstance(spec, BidderDependent):
         own = bidder_dep_required(spec.cost_multiplier[bidder], inst.costs[bidder][auction])
-        if isinstance(own, Infinity):
+        if own is None:
             return NEVER
         best = None
         best_i = 0
@@ -220,7 +219,7 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
             if i == bidder:
                 continue
             required = bidder_dep_required(spec.cost_multiplier[i], inst.costs[i][auction])
-            if isinstance(required, Infinity) or bid < required:
+            if required is None or bid < required:
                 continue
             score = bid - inst.costs[i][auction]
             if best is None or score > best:

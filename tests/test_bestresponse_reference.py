@@ -27,7 +27,6 @@ from bidarena import mechanisms
 from bidarena.mechanisms import (AuctionResult, Bids, GlobalCostMultiplier, min_winning_bid,
                                  standing)
 from bidarena.model import Instance, MultiplierProfile, Outcome, bids_from
-from bidarena.rationals import Infinity
 from bidarena.verify import probe_profile, standard_specs
 
 from conftest import all_specs, instances_with_profiles, seeded_market
@@ -42,7 +41,7 @@ def at_thresholds(spec, inst, bid_rows):
         top = standing(spec, inst, j, [bid_rows[i][j] for i in range(n)])
         for i in range(n):
             t = min_winning_bid(spec, inst, j, i, top)
-            if not isinstance(t.value, Infinity):
+            if t.value is not None:
                 moved[i][j] = t.value
     return moved
 

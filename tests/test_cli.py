@@ -58,6 +58,16 @@ def test_run_emits_diagnostics_for_bidder_dependent(two_bidder_market, capsys):
     assert report["poa"] == "1/1"
 
 
+def test_run_writes_an_infinite_single_bidder_alpha_as_inf(tmp_path, capsys):
+    # A zero total cost over the auctions worth winning makes alpha infinite;
+    # this is the one place any output spells infinity.
+    path = tmp_path / "free.json"
+    save(Instance.from_rows([[1, 2]], [[0, 0]]), path)
+    assert main(["run", str(path), "--mechanism", "single-bidder"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mechanism_params"] == {"kind": "single-bidder", "alpha": "inf"}
+
+
 def test_run_writes_to_file(balanced_market, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["run", balanced_market, "--mechanism", "second-price",

@@ -20,7 +20,6 @@ from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
                                  compute_auction_params, compute_bidder_params, market,
                                  run_all)
 from bidarena.model import Instance, MultiplierProfile, bids_from
-from bidarena.rationals import Infinity
 
 from conftest import (all_specs, coprime_profile, instances_with_profiles, off_grid_instance,
                       seeded_market, small_instances)
@@ -49,7 +48,7 @@ def check_market(spec, inst, bid_rows) -> int:
         cases += check_auction(spec, inst, j, column)
         for i in range(n):
             t = ref.min_winning_bid(spec, inst, j, i, column)
-            if not isinstance(t.value, Infinity):
+            if t.value is not None:
                 at_threshold = list(column)
                 at_threshold[i] = t.value
                 cases += check_auction(spec, inst, j, at_threshold)
@@ -230,7 +229,7 @@ def test_auction_dep_half_value_reserves_and_closed_auctions_match_reference():
             closed += rw is None
             # An infinite alpha on a zero cost: a reserve of half the rightful
             # winner's value, for every zero-cost bidder of the auction.
-            half_value += rw is not None and isinstance(alpha, Infinity) and \
+            half_value += rw is not None and alpha is None and \
                 inst.values[rw][j] > 0 and any(
                     not inst.costs[i][j] and mk.reserves[j][i] * 2 == mk.values[j][rw]
                     for i in range(inst.num_bidders))

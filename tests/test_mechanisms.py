@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 
 from bidarena.equilibrium import run_dynamics
-from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult,
+from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, Bids,
                                  GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated, Threshold,
                                  calibrate_single_bidder, compute_auction_params,
                                  compute_bidder_params, market, mechanism_from_label,
-                                 mechanism_label, min_winning_bid, rightful_winners,
+                                 mechanism_label, mechanism_to_json, min_winning_bid,
+                                 rightful_winners,
                                  run_all, run_auction, standing)
 from bidarena.model import (Instance, MultiplierProfile, bids_from,
                             optimal_welfare, welfare)
-from bidarena.rationals import INF, Infinity
 
 from conftest import all_specs, instances_with_profiles, small_instances
 from reference_mechanisms import threshold
@@ -70,15 +70,21 @@ def test_kernel_threshold_pair_behaves_like_its_fraction():
     assert t != threshold(F(1), False) and t != threshold(F(3, 2), True)
     assert t.admits(F(1)) and t.admits(F(3, 2)) and not t.admits(F(99, 100))
     assert Threshold(4, 4, True) == reference == Threshold(1, 1, True)
-    never = threshold(INF, False)
-    assert never == NEVER and (never.num, never.den) == (1, 0) and never.value is INF
-    assert never != threshold(F(0), False) and never == threshold(INF, False)
-    assert repr(never) == "Threshold(value=inf, inclusive=False)"
-    assert hash(never) == hash((INF, False))
+    never = threshold(None, False)
+    assert never == NEVER and (never.num, never.den) == (1, 0) and never.value is None
+    assert never != threshold(F(0), False) and never == threshold(None, False)
+    assert repr(never) == "Threshold(value=None, inclusive=False)"
+    assert hash(never) == hash((None, False))
     assert not never.admits(F(10 ** 9))
     # The one constructor takes the int pair; the old (value, inclusive) form fails loudly.
     with pytest.raises(TypeError):
         Threshold(F(1), True)
+
+
+def test_threshold_is_never_equal_to_a_number():
+    t = Threshold(1, 1, True)
+    assert t.__eq__(1) is NotImplemented
+    assert (t == 1) is False and (1 == t) is False and t != 1
 
 
 def test_second_price_threshold_without_rivals_is_zero():
@@ -174,7 +180,7 @@ def test_auction_params_zero_cost_winner_gets_infinite_alpha():
     inst = one_auction([4, 3], [0, 2])
     params = compute_auction_params(inst)
     assert params.rightful_winner == (0,)
-    assert params.cost_multiplier[0] is INF
+    assert params.cost_multiplier[0] is None
 
 
 def test_auction_params_absent_auction_has_no_alpha():
@@ -197,7 +203,7 @@ def test_bidder_params_degenerate_cases():
     inst = Instance.from_rows([[0]], [[0]])
     assert compute_bidder_params(inst).cost_multiplier == (F(0),)
     inst = Instance.from_rows([[2]], [[0]])
-    assert compute_bidder_params(inst).cost_multiplier[0] is INF
+    assert compute_bidder_params(inst).cost_multiplier[0] is None
 
 
 def test_single_bidder_calibration_balances_value_and_cost():
@@ -208,7 +214,7 @@ def test_single_bidder_calibration_balances_value_and_cost():
 def test_single_bidder_calibration_degenerate_cases():
     assert calibrate_single_bidder(Instance.from_rows([[0]], [[1]])).cost_multiplier == 1
     assert calibrate_single_bidder(Instance.from_rows([[0]], [[0]])).cost_multiplier == 1
-    assert calibrate_single_bidder(Instance.from_rows([[1, 0]], [[0, 0]])).cost_multiplier is INF
+    assert calibrate_single_bidder(Instance.from_rows([[1, 0]], [[0, 0]])).cost_multiplier is None
 
 
 def test_single_bidder_calibration_needs_one_bidder():
@@ -228,7 +234,7 @@ def test_infinite_alpha_times_zero_cost_is_half_rightful_value():
     # (alpha infinite), and with value 8 = (1 + 2 * 3/2) * 2 in auction 1.
     inst = Instance.from_rows([[4, 8], [1, 1]], [[0, 2], [1, 0]])
     spec = compute_auction_params(inst)
-    assert spec == AuctionDependent((0, 0), (INF, F(3, 2)))
+    assert spec == AuctionDependent((0, 0), (None, F(3, 2)))
     mk = market(spec, inst)
     assert mk.reserves[0][0] == 2 * mk.scale[0]
     assert mk.reserves[0][1] is None
@@ -240,7 +246,7 @@ def test_bidder_prescreen_convention():
     # auction 1 with value 6 = (1 + 2 * 1) * 2.
     inst = Instance.from_rows([[2, 0], [0, 6]], [[0, 1], [0, 2]])
     spec = compute_bidder_params(inst)
-    assert spec.cost_multiplier == (INF, F(1))
+    assert spec.cost_multiplier == (None, F(1))
     mk = market(spec, inst)
     assert mk.reserves[0][0] == 0
     assert mk.reserves[1][0] is None
@@ -273,6 +279,25 @@ def test_spec_that_does_not_fit_the_market_is_rejected(spec, inst):
         run_all(spec, inst, MultiplierProfile.uniform(inst.num_bidders))
     with pytest.raises(ValueError, match="market has"):
         run_dynamics(inst, spec)
+
+
+def test_unknown_spec_is_rejected():
+    inst = one_auction([1], [0])
+    with pytest.raises(TypeError, match="unknown mechanism: 'first-price'"):
+        market("first-price", inst)
+    with pytest.raises(TypeError, match="unknown mechanism: 'first-price'"):
+        mechanism_to_json("first-price")
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([[F(1), F(2)]], id="too-few-rows"),
+    pytest.param([[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]], id="too-many-rows"),
+    pytest.param([[F(1), F(2)], [F(3)]], id="ragged-row"),
+])
+def test_bids_reject_rows_of_the_wrong_shape(rows):
+    inst = Instance.from_rows([[1, 2], [3, 4]], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="expected 2 bid rows of 2 entries"):
+        Bids(SecondPrice(), inst, rows)
 
 
 @pytest.mark.parametrize("auction", [-1, 3])
@@ -311,7 +336,7 @@ def test_auction_dep_rw_absent_means_nobody_wins():
     inst = one_auction([1], [2])
     spec = compute_auction_params(inst)
     assert run_auction(spec, inst, 0, [F(100)]) == AuctionResult(None, F(0))
-    assert winning_bid(spec, inst, 0, 0, [F(0)]) == threshold(INF, False)
+    assert winning_bid(spec, inst, 0, 0, [F(0)]) == threshold(None, False)
 
 
 def test_auction_dep_zero_cost_auction_prices_at_half_value():
@@ -322,8 +347,8 @@ def test_auction_dep_zero_cost_auction_prices_at_half_value():
     # A positive-cost bidder can never clear an infinite-alpha auction.
     inst = one_auction([4, 2], [0, 1])
     spec = compute_auction_params(inst)
-    assert spec.cost_multiplier[0] is INF
-    assert winning_bid(spec, inst, 0, 1, [F(4), F(2)]) == threshold(INF, False)
+    assert spec.cost_multiplier[0] is None
+    assert winning_bid(spec, inst, 0, 1, [F(4), F(2)]) == threshold(None, False)
     assert run_auction(spec, inst, 0, [F(4), F(100)]).winner == 0
 
 
@@ -381,7 +406,7 @@ def test_bidder_dep_infinite_alpha_blocks_costly_bids_only():
     inst = Instance.from_rows([[2, 1]], [[0, 3]])
     spec = compute_bidder_params(inst)
     assert spec.rightful_auctions == (frozenset({0}),)
-    assert spec.cost_multiplier[0] is INF
+    assert spec.cost_multiplier[0] is None
     assert run_auction(spec, inst, 0, [F(5)]) == AuctionResult(0, F(0))
     assert run_auction(spec, inst, 1, [F(5)]) == AuctionResult(None, F(0))
 
@@ -406,7 +431,7 @@ def test_single_bidder_thresholds_are_reserves():
 def test_single_bidder_infinite_reserve_blocks_costly_auctions():
     inst = Instance.from_rows([[1, 1]], [[0, 2]])
     spec = calibrate_single_bidder(inst)
-    assert spec.cost_multiplier is INF
+    assert spec.cost_multiplier is None
     assert run_auction(spec, inst, 0, [F(1)]) == AuctionResult(0, F(0))
     assert run_auction(spec, inst, 1, [F(100)]) == AuctionResult(None, F(0))
 
@@ -441,7 +466,7 @@ def test_winner_pays_its_threshold_and_clears_it(pair):
             column = [bids[i][j] for i in range(inst.num_bidders)]
             t = winning_bid(spec, inst, j, winner, column)
             assert t.value == out.prices[j]
-            assert not isinstance(t.value, Infinity)
+            assert t.value is not None
             assert t.admits(column[winner])
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
-from bidarena.rationals import (INF, as_fraction, decimal_text, format_ratio,
+from bidarena.rationals import (as_fraction, decimal_text, format_ratio,
                                 format_rational, parse_rational)
 
 
@@ -45,33 +45,16 @@ def test_parse_bounds_decimal_exponents():
 def test_format_rational():
     assert format_rational(Fraction(3, 2)) == "3/2"
     assert format_rational(Fraction(4)) == "4"
-    assert format_rational(INF) == "inf"
 
 
 def test_format_ratio_always_has_denominator():
     assert format_ratio(Fraction(1)) == "1/1"
     assert format_ratio(Fraction(-1, 2)) == "-1/2"
-    assert format_ratio(INF) == "inf"
 
 
 def test_decimal_text():
     assert decimal_text(Fraction(1, 4)) == "0.25"
     assert decimal_text(Fraction(1, 3)) == "0.333333333333"
-    assert decimal_text(INF) == "inf"
-
-
-def test_infinity_ordering():
-    assert Fraction(10**9) < INF
-    assert INF > Fraction(10**9)
-    assert not INF <= Fraction(10**9)
-    assert INF >= INF and INF <= INF
-    assert not INF < Fraction(0)
-    assert repr(INF) == "inf"
-
-
-def test_infinity_is_a_singleton():
-    from bidarena.rationals import Infinity
-    assert Infinity() is INF
 
 
 def test_as_fraction_conversions():

@@ -3,10 +3,12 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
+
 import bidarena.verify
 
 from bidarena.instances import instance_from_json
-from bidarena.mechanisms import (AuctionDependent, BidderDependent,
+from bidarena.mechanisms import (AuctionDependent, AuctionResult, BidderDependent,
                                  GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated)
 from bidarena.model import MultiplierProfile
@@ -110,3 +112,81 @@ def test_run_verify_suite_reports_per_family():
     assert len(summary.lines) == 10  # four families plus six check groups
     assert summary.lines[0].startswith("equilibria [second-price")
     assert all("violations=0" in line for line in summary.lines)
+
+
+# Each check group can report what it exists to catch.
+
+def test_equilibrium_family_reports_a_run_below_its_floor():
+    # Seed 13 settles at welfare 23/4 of an optimum 25/4.
+    stats = equilibrium_family("auction-dep", range(12, 16), welfare_floor=F(1))
+    assert 0 < len(stats.violations) <= stats.bound_checked
+    assert stats.violations[0].startswith("seed=13 auction-dep: welfare 23/4 < 1 * opt 25/4")
+
+
+def test_single_bidder_family_reports_an_unsettled_run(monkeypatch):
+    dynamics = bidarena.verify.run_dynamics
+    monkeypatch.setattr("bidarena.verify.run_dynamics", lambda inst, spec: dataclasses.replace(
+        dynamics(inst, spec), converged=False))
+    stats = single_bidder_family(3)
+    assert len(stats.violations) == stats.runs == 3
+    assert stats.bound_checked == 0
+    assert all("single-bidder: did not settle" in line for line in stats.violations)
+
+
+def test_single_bidder_family_reports_a_poa_other_than_one(monkeypatch):
+    dynamics = bidarena.verify.run_dynamics
+    monkeypatch.setattr("bidarena.verify.run_dynamics", lambda inst, spec: dataclasses.replace(
+        dynamics(inst, spec), poa=F(1, 2)))
+    stats = single_bidder_family(3)
+    assert len(stats.violations) == stats.bound_checked == 3
+    assert all("single-bidder: poa 1/2 != 1" in line for line in stats.violations)
+
+
+def test_single_bidder_family_gives_up_past_its_seed_limit(monkeypatch):
+    monkeypatch.setattr("bidarena.verify.SEED_LIMIT", 5)
+    monkeypatch.setattr("bidarena.verify.optimal_welfare", lambda inst: F(0))
+    with pytest.raises(RuntimeError, match="could not find enough positive-optimum seeds"):
+        single_bidder_family(1)
+
+
+def test_accounting_reports_a_core_below_half_its_rightful_value(monkeypatch):
+    monkeypatch.setattr("bidarena.verify.core_auctions",
+                        lambda inst, spec: (frozenset(),) * inst.num_bidders)
+    stats = accounting_checks(range(10))
+    assert 0 < len(stats.violations) <= stats.checks
+    assert all(re.search(r"bidder \d+: core value 0 < half of ", line)
+               for line in stats.violations)
+
+
+def test_accounting_reports_bounds_above_the_realized_welfare(monkeypatch):
+    honest = bidarena.verify.diagnostics
+
+    def inflated(*args):
+        diag = honest(*args)
+        return dataclasses.replace(diag, core_welfare=diag.core_welfare + 10 ** 6)
+
+    monkeypatch.setattr("bidarena.verify.diagnostics", inflated)
+    stats = accounting_checks(range(5))
+    # Only the truthful profile's diagnostics come through the patched name.
+    assert len(stats.violations) == 5 <= stats.checks
+    assert all(re.search(r"profile \[.*\]: bounds \(.*\) exceed welfare ", line)
+               for line in stats.violations)
+
+
+def test_myerson_reports_a_payment_off_the_threshold(first_price):
+    # A winner that pays its own bid pays above its threshold whenever it
+    # outbids it.
+    stats = myerson_checks(range(5))
+    assert 0 < len(stats.violations) <= stats.checks
+    assert all(re.search(r": auction \d+ payment .* vs threshold Threshold\(", line)
+               for line in stats.violations)
+
+
+def test_myerson_reports_a_winner_that_loses_after_raising(monkeypatch):
+    monkeypatch.setattr("bidarena.verify.run_auction",
+                        lambda *args: AuctionResult(None, F(0)))
+    stats = myerson_checks(range(5))
+    # One report per checked winner: the first raise already loses.
+    assert len(stats.violations) == stats.checks > 0
+    assert all(re.search(r": auction \d+ winner \d+ lost after raising its bid to ", line)
+               for line in stats.violations)
