@@ -8,13 +8,14 @@ each in O(1) from the int standings of a `Bids` value. The set of auctions
 won is a prefix of the ratio order: it only grows as the multiplier climbs.
 The best response lives on candidates (1, each ratio of at least 1, the
 midpoints between consecutive ratios, and one past the largest), and
-`best_response_against_bids` scores them all in one sweep of the thresholds
+`best_response_against_bids` scores them in one sweep of the thresholds
 sorted by ratio. Running sums of won value and of won threshold payment grow
 as the sweep passes each ratio; at a ratio itself only the thresholds that
 admit an equal bid (`inclusive`) count as won. A candidate is feasible when
-value covers payment. The sweep runs on Python ints scaled by
-`_sweep_constants` and builds `Fraction`s only for its result; one call
-costs a sort of the bidder's valued auctions, and no bid column is scanned.
+value covers payment, and the sweep stops at the first that is not. It runs
+on Python ints scaled by `_sweep_constants` and builds `Fraction`s only for
+its result; one call costs a sort of the bidder's valued auctions, and no
+bid column is scanned.
 
 `best_response_oracle` and `quasilinear_best_bid_check` answer the same
 questions by brute force on the kernel's ints; `arena verify` and the tests
@@ -91,27 +92,29 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     _check_bids(inst, spec, bidder, bids)
     d, w, valued = _sweep_constants(bids, bidder)
     standings = bids.standings
-    found = []
+    found, dens = [], set()
     for j, v, factor in valued:
         t = min_winning_bid(spec, inst, j, bidder, standings[j])
         if t.den:
             found.append((t, j, v, factor))
+            dens.add(t.den)
     # Each threshold is an integer T over the lcm b of their denominators, and
     # each value an integer V over d. A ratio is then key / (w * b) for the
     # integer key T * d * (w // V).
-    b = lcm(*[t.den for t, *_ in found])
+    b = lcm(*dens)
     rows = []
     for t, j, v, factor in found:
         scaled = t.num * (b // t.den)
         rows.append((scaled * factor, j, t.inclusive, scaled, v))
     rows.sort(key=itemgetter(0))
+    count = len(rows)
     one = w * b  # the key of ratio 1
     # Every multiplier of at least 1 wins the rows whose ratio is below 1.
     # `value` and `payment` add up V and T, so payment <= value reads
     # payment * d <= value * b.
     value = payment = 0
     end = 0
-    while end < len(rows) and rows[end][0] < one:
+    while end < count and rows[end][0] < one:
         payment += rows[end][3]
         value += rows[end][4]
         end += 1
@@ -121,13 +124,15 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     # best is (value, payment, key or (low, high) for a point just above low,
     # number of sorted rows won, tied inclusive auctions also won).
     # Multiplier 1 wins only thresholds <= value, so it is always feasible and
-    # sets `best` before anything reads it.
+    # sets `best` before anything reads it. Each candidate wins every row the
+    # one before it won, and a row of ratio at least 1 adds payment >= value,
+    # so once a candidate breaks ROI every later one does: the sweep stops.
     best = None
     key = one
     while True:
         start = end
         tied_value, tied_payment, tied = value, payment, []
-        while end < len(rows) and rows[end][0] == key:
+        while end < count and rows[end][0] == key:
             _, j, inclusive, t, v = rows[end]
             value += v
             payment += t
@@ -136,10 +141,14 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
                 tied_payment += t
                 tied.append(j)
             end += 1
-        if tied_payment * d <= tied_value * b and (best is None or tied_value > best[0]):
+        if tied_payment * d > tied_value * b:
+            break
+        if best is None or tied_value > best[0]:
             best = (tied_value, tied_payment, key, start, tied)
-        following = rows[end][0] if end < len(rows) else None
-        if payment * d <= value * b and value > best[0]:
+        if payment * d > value * b:
+            break
+        following = rows[end][0] if end < count else None
+        if value > best[0]:
             best = (value, payment, (key, following), end, [])
         if following is None:
             break

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .model import Instance, MultiplierProfile, Outcome, ZERO, bids_from
@@ -205,6 +205,11 @@ def calibrate_single_bidder(inst: Instance) -> SingleBidderCalibrated:
 # Reserves and shifts: the only rule-specific step of an auction
 
 
+def _pair(x: Fraction | None) -> tuple[int, int] | None:
+    """x as (numerator, denominator); None, an infinite x, stays None."""
+    return None if x is None else x.as_integer_ratio()
+
+
 class Market(NamedTuple):
     """One (spec, instance) in ints, built by `market`. For auction j,
     `scale[j]` is a common denominator d_j, and `values[j][i]`,
@@ -237,57 +242,69 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
     bidder, and single-bidder a one-bidder market; otherwise ValueError.
 
     All zero-cost bidders of an auction get the same terms, so per-entry work
-    is done only on the nonzero values and costs of `Instance.columns`. The
-    last market built is kept on the instance, found by spec identity.
+    is done only on the nonzero values and costs of `Instance.columns`, as
+    ints over the column's scale L_j: a reserve is the pair (f.numerator * C,
+    f.denominator * L_j) reduced by one gcd. No cost counts under second
+    price and global:0. The last market built is kept on the instance, found
+    by spec identity.
     """
     kept = inst._market
     if kept is not None and kept.spec is spec:
         return kept
     n, m = inst.num_bidders, inst.num_auctions
-    # Per auction, each bidder's factor on a positive cost, and the reserve of a
-    # zero cost; None is infinite.
-    zero_reserves: list[Fraction | None] = [ZERO] * m
-    if isinstance(spec, (SecondPrice, GlobalCostMultiplier)):
-        gamma = spec.gamma if isinstance(spec, GlobalCostMultiplier) else ZERO
-        # A zero gamma becomes the ZERO factor, whose reserves and shifts stay 0 unbuilt.
-        factors = [(gamma or ZERO,) * n] * m
+    # Per auction, each bidder's factor on a positive cost as a pair (None is
+    # infinite), or None when no cost counts; and the reserve of a zero cost,
+    # also as a pair.
+    factors: list[tuple | None] = [None] * m
+    zero_reserves: list[tuple[int, int] | None] = [(0, 1)] * m
+    if isinstance(spec, GlobalCostMultiplier):
+        if spec.gamma:
+            factors = [(_pair(spec.gamma),) * n] * m
     elif isinstance(spec, SingleBidderCalibrated):
         if n != 1:
             raise ValueError(f"single-bidder spec needs 1 bidder, market has {n}")
-        factors = [(spec.cost_multiplier,)] * m
+        factors = [(_pair(spec.cost_multiplier),)] * m
     elif isinstance(spec, AuctionDependent):
         if len(spec.rightful_winner) != m or len(spec.cost_multiplier) != m:
             raise ValueError(f"auction-dep spec covers {len(spec.cost_multiplier)} "
                              f"auctions, market has {m}")
         rules = list(enumerate(zip(spec.rightful_winner, spec.cost_multiplier)))
-        factors = [(None if rw is None or a is None else 1 + a,) * n for _, (rw, a) in rules]
-        zero_reserves = [None if rw is None else inst.values[rw][j] / 2 if a is None else ZERO
-                         for j, (rw, a) in rules]
+        factors = [(_pair(None if rw is None or a is None else 1 + a),) * n
+                   for _, (rw, a) in rules]
+        zero_reserves = [None if rw is None else _pair(inst.values[rw][j] / 2) if a is None
+                         else (0, 1) for j, (rw, a) in rules]
     elif isinstance(spec, BidderDependent):
         if len(spec.cost_multiplier) != n:
             raise ValueError(f"bidder-dep spec covers {len(spec.cost_multiplier)} "
                              f"bidders, market has {n}")
-        factors = [tuple(None if a is None else 1 + a for a in spec.cost_multiplier)] * m
-    else:
+        factors = [tuple(_pair(None if a is None else 1 + a) for a in spec.cost_multiplier)] * m
+    elif not isinstance(spec, SecondPrice):
         raise TypeError(f"unknown mechanism: {spec!r}")
     shift_is_cost = isinstance(spec, BidderDependent)
     shift_is_reserve = not shift_is_cost and not isinstance(spec, SingleBidderCalibrated)
 
     columns = []
     for (scale, valued, costed, *_), factor, zero in zip(inst.columns, factors, zero_reserves):
-        terms = [(i, c, None if factor[i] is None else factor[i] * c)
-                 for i, c in costed if factor[i] is not ZERO]
-        d = lcm(scale, 1 if zero is None else zero.denominator,
-                *[x.denominator for _, c, r in terms for x in (c, r) if x is not None])
+        terms = []  # (bidder, C, reserve numerator or None, reserve denominator)
+        for i, c in costed if factor else ():
+            if factor[i] is None:
+                terms.append((i, c, None, 1))
+            else:
+                num, den = factor[i][0] * c, factor[i][1] * scale
+                g = gcd(num, den)
+                terms.append((i, c, num // g, den // g))
+        # The lcm of the denominators of the values, the costs that count and the reserves.
+        d = lcm(scale // gcd(scale, *[v for _, v in valued], *[t[1] for t in terms]),
+                1 if zero is None else zero[1], *[t[3] for t in terms])
         column_values = [0] * n
         for i, v in valued:
-            column_values[i] = v * (d // scale)
-        column_reserves = [None if zero is None else zero.numerator * (d // zero.denominator)] * n
+            column_values[i] = v * d // scale
+        column_reserves = [None if zero is None else zero[0] * (d // zero[1])] * n
         column_shifts = column_reserves if shift_is_reserve else [0] * n
-        for i, c, r in terms:
-            column_reserves[i] = None if r is None else r.numerator * (d // r.denominator)
+        for i, c, num, den in terms:
+            column_reserves[i] = None if num is None else num * (d // den)
             if shift_is_cost:
-                column_shifts[i] = c.numerator * (d // c.denominator)
+                column_shifts[i] = c * (d // scale)
         columns.append((d, column_values, column_reserves, column_shifts))
     built = Market(spec, *map(tuple, zip(*columns)))
     object.__setattr__(inst, "_market", built)
@@ -348,10 +365,14 @@ def standing(spec: MechanismSpec, inst: Instance, auction: int,
                  mk.reserves[auction], mk.shifts[auction])
 
 
-def _least_bid(mk: Market, auction: int, bidder: int, top: Standing) -> tuple[int, int, bool]:
+def _least_bid(mk: Market, auction: int, bidder: int,
+               top: Standing) -> tuple[int, int, bool] | None:
     """The price rule max(r_i, s_i + best rival score): the least bid with which
-    `bidder` (reserve finite) beats its rivals in `top`, as (P, Q, inclusive) = P / (Q * d_j)."""
+    `bidder` beats its rivals in `top`, as (P, Q, inclusive) = P / (Q * d_j);
+    None when its reserve is infinite."""
     own = mk.reserves[auction][bidder]
+    if own is None:
+        return None
     for a, q, rival in top:
         if rival != bidder:
             price = mk.shifts[auction][bidder] * q + a
@@ -389,18 +410,19 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
     (infinite) when the bidder can never win; `inclusive` follows the
     lowest-index tie-break. The `Threshold` holds the kernel's ints as they
     are: no gcd and no `Fraction`. The instance's kept `Market` is used when
-    it was built for `spec`.
+    it was built for `spec`, and both ranges are checked against it.
     """
-    if not 0 <= bidder < inst.num_bidders:
-        raise ValueError(f"bidder {bidder} out of range")
     mk = inst._market
     if mk is None or mk.spec is not spec:
         mk = market(spec, inst)
+    if not 0 <= bidder < len(mk.values[0]):
+        raise ValueError(f"bidder {bidder} out of range")
     if not 0 <= auction < len(mk.scale):
         raise ValueError(f"auction {auction} out of range")
-    if mk.reserves[auction][bidder] is None:
+    least = _least_bid(mk, auction, bidder, top)
+    if least is None:
         return NEVER
-    num, q, inclusive = _least_bid(mk, auction, bidder, top)
+    num, q, inclusive = least
     return Threshold(num, q * mk.scale[auction], inclusive)
 
 
@@ -474,13 +496,13 @@ class Bids:
         """Bidder `bidder` bids `theta` times its value in every auction it
         values; its other entries are left as they are."""
         p, q = theta.numerator, theta.denominator
-        mk, standings = self.market, self.standings
+        mk, all_nums, all_dens, standings = self.market, self.nums, self.dens, self.standings
+        values, reserves, shifts = mk.values, mk.reserves, mk.shifts
         for j, _ in self.inst.valued[bidder]:
-            nums, dens = self.nums[j], self.dens[j]
-            nums[bidder] = p * mk.values[j][bidder]
+            nums, dens = all_nums[j], all_dens[j]
+            nums[bidder] = p * values[j][bidder]
             dens[bidder] = q
-            standings[j] = _moved(standings[j], bidder, nums, dens,
-                                  mk.reserves[j], mk.shifts[j])
+            standings[j] = _moved(standings[j], bidder, nums, dens, reserves[j], shifts[j])
 
     def outcome(self) -> Outcome:
         """Every auction's winner and price, read from the standings."""

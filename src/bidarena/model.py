@@ -18,10 +18,11 @@ from typing import Iterable
 from .rationals import as_fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-# One auction of `Instance.columns`: the lcm L of its values' denominators,
-# (bidder, value * L) for each nonzero value, (bidder, cost) for each nonzero
-# cost, and the best value minus cost with the lowest bidder index reaching it.
-Column = tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, Fraction], ...], Fraction, int]
+# One auction of `Instance.columns`: its scale L, the lcm of the denominators
+# of its values and costs; (bidder, value * L) for each nonzero value and
+# (bidder, cost * L) for each nonzero cost; and the best value minus cost, with
+# the lowest bidder index reaching it. Only the best margin is a Fraction.
+Column = tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], Fraction, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -86,14 +87,16 @@ class Instance:
         """Compute and keep (`valued`, `columns`), which no spec changes."""
         valued = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.values)
         columns = []
+        n = self.num_bidders
         for values, costs in zip(zip(*self.values), zip(*self.costs)):
-            scale = lcm(*[v.denominator for v in values])
-            margins = [v - c if c else v for v, c in zip(values, costs)]
-            best = max(range(len(margins)), key=margins.__getitem__)
-            columns.append((scale, tuple([(i, v.numerator * (scale // v.denominator))
-                                          for i, v in enumerate(values) if v]),
-                            tuple([(i, c) for i, c in enumerate(costs) if c]),
-                            margins[best], best))
+            pairs = [x.as_integer_ratio() for x in values + costs]
+            scale = lcm(*[q for _, q in pairs])
+            ints = [p * (scale // q) for p, q in pairs]  # the values, then the costs, times L
+            margins = [v - c for v, c in zip(ints[:n], ints[n:])]
+            best = margins.index(max(margins))
+            columns.append((scale, tuple([(i, v) for i, v in enumerate(ints[:n]) if v]),
+                            tuple([(i, c) for i, c in enumerate(ints[n:]) if c]),
+                            Fraction(margins[best], scale), best))
         derived = (valued, tuple(columns))
         object.__setattr__(self, "_derived", derived)
         return derived

@@ -1,8 +1,10 @@
 """Exact rational arithmetic helpers shared by the whole package.
 
-Every quantity in the simulator (values, costs, bids, multipliers, payments,
-welfare) is a `fractions.Fraction`. Floats are rejected at the boundary so a
-binary rounding error can never masquerade as a tie-break.
+Every quantity at the package's API (values, costs, bids, multipliers,
+payments, welfare) is a `fractions.Fraction`; inside, `Instance.columns`, the
+`Market`, the auction kernel and the best-response sweep run on ints scaled
+by exact common denominators. Floats are rejected at the boundary so a binary
+rounding error can never masquerade as a tie-break.
 """
 
 from __future__ import annotations

@@ -5,11 +5,15 @@ that rule's own definition rather than from reserves and shifts. The required
 bids are written here too, so a wrong convention in the package cannot pass
 by being shared: it imports no function from `bidarena`. The tests compare
 the kernel against these functions; the package never imports them.
+
+`market` is the slow reference for `mechanisms.market`: every reserve is the
+`Fraction` product of a factor and a cost, read from the dense matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, BidderDependent,
@@ -232,3 +236,46 @@ def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: i
         return threshold(rival, bidder < best_i)
 
     raise TypeError(f"unknown mechanism: {spec!r}")
+
+
+def market(spec: MechanismSpec, inst: Instance) -> tuple[tuple, tuple, tuple, tuple]:
+    """(scale, values, reserves, shifts) as in `mechanisms.Market`, from
+    Fraction products factor * cost over every entry. d_j is the lcm of the
+    denominators of the auction's values, of its zero-cost reserve, and of
+    every cost that counts and its reserve; no cost counts under second
+    price and global:0."""
+    n, m = inst.num_bidders, inst.num_auctions
+    zero_reserves: list[Fraction | None] = [ZERO] * m
+    if isinstance(spec, (SecondPrice, GlobalCostMultiplier)):
+        gamma = spec.gamma if isinstance(spec, GlobalCostMultiplier) else ZERO
+        factors = [(gamma,) * n] * m
+    elif isinstance(spec, SingleBidderCalibrated):
+        factors = [(spec.cost_multiplier,)] * m
+    elif isinstance(spec, AuctionDependent):
+        rules = list(enumerate(zip(spec.rightful_winner, spec.cost_multiplier)))
+        factors = [(None if rw is None or a is None else 1 + a,) * n for _, (rw, a) in rules]
+        zero_reserves = [None if rw is None else inst.values[rw][j] / 2 if a is None else ZERO
+                         for j, (rw, a) in rules]
+    elif isinstance(spec, BidderDependent):
+        factors = [tuple(None if a is None else 1 + a for a in spec.cost_multiplier)] * m
+    else:
+        raise TypeError(f"unknown mechanism: {spec!r}")
+    shift_is_cost = isinstance(spec, BidderDependent)
+    shift_is_reserve = not shift_is_cost and not isinstance(spec, SingleBidderCalibrated)
+
+    columns = []
+    for j, (factor, zero) in enumerate(zip(factors, zero_reserves)):
+        values = [inst.values[i][j] for i in range(n)]
+        terms = [(i, inst.costs[i][j], None if factor[i] is None else factor[i] * inst.costs[i][j])
+                 for i in range(n) if inst.costs[i][j] != 0 and factor[i] != 0]
+        d = lcm(*[v.denominator for v in values], 1 if zero is None else zero.denominator,
+                *[x.denominator for _, c, r in terms for x in (c, r) if x is not None])
+        column_values = [int(v * d) for v in values]
+        column_reserves = [None if zero is None else int(zero * d)] * n
+        column_shifts = column_reserves if shift_is_reserve else [0] * n
+        for i, c, r in terms:
+            column_reserves[i] = None if r is None else int(r * d)
+            if shift_is_cost:
+                column_shifts[i] = int(c * d)
+        columns.append((d, column_values, column_reserves, column_shifts))
+    return tuple(map(tuple, zip(*columns)))

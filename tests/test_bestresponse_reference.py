@@ -21,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 
 import reference_bestresponse as ref
-from bidarena.bestresponse import (best_response_against_bids, best_response_oracle,
-                                   quasilinear_best_bid_check, threshold_table)
+from bidarena.bestresponse import (ResponseResult, best_response_against_bids,
+                                   best_response_oracle, quasilinear_best_bid_check,
+                                   threshold_table)
 from bidarena import mechanisms
-from bidarena.mechanisms import (AuctionResult, Bids, GlobalCostMultiplier, min_winning_bid,
-                                 standing)
+from bidarena.mechanisms import (AuctionResult, Bids, GlobalCostMultiplier, SecondPrice,
+                                 min_winning_bid, standing)
 from bidarena.model import Instance, MultiplierProfile, Outcome, bids_from
 from bidarena.verify import probe_profile, standard_specs
 
@@ -46,8 +47,20 @@ def at_thresholds(spec, inst, bid_rows):
     return moved
 
 
+def stops_with_rows_left(table) -> bool:
+    """Whether the sweep meets an infeasible candidate before it has added
+    every row. The candidates' won sets grow, so this is whether the rows
+    below the largest ratio, when that ratio is above 1, cost more than they
+    are worth."""
+    top = max((r for r, _, _, _ in table), default=None)
+    if top is None or top <= 1:
+        return False
+    below = [(t.value, v) for r, _, t, v in table if r < top]
+    return sum(t for t, _ in below) > sum(v for _, v in below)
+
+
 def test_sweep_matches_reference_loop():
-    problems = tied = non_inclusive = 0
+    problems = tied = non_inclusive = early = 0
     for seed in range(150):
         inst, bids = seeded_market(seed)
         for spec in standard_specs(inst):
@@ -61,11 +74,30 @@ def test_sweep_matches_reference_loop():
                     ratios = [r for r, _, _, _ in table]
                     tied += len(set(ratios)) < len(ratios)
                     non_inclusive += any(not t.inclusive for _, _, t, _ in table)
+                    early += stops_with_rows_left(table)
     assert problems > 3000
     # The cases where the two routes could part: ratios shared by several
-    # auctions, and thresholds that an equal bid does not clear.
+    # auctions, thresholds that an equal bid does not clear, and sweeps that
+    # stop at an infeasible candidate with rows left.
     assert tied > 200
     assert non_inclusive > 1000
+    assert early > 1000
+
+
+def test_sweep_stops_at_the_first_infeasible_candidate():
+    # Second price against a rival bidding 1, 3 and 7/2: bidder 0's ratios
+    # are 1/2, 3 and 7/2. Multiplier 1 wins auction 0 (value 2, payment 1);
+    # adding auction 1 costs 3 for value 1, which breaks ROI, so the sweep
+    # stops there with auction 2 unread, and the reply wins auction 0 alone.
+    inst = Instance.from_rows([[2, 1, 1], [1, 3, "7/2"]], [[0, 0, 0], [0, 0, 0]])
+    spec = SecondPrice()
+    bids = Bids(spec, inst, inst.values)
+    table = threshold_table(inst, spec, 0, bids)
+    assert [r for r, _, _, _ in table] == [Fraction(1, 2), 3, Fraction(7, 2)]
+    assert stops_with_rows_left(table)
+    got = best_response_against_bids(inst, spec, 0, bids)
+    assert got == ResponseResult(Fraction(1), frozenset({0}), Fraction(2), Fraction(1))
+    assert got == ref.best_response_against_bids(inst, spec, 0, bids)
 
 
 def off_grid_market(seed):

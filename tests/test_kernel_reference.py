@@ -17,9 +17,10 @@ import reference_mechanisms as ref
 from bidarena import mechanisms
 from bidarena.instances import counterexample
 from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
-                                 compute_auction_params, compute_bidder_params, market,
-                                 run_all)
+                                 SingleBidderCalibrated, compute_auction_params,
+                                 compute_bidder_params, market, run_all)
 from bidarena.model import Instance, MultiplierProfile, bids_from
+from bidarena.verify import family_instance, standard_specs
 
 from conftest import (all_specs, coprime_profile, instances_with_profiles, off_grid_instance,
                       seeded_market, small_instances)
@@ -94,6 +95,42 @@ def test_kernel_terms_follow_spec_and_instance_between_calls():
         for j in range(inst.num_auctions):
             check_auction(spec, inst, j, column)
         check_market(spec, inst, bids_from(MultiplierProfile.of(["3/2", "1"]), inst))
+
+
+def check_market_terms(spec, inst) -> int:
+    """`market` against its Fraction-product reference, field by field; returns
+    the number of auctions where the kernel's scale leaves out a cost
+    denominator of the column's own scale (no cost counts there)."""
+    mk = market(spec, inst)
+    scale, values, reserves, shifts = ref.market(spec, inst)
+    assert mk.scale == scale
+    assert mk.values == values
+    assert mk.reserves == reserves
+    assert mk.shifts == shifts
+    return sum(d < column[0] for d, column in zip(mk.scale, inst.columns))
+
+
+def test_market_terms_match_the_fraction_reference():
+    # The same d_j as Fraction products give, so the kernel's ints do not grow.
+    specs = values_only = single = 0
+    for seed in range(150):
+        inst = family_instance(seed)
+        for spec in standard_specs(inst):  # with single-bidder on 1-bidder markets
+            values_only += check_market_terms(spec, inst)
+            specs += 1
+            single += isinstance(spec, SingleBidderCalibrated)
+        inst = off_grid_instance(seed)
+        for spec in all_specs(inst):
+            values_only += check_market_terms(spec, inst)
+            specs += 1
+    delta = F(1, 8)
+    inst = counterexample(delta)
+    for i in range(1, inst.num_bidders + 2):
+        check_market_terms(GlobalCostMultiplier(1 + delta ** i), inst)
+    assert specs > 1500
+    assert single > 30
+    # Second price and global:0 on columns whose costs add a denominator.
+    assert values_only > 200
 
 
 def test_reference_imports_no_function_from_bidarena():

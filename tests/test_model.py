@@ -72,12 +72,12 @@ def dense_views(inst):
     for j in range(m):
         values = [inst.values[i][j] for i in range(n)]
         costs = [inst.costs[i][j] for i in range(n)]
-        scale = lcm(*(v.denominator for v in values))
+        scale = lcm(*(x.denominator for x in values + costs))
         margins = [v - c for v, c in zip(values, costs)]
         best = max(margins)
         columns.append((scale,
                         tuple((i, int(v * scale)) for i, v in enumerate(values) if v != 0),
-                        tuple((i, c) for i, c in enumerate(costs) if c != 0),
+                        tuple((i, int(c * scale)) for i, c in enumerate(costs) if c != 0),
                         best, margins.index(best)))
     return valued, tuple(columns)
 
@@ -89,6 +89,8 @@ def dense_views(inst):
 @example(Instance.from_rows([[1, 0, 0], ["1/2", 0, 0], [1, 0, 0]],
                             [["1/2", 0, 1], [0, 0, 1], ["1/2", 0, 1]]))
 @example(Instance.from_rows([[0, 2], [1, 3]], [[0, 1], [1, 2]]))
+# A cost denominator that no value has: a scale over the values alone fails.
+@example(Instance.from_rows([[1]], [["1/3"]]))
 def test_instance_views_match_a_dense_recomputation(inst):
     valued = inst.valued
     assert (valued, inst.columns) == dense_views(inst)
