@@ -3,8 +3,9 @@
 Fixing rival bids fixes, for each auction, the minimum bid that wins.
 Dividing by the bidder's value turns each threshold into a multiplier ratio;
 `threshold_table` lists them for the auctions worth contesting, walking only
-the auctions the bidder values (`Instance.valued`); `min_winning_bid` reads
-each in O(1) from the int standings of a `Bids` value. The set of auctions
+the auctions the bidder values (`Instance.valued`; the sweep also skips
+those where its reserve is infinite); `min_winning_bid` reads each in O(1)
+from the int standings of a `Bids` value. The set of auctions
 won is a prefix of the ratio order: it only grows as the multiplier climbs.
 The best response lives on candidates (1, each ratio of at least 1, the
 midpoints between consecutive ratios, and one past the largest), and
@@ -13,9 +14,9 @@ sorted by ratio. Running sums of won value and of won threshold payment grow
 as the sweep passes each ratio; at a ratio itself only the thresholds that
 admit an equal bid (`inclusive`) count as won. A candidate is feasible when
 value covers payment, and the sweep stops at the first that is not. It runs
-on Python ints scaled by `_sweep_constants` and builds `Fraction`s only for
-its result; one call costs a sort of the bidder's valued auctions, and no
-bid column is scanned.
+on Python ints scaled by `_sweep_constants` and builds one `Fraction`, the
+multiplier: the reply keeps its totals as int pairs. One call costs a sort
+of the bidder's valued auctions, and no bid column is scanned.
 
 `best_response_oracle` and `quasilinear_best_bid_check` answer the same
 questions by brute force on the kernel's ints; `arena verify` and the tests
@@ -24,7 +25,6 @@ check them against the exact route, and neither feeds the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -37,12 +37,38 @@ from .model import Instance, ONE
 ORACLE_GRID = 40  # evenly spaced steps of `best_response_oracle`'s multiplier grid
 
 
-@dataclass(frozen=True, slots=True)
 class ResponseResult:
-    multiplier: Fraction
-    won_auctions: frozenset[int]
-    total_value: Fraction
-    total_payment: Fraction
+    """A reply: its multiplier, the auctions it wins, and their total value
+    and payment. The sweep hands each total over as an int pair (numerator,
+    denominator), kept unreduced as `value_ratio` and `payment_ratio`;
+    `total_value` and `total_payment` build their Fractions when read.
+    Fractions are accepted too. Equality, hashing and repr go by value."""
+
+    __slots__ = ("multiplier", "won_auctions", "value_ratio", "payment_ratio")
+
+    def __init__(self, multiplier: Fraction, won_auctions: frozenset[int],
+                 total_value: Fraction | tuple[int, int],
+                 total_payment: Fraction | tuple[int, int]) -> None:
+        self.multiplier, self.won_auctions = multiplier, won_auctions
+        self.value_ratio, self.payment_ratio = [
+            x if type(x) is tuple else x.as_integer_ratio() for x in (total_value, total_payment)]
+
+    total_value = property(lambda self: Fraction(*self.value_ratio))
+    total_payment = property(lambda self: Fraction(*self.payment_ratio))
+
+    def _key(self) -> tuple:
+        return self.multiplier, self.won_auctions, self.total_value, self.total_payment
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = zip(("multiplier", "won_auctions", "total_value", "total_payment"), self._key())
+        return f"ResponseResult({', '.join(f'{name}={x!r}' for name, x in fields)})"
 
 
 def _check_bids(inst: Instance, spec: MechanismSpec, bidder: int, bids: Bids) -> None:
@@ -71,12 +97,13 @@ def threshold_table(inst: Instance, spec: MechanismSpec, bidder: int,
 
 def _sweep_constants(bids: Bids, bidder: int) -> tuple[int, int, list[tuple[int, int, int]]]:
     """(D, W, [(auction, V, D * (W // V))]) over the auctions the bidder
-    values: D is the lcm of their `Market` scales, each value is V / D, and W
-    is the lcm of the V's. Kept in `bids.sweeps` after the first call."""
+    values and may win (its `Market` reserve is finite): D is the lcm of their
+    `Market` scales, each value is V / D, and W is the lcm of the V's. Kept
+    in `bids.sweeps` after the first call."""
     kept = bids.sweeps[bidder]
     if kept is None:
         mk = bids.market
-        valued = [j for j, _ in bids.inst.valued[bidder]]
+        valued = [j for j, _ in bids.inst.valued[bidder] if mk.reserves[j][bidder] is not None]
         d = lcm(*[mk.scale[j] for j in valued])
         values = [(j, mk.values[j][bidder] * (d // mk.scale[j])) for j in valued]
         w = lcm(*[v for _, v in values])
@@ -161,7 +188,7 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     else:
         theta = Fraction(key, one)
     won_auctions = frozenset([row[1] for row in rows[:won]] + tied)
-    return ResponseResult(theta, won_auctions, Fraction(value, d), Fraction(payment, b))
+    return ResponseResult(theta, won_auctions, (value, d), (payment, b))
 
 
 def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
@@ -209,8 +236,7 @@ def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
         if payment <= value and (best is None or value > best[0]):
             best = (value, payment, point, won)
     value, payment, point, won = best
-    return ResponseResult(Fraction(point, den), frozenset(won), Fraction(value, c),
-                          Fraction(payment, c))
+    return ResponseResult(Fraction(point, den), frozenset(won), (value, c), (payment, c))
 
 
 def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int,

@@ -17,10 +17,12 @@ The bids live in one `Bids` value built from truthful bids, which keeps
 every bid as an int pair over the instance's `Market` and every auction's
 top two. A best response reads each threshold from it in O(1); a move walks
 only the auctions the mover values (`Instance.valued`), storing each new bid
-with one int product and updating its standing in O(1) unless the mover held
-one of the top two places and fell, which rescans that one column. The final
-outcome is priced from the same standings, and every bidder's won value and
-payment come from one pass over it.
+with one int product and, where the mover may win, updating the standing in
+O(1) unless the mover held one of the top two places and fell, which rescans
+that one column. The final outcome is priced from the same standings; each
+bidder's won value and payment are then summed as ints (`model._net`) and
+compared with its reply's int pair by cross-multiplying, so `Fraction`s are
+built only for what the report holds.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from .bestresponse import ResponseResult, best_response_against_bids
 from .mechanisms import BidderDependent, Bids, MechanismSpec, market
-from .model import Instance, MultiplierProfile, Outcome, ZERO, optimal_welfare, welfare
+from .model import Instance, MultiplierProfile, Outcome, _net, optimal_welfare, welfare
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,9 +82,9 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     # replies[i] is i's best response to the current bids, or None once a
     # rival has moved since it was computed (a reply ignores its own row).
     replies: list[ResponseResult | None] = [None] * n
-    # The multiplier profile of each round boundary so far, by round (round 0
-    # is truthful play); no profile occurs twice.
-    seen = {tuple(theta): 0}
+    # The multiplier profile of each round boundary so far as int pairs, by
+    # round (round 0 is truthful play); no profile occurs twice.
+    seen = {tuple([t.as_integer_ratio() for t in theta]): 0}
     converged = False
     rounds_used = 0
     for _ in range(max_rounds):
@@ -99,16 +101,15 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
         if not changed:
             converged = True
             break
-        profile = tuple(theta)
-        first = seen.setdefault(profile, rounds_used)
+        first = seen.setdefault(tuple([t.as_integer_ratio() for t in theta]), rounds_used)
         if first < rounds_used:
             # A round is a function of the profile, so rounds first + 1 to
             # rounds_used repeat until the cap: jump to the profile it ends on.
             at_cap = list(seen)[first + (max_rounds - first) % (rounds_used - first)]
             for i, (old, new) in enumerate(zip(theta, at_cap)):
-                if new != old:
-                    theta[i] = new
-                    bids.move(i, new)
+                if new != old.as_integer_ratio():
+                    theta[i] = Fraction(*new)
+                    bids.move(i, theta[i])
                     replies = [None] * n
             rounds_used = max_rounds
             break
@@ -116,17 +117,19 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     profile = MultiplierProfile(tuple(theta))
     outcome = bids.outcome()
 
-    # Every bidder's won value and payment, in one pass over the outcome.
-    achieved, paid = [ZERO] * n, [ZERO] * n
+    # Every bidder's won values and prices, in one pass over the outcome;
+    # each bidder's totals are summed as ints and compared by cross-multiplying.
+    won, paid = [[] for _ in range(n)], [[] for _ in range(n)]
     for j, (w, price) in enumerate(zip(outcome.winners, outcome.prices)):
         if w is not None:
-            achieved[w] += inst.values[w][j]
-            paid[w] += price
+            won[w].append(inst.values[w][j])
+            paid[w].append(price)
     verified = True
     for i, reply in enumerate(replies):
         if reply is None:
             reply = best_response_against_bids(inst, spec, i, bids)
-        if reply.total_value > achieved[i] or achieved[i] < paid[i]:
+        (best, d), (achieved, a), (payment, b) = reply.value_ratio, _net(won[i]), _net(paid[i])
+        if best * a > achieved * d or achieved * b < payment * a:
             verified = False
             break
 
@@ -160,18 +163,14 @@ def diagnostics(inst: Instance, spec: BidderDependent, profile: MultiplierProfil
     conservative = frozenset(range(n)) - aggressive
 
     winners = outcome.winners
-    # Per auction: the price minus the winner's cost (zero when unsold).
-    paid_minus_cost = [ZERO if w is None else price - inst.costs[w][j]
-                       for j, (w, price) in enumerate(zip(winners, outcome.prices))]
-
-    core_welfare = payment_surplus = ZERO
-    for i in aggressive:
-        for j in spec.rightful_auctions[i]:
-            payment_surplus += paid_minus_cost[j]
-    for i in conservative:
-        for j in core[i]:
-            if winners[j] == i:
-                core_welfare += inst.values[i][j] - inst.costs[i][j]
-            else:
-                payment_surplus += paid_minus_cost[j]
-    return Diagnostics(core, aggressive, conservative, core_welfare, payment_surplus)
+    # Core auctions their conservative owner won, and the sold auctions whose
+    # price minus the winner's cost counts as payment surplus.
+    kept = [j for i in conservative for j in core[i] if winners[j] == i]
+    surplus = [j for i in aggressive for j in spec.rightful_auctions[i] if winners[j] is not None]
+    surplus += [j for i in conservative for j in core[i] if winners[j] not in (i, None)]
+    core_welfare = _net([inst.values[winners[j]][j] for j in kept],
+                       [inst.costs[winners[j]][j] for j in kept])
+    payment_surplus = _net([outcome.prices[j] for j in surplus],
+                          [inst.costs[winners[j]][j] for j in surplus])
+    return Diagnostics(core, aggressive, conservative, Fraction(*core_welfare),
+                       Fraction(*payment_surplus))

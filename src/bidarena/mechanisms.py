@@ -463,8 +463,8 @@ class Bids:
     `dens[j][i]`). `bids[i]` builds bidder i's row of Fractions from them.
     `move` sets a bidder to a new uniform multiplier: it walks only the
     auctions the bidder values (`Instance.valued`), since a zero-value bid
-    stays zero, and updates each standing in O(1) unless the mover held one
-    of the top two places and fell.
+    stays zero, and updates each standing where its reserve is finite, in
+    O(1) unless the mover held one of the top two places and fell.
     `sweeps[i]` holds bidder i's best-response sweep constants, which depend
     only on the `Market`; `bestresponse` fills it on first use.
     """
@@ -502,7 +502,8 @@ class Bids:
             nums, dens = all_nums[j], all_dens[j]
             nums[bidder] = p * values[j][bidder]
             dens[bidder] = q
-            standings[j] = _moved(standings[j], bidder, nums, dens, reserves[j], shifts[j])
+            if reserves[j][bidder] is not None:  # else the bidder never enters the standing
+                standings[j] = _moved(standings[j], bidder, nums, dens, reserves[j], shifts[j])
 
     def outcome(self) -> Outcome:
         """Every auction's winner and price, read from the standings."""

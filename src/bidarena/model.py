@@ -164,21 +164,28 @@ def bids_from(profile: MultiplierProfile, inst: Instance) -> Matrix:
     return tuple(rows)
 
 
+def _net(gains: Iterable[Fraction], losses: Iterable[Fraction] = ()) -> tuple[int, int]:
+    """sum(gains) - sum(losses) as an int pair (N, D), not necessarily in
+    lowest terms: D is the lcm of every denominator, so no Fraction is built."""
+    plus = [x.as_integer_ratio() for x in gains]
+    minus = [x.as_integer_ratio() for x in losses]
+    d = lcm(*[q for _, q in plus], *[q for _, q in minus])
+    return sum([p * (d // q) for p, q in plus]) - sum([p * (d // q) for p, q in minus]), d
+
+
 def welfare(inst: Instance, outcome: Outcome) -> Fraction:
     """Total value minus user cost of the allocation. Can be negative."""
-    return sum((inst.values[i][j] - inst.costs[i][j]
-                for j, i in enumerate(outcome.winners) if i is not None), ZERO)
+    won = [(i, j) for j, i in enumerate(outcome.winners) if i is not None]
+    return Fraction(*_net([inst.values[i][j] for i, j in won], [inst.costs[i][j] for i, j in won]))
 
 
 def optimal_welfare(inst: Instance) -> Fraction:
     """Best possible welfare: per auction, the largest value-minus-cost if
     positive, else leave the auction unallocated."""
-    positive = [best for *_, best, _ in inst.columns if best.numerator > 0]
-    d = lcm(*[best.denominator for best in positive])
-    return Fraction(sum(best.numerator * (d // best.denominator) for best in positive), d)
+    return Fraction(*_net([best for *_, best, _ in inst.columns if best.numerator > 0]))
 
 
 def roi_satisfied(inst: Instance, outcome: Outcome, bidder: int) -> bool:
     """True when the bidder's total won value covers its total payment."""
-    won = zip(inst.values[bidder], outcome.winners, outcome.prices)
-    return sum((v - price for v, i, price in won if i == bidder), ZERO) >= 0
+    won = [j for j, i in enumerate(outcome.winners) if i == bidder]
+    return _net([inst.values[bidder][j] for j in won], [outcome.prices[j] for j in won])[0] >= 0

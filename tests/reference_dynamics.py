@@ -6,8 +6,9 @@ from scratch: each best response builds its table from
 multiplier with the candidate x auction loop of `reference_bestresponse`,
 and the final outcome comes from `reference_mechanisms.run_auction`. No
 standing is kept between calls, so a standing the package failed to update
-after a move shows up as a different report. The tests compare the two;
-the package never imports this.
+after a move shows up as a different report. Welfare, the optimum and the
+bidder-dependent accounting are plain `Fraction` sums, one addition at a
+time. The tests compare the two; the package never imports this.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import reference_mechanisms as ref
 from reference_bestresponse import best_response_from_table
 from bidarena.bestresponse import ResponseResult
-from bidarena.mechanisms import MechanismSpec
+from bidarena.mechanisms import BidderDependent, MechanismSpec
 from bidarena.model import Instance, ZERO
 
 
@@ -30,6 +31,12 @@ class Report:
     verified: bool
     winners: tuple[int | None, ...]
     prices: tuple[Fraction, ...]
+    welfare: Fraction
+    opt: Fraction
+    poa: Fraction | None
+    # Bidder-dep only: (core auctions, aggressive, conservative, core
+    # welfare, payment surplus), as in `bidarena.equilibrium.Diagnostics`.
+    diagnostics: tuple | None
 
 
 def best_response(inst: Instance, spec: MechanismSpec, bidder: int,
@@ -81,4 +88,50 @@ def run_dynamics(inst: Instance, spec: MechanismSpec, max_rounds: int = 50) -> R
         if reply.total_value > achieved or achieved < sum((prices[j] for j in won), ZERO):
             verified = False
             break
-    return Report(tuple(theta), rounds_used, converged, verified, winners, prices)
+    total = ZERO
+    for j, w in enumerate(winners):
+        if w is not None:
+            total += inst.values[w][j] - inst.costs[w][j]
+    opt = ZERO
+    for j in range(inst.num_auctions):
+        opt += max([ZERO] + [inst.values[i][j] - inst.costs[i][j]
+                             for i in range(inst.num_bidders)])
+    diag = diagnostics(inst, spec, theta, winners, prices) \
+        if isinstance(spec, BidderDependent) else None
+    return Report(tuple(theta), rounds_used, converged, verified, winners, prices, total, opt,
+                  total / opt if opt > 0 else None, diag)
+
+
+def diagnostics(inst: Instance, spec: BidderDependent, theta: list[Fraction],
+                winners: tuple[int | None, ...], prices: tuple[Fraction, ...]) -> tuple:
+    """The bidder-dependent accounting from its definition: i's core
+    auctions are its rightful ones where value reaches (1 + alpha_i) * cost
+    (any value does on a zero cost; none does on a positive cost under an
+    infinite alpha), and i is aggressive when theta_i >= alpha_i."""
+    n = inst.num_bidders
+    core = []
+    for i in range(n):
+        alpha = spec.cost_multiplier[i]
+        core.append(frozenset(
+            j for j in spec.rightful_auctions[i]
+            if inst.costs[i][j] == 0
+            or (alpha is not None and inst.values[i][j] >= (1 + alpha) * inst.costs[i][j])))
+    aggressive = frozenset(i for i in range(n) if spec.cost_multiplier[i] is not None
+                           and theta[i] >= spec.cost_multiplier[i])
+    conservative = frozenset(i for i in range(n) if i not in aggressive)
+
+    def surplus(j: int) -> Fraction:
+        return ZERO if winners[j] is None else prices[j] - inst.costs[winners[j]][j]
+
+    core_welfare = payment_surplus = ZERO
+    for i in range(n):
+        if i in aggressive:
+            for j in spec.rightful_auctions[i]:
+                payment_surplus += surplus(j)
+        else:
+            for j in core[i]:
+                if winners[j] == i:
+                    core_welfare += inst.values[i][j] - inst.costs[i][j]
+                else:
+                    payment_surplus += surplus(j)
+    return tuple(core), aggressive, conservative, core_welfare, payment_surplus

@@ -97,6 +97,33 @@ def test_best_response_declines_an_unprofitable_stretch():
     assert result == ResponseResult(F(1), frozenset({0}), F(2), F(1))
 
 
+def test_reply_pairs_behave_like_their_fractions():
+    # (6, 4) and (9, 6) are 3/2 at two scales, and (0, 7) and (0, 1) are zero.
+    won = frozenset({0, 2})
+    twin = ResponseResult(F(5, 4), won, F(3, 2), F(0))
+    scaled = ResponseResult(F(5, 4), won, (6, 4), (0, 7))
+    rescaled = ResponseResult(F(5, 4), won, (9, 6), (0, 1))
+    assert scaled == twin == rescaled and not scaled != twin
+    assert scaled.value_ratio == (6, 4) and twin.value_ratio == (3, 2)
+    assert hash(scaled) == hash(twin) == hash(rescaled) == hash((F(5, 4), won, F(3, 2), F(0)))
+    assert repr(scaled) == repr(twin) == (
+        "ResponseResult(multiplier=Fraction(5, 4), won_auctions=frozenset({0, 2}), "
+        "total_value=Fraction(3, 2), total_payment=Fraction(0, 1))")
+    assert type(scaled.total_value) is Fraction and scaled.total_value.denominator == 2
+    assert scaled.total_payment == 0
+    assert scaled != ResponseResult(F(5, 4), won, (7, 4), (0, 7))
+    assert scaled != ResponseResult(F(5, 4), won, (6, 4), (1, 7))
+    assert scaled != ResponseResult(F(3, 2), won, (6, 4), (0, 7))
+    assert scaled != ResponseResult(F(5, 4), frozenset({0}), (6, 4), (0, 7))
+    assert scaled.__eq__((F(5, 4), won, F(3, 2), F(0))) is NotImplemented
+    # The sweep hands over its pairs unreduced: here value 2 over the lcm 2
+    # of the scales of 1/2 and 3/2.
+    inst = Instance.from_rows([["1/2", "3/2"], [1, 1]], [[0, 0], [0, 0]])
+    reply = respond(inst, SecondPrice(), 0, MultiplierProfile.uniform(2))
+    assert reply.value_ratio == (4, 2) and reply.total_value == 2
+    assert reply == ResponseResult(F(2), frozenset({0, 1}), F(2), F(2))
+
+
 def test_best_response_ignores_zero_value_auctions():
     inst = Instance.from_rows([[0, 2]], [[0, 0]])
     result = respond(inst, SecondPrice(), 0, MultiplierProfile.uniform(1))

@@ -3,8 +3,10 @@
 `reference_dynamics` runs the same round-robin loop on plain bid rows and
 recomputes every threshold from the full column with the per-rule reference,
 so each comparison covers the final multipliers, rounds, convergence,
-verification, winners and prices. Runs cut off after one or two rounds end
-mid-move, where a standing left stale by a move would decide the report.
+verification, winners and prices, and the welfare, optimum, ratio and
+bidder-dependent accounting that the package sums as ints. Runs cut off
+after one or two rounds end mid-move, where a standing left stale by a move
+would decide the report.
 The reference replays every round up to the cap, where `run_dynamics`
 jumps ahead once its profile repeats.
 """
@@ -14,12 +16,14 @@ from fractions import Fraction
 import pytest
 
 import reference_dynamics as ref
-from bidarena import equilibrium
+from bidarena import bestresponse, equilibrium
+from bidarena.bestresponse import best_response_against_bids
 from bidarena.cli import parse_gamma_grid, sweep_global
 from bidarena.equilibrium import run_dynamics
 from bidarena.instances import RandomFamilyParams, counterexample, random_instance
-from bidarena.mechanisms import (GlobalCostMultiplier, SecondPrice, compute_auction_params,
-                                 mechanism_from_label)
+from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice, compute_auction_params,
+                                 market, mechanism_from_label)
+from bidarena.model import Instance
 from bidarena.verify import FAMILY_ZERO_COST, family_instance, standard_specs
 
 from conftest import off_grid_instance, seeded_market
@@ -30,10 +34,15 @@ F = Fraction
 def same_report(inst, spec, max_rounds) -> bool:
     report = run_dynamics(inst, spec, max_rounds)
     expected = ref.run_dynamics(inst, spec, max_rounds)
+    diag = report.diagnostics
     return (report.profile.multipliers, report.rounds_used, report.converged,
-            report.verified, report.outcome.winners, report.outcome.prices) == \
+            report.verified, report.outcome.winners, report.outcome.prices,
+            report.welfare, report.opt, report.poa,
+            diag and (diag.core_auctions, diag.aggressive, diag.conservative,
+                      diag.core_welfare, diag.payment_surplus)) == \
         (expected.multipliers, expected.rounds_used, expected.converged,
-         expected.verified, expected.winners, expected.prices)
+         expected.verified, expected.winners, expected.prices,
+         expected.welfare, expected.opt, expected.poa, expected.diagnostics)
 
 
 def test_dynamics_match_reference_on_family_instances():
@@ -137,3 +146,33 @@ def test_a_cycle_is_fast_forwarded_to_the_cap(monkeypatch):
     assert calls == [0, 1] * 3 + [0]
     for rounds in (3, 4, 50, 51):
         assert same_report(inst, SecondPrice(), rounds)
+
+
+def test_an_auction_the_bidder_can_never_win_is_never_read(monkeypatch):
+    # Auction 0's rightful winner, bidder 0, has zero cost, so auction-dep
+    # gives the auction an infinite alpha, and bidder 1, whose cost there is
+    # positive, an infinite reserve: it values auction 0 but can never win it.
+    # (Bidder 0's reserve is half its own value.)
+    inst = Instance.from_rows([[2, 1], [3, 2]], [[0, 0], [1, "1/2"]])
+    spec = compute_auction_params(inst)
+    assert market(spec, inst).reserves[0] == [1, None]
+    reads = []
+
+    def counted(spec, inst, auction, bidder, top):
+        reads.append((auction, bidder))
+        return read(spec, inst, auction, bidder, top)
+
+    read = bestresponse.min_winning_bid
+    monkeypatch.setattr(bestresponse, "min_winning_bid", counted)
+    for rows in (inst.values, [[F(3), F(1)], [F(1), F(5)]]):
+        reads.clear()
+        reply = best_response_against_bids(inst, spec, 1, Bids(spec, inst, rows))
+        assert reads == [(1, 1)]
+        assert reply == ref.best_response(inst, spec, 1, [list(row) for row in rows])
+    # A move still stores the bid where the mover can never win, and leaves
+    # every standing as a fresh scan of the moved rows finds it.
+    bids = Bids(spec, inst, inst.values)
+    bids.move(1, F(7, 3))
+    moved = [inst.values[0], tuple(F(7, 3) * v for v in inst.values[1])]
+    assert bids[1] == moved[1]
+    assert bids.standings == Bids(spec, inst, moved).standings

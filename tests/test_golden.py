@@ -25,6 +25,8 @@ LARGE_RUN_DIGESTS = {
     "bidder-dep": "141d49ccdef45a0be7cceffcf27bf08c778ee4f5fc8340adac1a1ff9374f730c",
 }
 SWEEP_DIGEST = "162aab3a57841890ec14826e3f1ed39e94a9b50caaaaae4e3ab99b18a44f10c9"
+# `sweep-global --delta 1/48 --gamma 0:2:20`, the sweep-global bench workload.
+SWEEP_48_DIGEST = "96c4755ced43363890a515978e71afaa98723e661d17477212fd940df71affbf"
 DEBUG_BR_DIGEST = "9d8f176a7621f2754604b38acec70672218924663d0d62dc495f63093be6a259"
 VERIFY_DIGEST = "7fd811aa198a40e3630e1fadc001d9f4bdd81dbd8afba4d0ee376ca5bef7c54c"
 
@@ -65,6 +67,11 @@ def test_large_run_output_is_pinned(capsys, markets, label):
 def test_sweep_global_output_is_pinned(capsys):
     argv = ["sweep-global", "--delta", "1/8", "--gamma", "0:2:8"]
     assert stdout_digest(capsys, argv) == SWEEP_DIGEST
+
+
+def test_sweep_global_at_delta_1_48_is_pinned(capsys):
+    argv = ["sweep-global", "--delta", "1/48", "--gamma", "0:2:20"]
+    assert stdout_digest(capsys, argv) == SWEEP_48_DIGEST
 
 
 def test_debug_br_output_is_pinned(capsys, markets):

@@ -3,12 +3,14 @@ from math import lcm
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
+from bidarena.instances import counterexample
+from bidarena.mechanisms import GlobalCostMultiplier, run_all
 from bidarena.model import (Instance, MultiplierProfile, Outcome, bids_from,
                             optimal_welfare, roi_satisfied, welfare)
 
-from conftest import instances_with_profiles, small_instances
+from conftest import all_specs, grid_rationals, instances_with_profiles, small_instances
 
 
 def inst_2x2():
@@ -184,6 +186,61 @@ def test_roi_holds_on_boundary_and_without_wins():
     assert roi_satisfied(inst, outcome_single_winner(inst, 0, 0, Fraction(2)), 0)
     empty = Outcome((None,), (Fraction(0),))
     assert roi_satisfied(inst, empty, 0)
+
+
+def matches_fraction_sums(inst, outcome) -> bool:
+    """`welfare` and every bidder's `roi_satisfied` against plain Fraction
+    sums, one addition at a time."""
+    total = Fraction(0)
+    net = [Fraction(0)] * inst.num_bidders
+    for j, (i, price) in enumerate(zip(outcome.winners, outcome.prices)):
+        if i is not None:
+            total += inst.values[i][j] - inst.costs[i][j]
+            net[i] += inst.values[i][j] - price
+    got = welfare(inst, outcome)
+    return type(got) is Fraction and got == total and \
+        [roi_satisfied(inst, outcome, i) for i in range(inst.num_bidders)] == [x >= 0 for x in net]
+
+
+@st.composite
+def instances_with_outcomes(draw):
+    """Any winner per auction, or none, at any grid price."""
+    inst = draw(small_instances())
+    winners = tuple(draw(st.sampled_from([None, *range(inst.num_bidders)]))
+                    for _ in range(inst.num_auctions))
+    prices = tuple(Fraction(0) if w is None else draw(grid_rationals) for w in winners)
+    return inst, Outcome(winners, prices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances_with_profiles(), instances_with_outcomes())
+def test_int_sums_match_fraction_sums_on_small_instances(pair, drawn):
+    inst, profile = pair
+    for spec in all_specs(inst):
+        assert matches_fraction_sums(inst, run_all(spec, inst, profile))
+    assert matches_fraction_sums(*drawn)
+
+
+def test_int_sums_match_fraction_sums_across_the_worst_case_family():
+    # Costs delta^-i and values 1 + delta^-i, with 81-digit numerators at i = 48.
+    delta = Fraction(1, 48)
+    inst = counterexample(delta)
+    for i in range(1, 49):
+        spec = GlobalCostMultiplier(1 + delta ** i)
+        for theta in (Fraction(1), 1 + delta ** i, Fraction(2)):
+            outcome = run_all(spec, inst, MultiplierProfile((theta,) * inst.num_bidders))
+            assert matches_fraction_sums(inst, outcome), (i, theta)
+
+
+def test_int_sums_match_fraction_sums_on_negative_welfare():
+    # Every winner's cost exceeds its value, at five different denominators.
+    inst = Instance.from_rows([["1/3", "1/6", 0], ["2/7", 1, "1/5"]],
+                              [["1/2", "5/7", 1], ["4/9", "3/2", "1/4"]])
+    outcome = Outcome((0, 1, 1), (Fraction(1, 4), Fraction(2), Fraction(0)))
+    assert welfare(inst, outcome) == Fraction(1, 3) - Fraction(1, 2) + 1 - Fraction(3, 2) \
+        + Fraction(1, 5) - Fraction(1, 4) < 0
+    assert [roi_satisfied(inst, outcome, i) for i in range(2)] == [True, False]
+    assert matches_fraction_sums(inst, outcome)
 
 
 def test_outcome_rejects_price_without_winner():

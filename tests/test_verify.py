@@ -7,6 +7,7 @@ import pytest
 
 import bidarena.verify
 
+from bidarena.bestresponse import ResponseResult
 from bidarena.instances import instance_from_json
 from bidarena.mechanisms import (AuctionDependent, AuctionResult, BidderDependent,
                                  GlobalCostMultiplier, SecondPrice,
@@ -91,7 +92,8 @@ def test_oracle_agreement_reports_each_disagreement(monkeypatch):
 
     def overstated(*args):
         result = exact(*args)
-        return dataclasses.replace(result, total_value=result.total_value + 1)
+        return ResponseResult(result.multiplier, result.won_auctions, result.total_value + 1,
+                              result.total_payment)
 
     monkeypatch.setattr("bidarena.verify.best_response_against_bids", overstated)
     stats = oracle_agreement(range(3))
