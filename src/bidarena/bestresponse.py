@@ -14,8 +14,8 @@ sorted by ratio. Running sums of won value and of won threshold payment grow
 as the sweep passes each ratio; at a ratio itself only the thresholds that
 admit an equal bid (`inclusive`) count as won. A candidate is feasible when
 value covers payment, and the sweep stops at the first that is not. It runs
-on Python ints scaled by `_sweep_constants` and builds one `Fraction`, the
-multiplier: the reply keeps its totals as int pairs. One call costs a sort
+on Python ints scaled by `_sweep_constants` and builds no `Fraction`: the
+reply keeps its multiplier and totals as int pairs. One call costs a sort
 of the bidder's valued auctions, and no bid column is scanned.
 
 `best_response_oracle` and `quasilinear_best_bid_check` answer the same
@@ -39,20 +39,21 @@ ORACLE_GRID = 40  # evenly spaced steps of `best_response_oracle`'s multiplier g
 
 class ResponseResult:
     """A reply: its multiplier, the auctions it wins, and their total value
-    and payment. The sweep hands each total over as an int pair (numerator,
-    denominator), kept unreduced as `value_ratio` and `payment_ratio`;
-    `total_value` and `total_payment` build their Fractions when read.
-    Fractions are accepted too. Equality, hashing and repr go by value."""
+    and payment. Each number is kept as the unreduced int pair (numerator,
+    denominator) it is handed, a Fraction as its own pair, and is built into
+    a Fraction when read. Equality, hashing and repr go by value."""
 
-    __slots__ = ("multiplier", "won_auctions", "value_ratio", "payment_ratio")
+    __slots__ = ("multiplier_ratio", "won_auctions", "value_ratio", "payment_ratio")
 
-    def __init__(self, multiplier: Fraction, won_auctions: frozenset[int],
+    def __init__(self, multiplier: Fraction | tuple[int, int], won_auctions: frozenset[int],
                  total_value: Fraction | tuple[int, int],
                  total_payment: Fraction | tuple[int, int]) -> None:
-        self.multiplier, self.won_auctions = multiplier, won_auctions
-        self.value_ratio, self.payment_ratio = [
-            x if type(x) is tuple else x.as_integer_ratio() for x in (total_value, total_payment)]
+        self.won_auctions = won_auctions
+        self.multiplier_ratio, self.value_ratio, self.payment_ratio = [
+            x if type(x) is tuple else x.as_integer_ratio()
+            for x in (multiplier, total_value, total_payment)]
 
+    multiplier = property(lambda self: Fraction(*self.multiplier_ratio))
     total_value = property(lambda self: Fraction(*self.value_ratio))
     total_payment = property(lambda self: Fraction(*self.payment_ratio))
 
@@ -147,9 +148,9 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
         end += 1
 
     # Candidates in increasing order, each group of equal ratios (and 1, even
-    # when no ratio equals it) scored at the ratio and then just above it. The
-    # best is (value, payment, key or (low, high) for a point just above low,
-    # number of sorted rows won, tied inclusive auctions also won).
+    # when no ratio equals it) scored at the ratio and then just above it (the
+    # midpoint to the next, or one past the last). The best is (value, payment,
+    # multiplier pair, number of sorted rows won, tied inclusive auctions won).
     # Multiplier 1 wins only thresholds <= value, so it is always feasible and
     # sets `best` before anything reads it. Each candidate wins every row the
     # one before it won, and a row of ratio at least 1 adds payment >= value,
@@ -171,22 +172,18 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
         if tied_payment * d > tied_value * b:
             break
         if best is None or tied_value > best[0]:
-            best = (tied_value, tied_payment, key, start, tied)
+            best = (tied_value, tied_payment, (key, one), start, tied)
         if payment * d > value * b:
             break
         following = rows[end][0] if end < count else None
         if value > best[0]:
-            best = (value, payment, (key, following), end, [])
+            above = (key + one, one) if following is None else (key + following, 2 * one)
+            best = (value, payment, above, end, [])
         if following is None:
             break
         key = following
 
-    value, payment, key, won, tied = best
-    if isinstance(key, tuple):  # just above `low`: the midpoint, or low + 1 past the last
-        low, high = key
-        theta = Fraction(low + one, one) if high is None else Fraction(low + high, 2 * one)
-    else:
-        theta = Fraction(key, one)
+    value, payment, theta, won, tied = best
     won_auctions = frozenset([row[1] for row in rows[:won]] + tied)
     return ResponseResult(theta, won_auctions, (value, d), (payment, b))
 
@@ -236,7 +233,7 @@ def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
         if payment <= value and (best is None or value > best[0]):
             best = (value, payment, point, won)
     value, payment, point, won = best
-    return ResponseResult(Fraction(point, den), frozenset(won), (value, c), (payment, c))
+    return ResponseResult((point, den), frozenset(won), (value, c), (payment, c))
 
 
 def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int,

@@ -19,10 +19,11 @@ top two. A best response reads each threshold from it in O(1); a move walks
 only the auctions the mover values (`Instance.valued`), storing each new bid
 with one int product and, where the mover may win, updating the standing in
 O(1) unless the mover held one of the top two places and fell, which rescans
-that one column. The final outcome is priced from the same standings; each
-bidder's won value and payment are then summed as ints (`model._net`) and
-compared with its reply's int pair by cross-multiplying, so `Fraction`s are
-built only for what the report holds.
+that one column. A reply's multiplier pair is compared with the bidder's
+multiplier by cross-multiplying and becomes a `Fraction` only on a move. The
+final outcome is priced from the same standings; each bidder's won value and
+payment are summed as ints (`model._net`) and compared with its reply's value
+pair the same way, so `Fraction`s are built only for what the report holds.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
         changed = False
         for i in range(n):
             reply = best_response_against_bids(inst, spec, i, bids)
-            if reply.multiplier != theta[i]:
-                theta[i] = reply.multiplier
+            p, q = reply.multiplier_ratio
+            if p * theta[i].denominator != q * theta[i].numerator:
+                theta[i] = Fraction(p, q)
                 bids.move(i, theta[i])
                 replies = [None] * n
                 changed = True

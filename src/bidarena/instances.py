@@ -10,13 +10,13 @@ and reproducible bit for bit.
 from __future__ import annotations
 
 import json
-import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .model import Instance
+from .model import ZERO, Instance
 from .rationals import as_fraction, format_rational, parse_rational
 
 
@@ -28,22 +28,24 @@ def counterexample(delta: int | str | Fraction) -> Instance:
     1 + delta^-i against user cost delta^-i; all other entries are zero. The
     per-bidder value/cost ratios 1 + delta^i fall into disjoint intervals, so
     any single multiplier prices at most one bidder correctly and equilibrium
-    welfare is at most 3*delta of the optimum (which is exactly n).
+    welfare is at most 3*delta of the optimum (which is exactly n). A delta is
+    rejected when the sweep's last critical multiplier 1 + delta^(n+1), the
+    largest number printed for it, exceeds `sys.get_int_max_str_digits()` digits.
     """
     d = as_fraction(delta)
     if not 0 < d < Fraction(1, 3):
         raise ValueError(f"delta must lie strictly between 0 and 1/3, got {d}")
-    n = math.floor(1 / d)
-    m = 2 * n
-    zero = Fraction(0)
-    values = [[zero] * m for _ in range(n)]
-    costs = [[zero] * m for _ in range(n)]
+    n = 1 // d
+    limit = sys.get_int_max_str_digits()
+    if limit and (1 + d ** (n + 1)).numerator >= 10 ** limit:
+        raise ValueError(f"delta {d} needs integers of more than {limit} digits, "
+                         "past sys.get_int_max_str_digits()")
+    values = [[ZERO] * (2 * n) for _ in range(n)]
+    costs = [[ZERO] * (2 * n) for _ in range(n)]
     for i in range(1, n + 1):
         spike = (1 / d) ** i  # delta^-i
-        values[i - 1][2 * i - 2] = d
-        costs[i - 1][2 * i - 2] = 1 - d
-        values[i - 1][2 * i - 1] = 1 + spike
-        costs[i - 1][2 * i - 1] = spike
+        values[i - 1][2 * i - 2:2 * i] = d, 1 + spike
+        costs[i - 1][2 * i - 2:2 * i] = 1 - d, spike
     return Instance(tuple(tuple(row) for row in values),
                     tuple(tuple(row) for row in costs))
 

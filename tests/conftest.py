@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -94,3 +95,13 @@ def first_price(monkeypatch):
 
     for module in ("bidarena.mechanisms", "bidarena.bestresponse"):
         monkeypatch.setattr(f"{module}._price", price)
+
+
+@pytest.fixture
+def default_int_text_limit():
+    """Python's default limit on the digits of integer text, 4300, set for
+    one test whatever the environment chose, and restored after it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)

@@ -11,7 +11,7 @@ from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
                                  min_winning_bid, run_all, standing)
 from bidarena.model import Instance, MultiplierProfile, bids_from
 
-from conftest import all_specs, instances_with_profiles
+from conftest import all_specs, instances_with_profiles, off_grid_instance
 from reference_mechanisms import threshold
 
 F = Fraction
@@ -116,12 +116,40 @@ def test_reply_pairs_behave_like_their_fractions():
     assert scaled != ResponseResult(F(3, 2), won, (6, 4), (0, 7))
     assert scaled != ResponseResult(F(5, 4), frozenset({0}), (6, 4), (0, 7))
     assert scaled.__eq__((F(5, 4), won, F(3, 2), F(0))) is NotImplemented
+    # The multiplier too: (10, 8) is 5/4 at another scale, and (12, 8) is not.
+    paired = ResponseResult((10, 8), won, (6, 4), (0, 7))
+    assert paired == twin and hash(paired) == hash(twin) and repr(paired) == repr(twin)
+    assert paired.multiplier_ratio == (10, 8) and twin.multiplier_ratio == (5, 4)
+    assert type(paired.multiplier) is Fraction and paired.multiplier.denominator == 4
+    assert ResponseResult((12, 8), won, (6, 4), (0, 7)) != twin
     # The sweep hands over its pairs unreduced: here value 2 over the lcm 2
     # of the scales of 1/2 and 3/2.
     inst = Instance.from_rows([["1/2", "3/2"], [1, 1]], [[0, 0], [0, 0]])
     reply = respond(inst, SecondPrice(), 0, MultiplierProfile.uniform(2))
     assert reply.value_ratio == (4, 2) and reply.total_value == 2
     assert reply == ResponseResult(F(2), frozenset({0, 1}), F(2), F(2))
+
+
+def test_replies_build_no_fraction_until_read(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr("bidarena.bestresponse.Fraction", counting)
+    replies = []
+    for seed in range(6):
+        inst = off_grid_instance(seed)
+        profile = MultiplierProfile(tuple(F(3 + i, 3) for i in range(inst.num_bidders)))
+        for spec in all_specs(inst):
+            bids = Bids(spec, inst, bids_from(profile, inst))
+            for bidder in range(inst.num_bidders):
+                replies.append(best_response_against_bids(inst, spec, bidder, bids))
+                replies.append(best_response_oracle(inst, spec, bidder, bids))
+    assert built == []
+    thetas = {reply.multiplier for reply in replies}  # one Fraction per read
+    assert len(built) == len(replies) and len(thetas) > 5
 
 
 def test_best_response_ignores_zero_value_auctions():

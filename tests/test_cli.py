@@ -9,7 +9,9 @@ import pytest
 
 from bidarena import verify
 from bidarena.cli import main, parse_gamma_grid, sweep_global, sweep_to_csv, CSV_HEADER
+from bidarena.equilibrium import run_dynamics
 from bidarena.instances import counterexample, load, save
+from bidarena.mechanisms import GlobalCostMultiplier
 from bidarena.model import Instance
 
 F = Fraction
@@ -134,15 +136,21 @@ def test_sweep_peak_matches_closed_form():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_sweep_peak_is_only_at_the_last_critical_multiplier(k):
-    # On 1/delta bidders, the peak is attained only at 1 + delta^(1/delta),
-    # with welfare 3 - 2*delta of the optimum 1/delta.
-    delta = F(1, 2 ** k)
+    # On n = 1/delta bidders, among the sampled points the peak is attained
+    # only at 1 + delta^n, with welfare 3 - 2*delta of the optimum n.
+    delta, n = F(1, 2 ** k), 2 ** k
     rows = sweep_global(delta, parse_gamma_grid("0:2:40"))
     peak = max(report.poa for _, report in rows)
-    assert [gamma for gamma, report in rows if report.poa == peak] == [1 + delta ** 2 ** k]
+    assert [gamma for gamma, report in rows if report.poa == peak] == [1 + delta ** n]
     top = next(report for _, report in rows if report.poa == peak)
-    assert (top.welfare, top.opt) == (3 - 2 * delta, 2 ** k)
+    assert (top.welfare, top.opt) == (3 - 2 * delta, n)
     assert peak == 3 * delta - 2 * delta ** 2
+    # Over all gamma it holds on the whole interval (B_n, 1 + delta^n], where
+    # B_n = (1 + delta + delta^-n) / (1 - delta + delta^-n) is the largest
+    # gamma at which the last bidder wins both its auctions.
+    b_n = (1 + delta + delta ** -n) / (1 - delta + delta ** -n)
+    inside = run_dynamics(counterexample(delta), GlobalCostMultiplier((b_n + 1 + delta ** n) / 2))
+    assert (inside.poa, inside.converged, inside.verified) == (peak, True, True)
 
 
 def test_sweep_csv_layout():
@@ -175,6 +183,17 @@ def test_generate_counterexample_round_trips(tmp_path, capsys):
     assert main(["generate", "counterexample", "--delta", "1/8",
                  "--out", str(out)]) == 0
     assert load(out) == counterexample("1/8")
+
+
+def test_generate_counterexample_rejects_integers_past_the_text_limit(
+        default_int_text_limit, capsys):
+    # 1/1400 needs 1400^1401, 4408 digits; it used to be built and then fail
+    # on printing with Python's own message.
+    assert main(["generate", "counterexample", "--delta", "1/1400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("arena: delta 1/1400 needs integers of more than 4300 digits, "
+                            "past sys.get_int_max_str_digits()\n")
 
 
 def test_generate_random_is_reproducible(tmp_path):

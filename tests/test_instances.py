@@ -52,6 +52,16 @@ def test_counterexample_rejects_out_of_range_delta():
         counterexample("1/2")
 
 
+def test_counterexample_rejects_integers_past_the_text_limit(default_int_text_limit):
+    # The sweep's last critical multiplier 1 + delta^(n+1) has a numerator
+    # of 4408 digits at 1/1400 and 3086 at 1/1024.
+    with pytest.raises(ValueError, match=r"^delta 1/1400 needs integers of more than 4300 "
+                                         r"digits, past sys\.get_int_max_str_digits\(\)$"):
+        counterexample(F(1, 1400))
+    inst = counterexample(F(1, 1024))
+    assert inst.num_bidders == 1024 and inst.costs[-1][-1] == 1024 ** 1024
+
+
 def test_counterexample_accepts_text_delta():
     assert counterexample("1/4") == counterexample(F(1, 4))
 
