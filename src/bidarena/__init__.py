@@ -16,7 +16,7 @@ from .mechanisms import (AuctionDependent, AuctionResult, BidderDependent, Bids,
                          SingleBidderCalibrated, Threshold, calibrate_single_bidder,
                          compute_auction_params, compute_bidder_params,
                          mechanism_from_label, min_winning_bid, rightful_winners,
-                         run_all, run_auction, standing)
+                         run_all, run_auction)
 from .model import (Instance, MultiplierProfile, Outcome, bids_from, optimal_welfare,
                     roi_satisfied, welfare)
 from .rationals import as_fraction, parse_rational
@@ -34,5 +34,5 @@ __all__ = [
     "min_winning_bid", "optimal_welfare", "parse_rational",
     "quasilinear_best_bid_check", "random_instance", "rightful_winners",
     "roi_satisfied", "run_all", "run_auction", "run_dynamics", "save",
-    "standing", "threshold_table", "welfare",
+    "threshold_table", "welfare",
 ]

@@ -19,7 +19,7 @@ reply keeps its multiplier and totals as int pairs. One call costs a sort
 of the bidder's valued auctions, and no bid column is scanned.
 
 `best_response_oracle` and `quasilinear_best_bid_check` answer the same
-questions by brute force on the kernel's ints; `arena verify` and the tests
+questions by brute force on the ints of a `Bids`; `arena verify` and the tests
 check them against the exact route, and neither feeds the dynamics.
 """
 
@@ -28,10 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Sequence
 
-from .mechanisms import (Bids, MechanismSpec, Threshold, _price, _scan, market,
-                         min_winning_bid, standing)
+from .mechanisms import Bids, MechanismSpec, Threshold, _price, _scan, min_winning_bid
 from .model import Instance, ONE
 
 ORACLE_GRID = 40  # evenly spaced steps of `best_response_oracle`'s multiplier grid
@@ -237,21 +235,21 @@ def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
 
 
 def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int,
-                               bidder: int, bids: Sequence[Fraction]) -> bool:
+                               bidder: int, bids: Bids) -> bool:
     """True when bidding the true value maximizes value-minus-payment in one
-    auction against fixed rival bids, over a canonical probe set (zero, half
-    value, value, double value, and the win threshold plus/minus 1/1000).
-    Each probe is a kernel pair, resolved by a scan of the bid column."""
-    t = min_winning_bid(spec, inst, auction, bidder, standing(spec, inst, auction, bids))
-    mk = market(spec, inst)
+    auction against the rival bids in `bids`, over a canonical probe set (zero,
+    half value, value, double value, and the win threshold plus/minus 1/1000).
+    Each probe is a kernel pair, resolved by a scan of a copy of the column."""
+    _check_bids(inst, spec, bidder, bids)
+    t = min_winning_bid(spec, inst, auction, bidder, bids.standings[auction])
+    mk = bids.market
     d, v = mk.scale[auction], mk.values[auction][bidder]
     probes = [(0, 1), (v, 2), (v, 1), (2 * v, 1)]
     if t.den:
         # t and t +- 1/1000, each (P, Q) over 1000 * t's denominator.
         p, q, step = t.num * 1000 * d, t.den * 1000, t.den * d
         probes += [(p, q), (p + step, q), (max(p - step, 0), q)]
-    nums = [b.numerator * d for b in bids]
-    dens = [b.denominator for b in bids]
+    nums, dens = list(bids.nums[auction]), list(bids.dens[auction])
 
     def utility(bid: tuple[int, int]) -> tuple[int, int]:
         """Value minus payment as a pair (U, Q), meaning U / (Q * d)."""

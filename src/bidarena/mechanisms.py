@@ -319,10 +319,10 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 # zero reserve admits every bid without a comparison), and its score is the
 # pair (P - Q * S_i, Q). Two scores (A, Q) and (A', Q') compare as A * Q'
 # against A' * Q, with no gcd. Everything an auction decides depends on its
-# top two eligible bidders in rank order (`standing`): the winner, its price,
-# and every bidder's threshold, all read from `_least_bid`, the one statement
-# of the price rule. Auctions, the oracle and the truthfulness probes price
-# winners through `_price`; Fractions are built only for payments and bid rows.
+# top two eligible bidders in rank order, its standing in a `Bids`: the winner,
+# its price and every bidder's threshold, all read from `_least_bid`, the one
+# statement of the price rule. Auctions, the oracle and the truthfulness probes
+# price winners through `_price`; Fractions are built only for payments and bid rows.
 
 # The best and second-best eligible (A, Q, bidder) entries of one auction in
 # rank order; shorter when fewer than two bidders are eligible.
@@ -350,19 +350,6 @@ def _scan(nums: Sequence[int], dens: Sequence[int], reserves: Sequence[int | Non
         return ()
     best = (best_a, best_q, best_i)
     return (best,) if second_a is None else (best, (second_a, second_q, second_i))
-
-
-def standing(spec: MechanismSpec, inst: Instance, auction: int,
-             bids: Sequence[Fraction]) -> Standing:
-    """The top two eligible bidders of `auction` for the given bid column."""
-    if len(bids) != inst.num_bidders:
-        raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
-    mk = market(spec, inst)
-    if not 0 <= auction < len(mk.scale):
-        raise ValueError(f"auction {auction} out of range")
-    d = mk.scale[auction]
-    return _scan([b.numerator * d for b in bids], [b.denominator for b in bids],
-                 mk.reserves[auction], mk.shifts[auction])
 
 
 def _least_bid(mk: Market, auction: int, bidder: int,
@@ -397,14 +384,22 @@ def _priced(mk: Market, auction: int, top: Standing) -> AuctionResult:
 
 def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
                 bids: Sequence[Fraction]) -> AuctionResult:
-    """Resolve auction `auction` under `spec` for the given bid column."""
-    return _priced(market(spec, inst), auction, standing(spec, inst, auction, bids))
+    """Resolve auction `auction` under `spec` for a column of Fraction bids."""
+    if len(bids) != inst.num_bidders:
+        raise ValueError(f"expected {inst.num_bidders} bids, got {len(bids)}")
+    mk = market(spec, inst)
+    if not 0 <= auction < len(mk.scale):
+        raise ValueError(f"auction {auction} out of range")
+    d = mk.scale[auction]
+    top = _scan([b.numerator * d for b in bids], [b.denominator for b in bids],
+                mk.reserves[auction], mk.shifts[auction])
+    return _priced(mk, auction, top)
 
 
 def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: int,
                     top: Standing) -> Threshold:
     """Smallest bid with which `bidder` wins `auction`, rivals' bids fixed,
-    read in O(1) from the auction's `standing`.
+    read in O(1) from the auction's standing in a `Bids`.
 
     The bidder's own entry in the standing is skipped. The value is None
     (infinite) when the bidder can never win; `inclusive` follows the

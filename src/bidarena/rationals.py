@@ -10,6 +10,7 @@ rounding error can never masquerade as a tie-break.
 from __future__ import annotations
 
 import sys
+from decimal import MAX_EMAX, Context
 from fractions import Fraction
 
 
@@ -47,18 +48,33 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
+def _past_text_limit() -> ValueError:
+    """The error for printing an int past a nonzero `sys.get_int_max_str_digits()`."""
+    return ValueError(f"cannot print an integer of more than {sys.get_int_max_str_digits()} "
+                      "digits, past sys.get_int_max_str_digits()")
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical text for instance files: "p/q", or bare "p" for integers."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise _past_text_limit() from None
 
 
 def format_ratio(x: Fraction) -> str:
     """Text for reports: always "p/q", so consumers never guess the form."""
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise _past_text_limit() from None
 
 
 def decimal_text(x: Fraction) -> str:
-    """12-significant-digit decimal for plotting tools; never used internally."""
-    return f"{float(x):.12g}"
+    """12-significant-digit decimal for plotting tools; never used internally.
+    Past the float range it is rounded exactly, in the same style (1e+400)."""
+    try:
+        return f"{float(x):.12g}"
+    except OverflowError:
+        exact = Context(prec=12, Emax=MAX_EMAX).divide(x.numerator, x.denominator)
+        return f"{exact.normalize():.12g}"

@@ -19,7 +19,7 @@ from .instances import RandomFamilyParams, instance_to_json, random_instance
 from .mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice,
                          compute_auction_params, compute_bidder_params,
                          calibrate_single_bidder, mechanism_from_label, mechanism_label,
-                         min_winning_bid, run_all, run_auction, standing)
+                         min_winning_bid, run_all, run_auction)
 from .model import (Instance, MultiplierProfile, ZERO, bids_from, optimal_welfare,
                     welfare)
 
@@ -173,15 +173,15 @@ def truthfulness_probes(seeds: Iterable[int], *, single_bidder: bool = False) ->
     stats = CheckStats()
     for seed in seeds:
         inst = family_instance(seed, num_bidders=1 if single_bidder else None)
-        bids = bids_from(probe_profile(seed, inst.num_bidders), inst)
+        rows = bids_from(probe_profile(seed, inst.num_bidders), inst)
         specs = ([calibrate_single_bidder(inst)] if single_bidder
                  else standard_specs(inst))
         for spec in specs:
+            bids = Bids(spec, inst, rows)
             for j in range(inst.num_auctions):
-                column = [bids[i][j] for i in range(inst.num_bidders)]
                 for i in range(inst.num_bidders):
                     stats.checks += 1
-                    if not quasilinear_best_bid_check(inst, spec, j, i, column):
+                    if not quasilinear_best_bid_check(inst, spec, j, i, bids):
                         stats.violations.append(_describe(
                             seed, inst,
                             f"{mechanism_label(spec)}: auction {j} bidder {i} "
@@ -196,17 +196,18 @@ def myerson_checks(seeds: Iterable[int]) -> CheckStats:
     for seed in seeds:
         inst = family_instance(seed)
         # Specs outside: an instance keeps only the last `Market` built on it.
-        profiles = [(profile, bids_from(profile, inst))
+        profiles = [bids_from(profile, inst)
                     for profile in (MultiplierProfile.uniform(inst.num_bidders),
                                     probe_profile(seed, inst.num_bidders))]
         for spec in standard_specs(inst):
-            for profile, bids in profiles:
-                outcome = run_all(spec, inst, profile)
+            for rows in profiles:
+                bids = Bids(spec, inst, rows)
+                outcome = bids.outcome()
                 for j, winner in enumerate(outcome.winners):
                     if winner is None:
                         continue
-                    column = [bids[i][j] for i in range(inst.num_bidders)]
-                    t = min_winning_bid(spec, inst, j, winner, standing(spec, inst, j, column))
+                    column = [row[j] for row in rows]
+                    t = min_winning_bid(spec, inst, j, winner, bids.standings[j])
                     stats.checks += 1
                     if t.value != outcome.prices[j] or not t.admits(column[winner]):
                         stats.violations.append(_describe(

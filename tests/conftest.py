@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 
 from bidarena import Instance, MultiplierProfile
-from bidarena.mechanisms import (GlobalCostMultiplier, MechanismSpec, SecondPrice,
+from bidarena.mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice,
                                  calibrate_single_bidder, compute_auction_params,
                                  compute_bidder_params)
 from bidarena.verify import family_instance
@@ -48,6 +48,16 @@ def all_specs(inst: Instance) -> list[MechanismSpec]:
     if inst.num_bidders == 1:
         specs.append(calibrate_single_bidder(inst))
     return specs
+
+
+def column_bids(spec: MechanismSpec, inst: Instance, auction: int,
+                column: list[Fraction]) -> Bids:
+    """The `Bids` of one bid column: each bidder bids its entry of `column` in
+    auction `auction` and zero in every other auction."""
+    rows = [[Fraction(0)] * inst.num_auctions for _ in column]
+    for row, bid in zip(rows, column):
+        row[auction] = bid
+    return Bids(spec, inst, rows)
 
 
 def seeded_market(seed: int) -> tuple[Instance, list[list[Fraction]]]:

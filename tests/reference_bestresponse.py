@@ -17,8 +17,9 @@ from typing import Sequence
 
 from bidarena.bestresponse import ORACLE_GRID, ResponseResult, threshold_table
 from bidarena.mechanisms import (Bids, MechanismSpec, Threshold, min_winning_bid,
-                                 run_auction, standing)
+                                 run_auction)
 from bidarena.model import Instance, ONE, ZERO
+from conftest import column_bids
 
 
 def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
@@ -105,7 +106,8 @@ def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int
     """True when bidding the true value maximizes value-minus-payment in one
     auction against fixed rival bids, over a canonical probe set (zero, half
     value, value, double value, and the win threshold plus/minus 1/1000)."""
-    t = min_winning_bid(spec, inst, auction, bidder, standing(spec, inst, auction, bids))
+    top = column_bids(spec, inst, auction, list(bids)).standings[auction]
+    t = min_winning_bid(spec, inst, auction, bidder, top)
     value = inst.values[bidder][auction]
     probes = {ZERO, value / 2, value, 2 * value}
     if t.value is not None:

@@ -8,10 +8,10 @@ from bidarena.bestresponse import (ResponseResult, best_response_against_bids,
                                    threshold_table)
 from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
                                  calibrate_single_bidder, compute_auction_params,
-                                 min_winning_bid, run_all, standing)
+                                 min_winning_bid, run_all)
 from bidarena.model import Instance, MultiplierProfile, bids_from
 
-from conftest import all_specs, instances_with_profiles, off_grid_instance
+from conftest import all_specs, instances_with_profiles, off_grid_instance, seeded_market
 from reference_mechanisms import threshold
 
 F = Fraction
@@ -46,10 +46,9 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="out of range"):
             best_response_oracle(inst, SecondPrice(), bidder, bids)
         with pytest.raises(ValueError, match="out of range"):
-            min_winning_bid(SecondPrice(), inst, 0, bidder,
-                            standing(SecondPrice(), inst, 0, [F(1)]))
+            min_winning_bid(SecondPrice(), inst, 0, bidder, bids.standings[0])
         with pytest.raises(ValueError, match="out of range"):
-            quasilinear_best_bid_check(inst, SecondPrice(), 0, bidder, [F(1)])
+            quasilinear_best_bid_check(inst, SecondPrice(), 0, bidder, bids)
     with pytest.raises(ValueError, match="profile has 2 bidders"):
         bids_from(MultiplierProfile.uniform(2), inst)
     other = Instance.from_rows([[2]], [[0]])
@@ -58,6 +57,8 @@ def test_problem_validation():
         for respond in (threshold_table, best_response_against_bids, best_response_oracle):
             with pytest.raises(ValueError, match="another mechanism or instance"):
                 respond(inst, SecondPrice(), 0, wrong)
+        with pytest.raises(ValueError, match="another mechanism or instance"):
+            quasilinear_best_bid_check(inst, SecondPrice(), 0, 0, wrong)
     # Bids built for an equal spec and an equal instance are accepted.
     same = Bids(SecondPrice(), Instance(inst.values, inst.costs), inst.values)
     assert best_response_against_bids(inst, SecondPrice(), 0, same) == \
@@ -231,8 +232,26 @@ def test_best_response_agrees_with_brute_force(pair):
 def test_quasilinear_probe_accepts_truthful_second_price():
     inst = Instance.from_rows([[5, 2], [3, 4]], [[1, 0], [2, 1]])
     for spec in all_specs(inst):
-        bids = bids_from(MultiplierProfile.uniform(2), inst)
+        bids = Bids(spec, inst, bids_from(MultiplierProfile.uniform(2), inst))
         for j in range(inst.num_auctions):
-            column = [bids[i][j] for i in range(2)]
             for i in range(2):
-                assert quasilinear_best_bid_check(inst, spec, j, i, column)
+                assert quasilinear_best_bid_check(inst, spec, j, i, bids)
+
+
+def test_quasilinear_probe_leaves_the_bids_it_reads_unchanged():
+    # The probe sets the bidder's entry of the column it scans; that column
+    # is a copy, so later probes and best responses on the same `Bids` see
+    # the bids it was built from.
+    checked = 0
+    for seed in range(20):
+        inst, rows = seeded_market(seed)
+        for spec in all_specs(inst):
+            bids = Bids(spec, inst, rows)
+            before = ([list(c) for c in bids.nums], [list(c) for c in bids.dens],
+                      list(bids.standings))
+            for j in range(inst.num_auctions):
+                for i in range(inst.num_bidders):
+                    quasilinear_best_bid_check(inst, spec, j, i, bids)
+                    checked += 1
+            assert (bids.nums, bids.dens, bids.standings) == before
+    assert checked > 500

@@ -26,7 +26,7 @@ from bidarena.bestresponse import (ResponseResult, best_response_against_bids,
                                    threshold_table)
 from bidarena import mechanisms
 from bidarena.mechanisms import (AuctionResult, Bids, GlobalCostMultiplier, SecondPrice,
-                                 min_winning_bid, standing)
+                                 min_winning_bid)
 from bidarena.model import Instance, MultiplierProfile, Outcome, bids_from
 from bidarena.verify import probe_profile, standard_specs
 
@@ -36,11 +36,9 @@ from conftest import all_specs, instances_with_profiles, seeded_market
 def at_thresholds(spec, inst, bid_rows):
     """Each bid replaced by its bidder's threshold against the original
     column, where that threshold is finite."""
-    n = inst.num_bidders
     moved = [list(row) for row in bid_rows]
-    for j in range(inst.num_auctions):
-        top = standing(spec, inst, j, [bid_rows[i][j] for i in range(n)])
-        for i in range(n):
+    for j, top in enumerate(Bids(spec, inst, bid_rows).standings):
+        for i in range(inst.num_bidders):
             t = min_winning_bid(spec, inst, j, i, top)
             if t.value is not None:
                 moved[i][j] = t.value
@@ -208,11 +206,12 @@ def test_integer_probe_matches_reference_probe(pricing, request):
         for spec in all_specs(inst):
             for rows in (bids_from(probe_profile(seed, inst.num_bidders), inst), random_rows,
                          at_thresholds(spec, inst, random_rows)):
+                bids = Bids(spec, inst, rows)
                 for j in range(inst.num_auctions):
                     column = [rows[i][j] for i in range(inst.num_bidders)]
                     columns += 1
                     for bidder in range(inst.num_bidders):
-                        verdict = quasilinear_best_bid_check(inst, spec, j, bidder, column)
+                        verdict = quasilinear_best_bid_check(inst, spec, j, bidder, bids)
                         assert verdict == \
                             ref.quasilinear_best_bid_check(inst, spec, j, bidder, column)
                         rejected += not verdict
@@ -239,7 +238,7 @@ def test_price_at_an_exact_reserve_tie(values, winner, inclusive):
     got = best_response_oracle(inst, spec, winner, bids)
     want = ref.best_response_oracle(inst, spec, winner, bids)
     assert got == want and got.total_payment == t.value
-    assert quasilinear_best_bid_check(inst, spec, 0, winner, column) is True
+    assert quasilinear_best_bid_check(inst, spec, 0, winner, bids) is True
     assert ref.quasilinear_best_bid_check(inst, spec, 0, winner, column) is True
 
 

@@ -173,6 +173,28 @@ def test_sweep_cli_writes_csv(tmp_path, capsys):
     assert len(lines) >= 13  # 11 grid points, critical points, summary
 
 
+def test_sweep_cli_prints_a_multiplier_past_the_float_range(capsys):
+    # The decimal columns used to end the run with an OverflowError.
+    assert main(["sweep-global", "--delta", "1/4", "--gamma", "0:1e400:2"]) == 0
+    last = capsys.readouterr().out.splitlines()[-2].split(",")
+    assert last[:2] == ["global", "gamma"] and last[2] == f"{10 ** 400}/1"
+    assert last[8] == "1e+400"
+
+
+def test_run_rejects_a_report_past_the_text_limit(default_int_text_limit, tmp_path, capsys):
+    # Values 1/p and 1/q of 2,201 digits each load, but the welfare's
+    # denominator p * q has 4,401; printing it used to end with Python's
+    # message, which asks for a call no `arena` option makes.
+    p, q = 10 ** 2200 + 267, 10 ** 2200 + 1
+    path = tmp_path / "long.json"
+    save(Instance.from_rows([[F(1, p), F(1, q)]], [[0, 0]]), path)
+    assert main(["run", str(path), "--mechanism", "second-price"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("arena: cannot print an integer of more than 4300 digits, "
+                            "past sys.get_int_max_str_digits()\n")
+
+
 def test_sweep_cli_rejects_bad_delta(capsys):
     assert main(["sweep-global", "--delta", "1/2"]) == 2
     assert "delta" in capsys.readouterr().err

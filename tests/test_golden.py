@@ -29,6 +29,8 @@ SWEEP_DIGEST = "162aab3a57841890ec14826e3f1ed39e94a9b50caaaaae4e3ab99b18a44f10c9
 SWEEP_48_DIGEST = "96c4755ced43363890a515978e71afaa98723e661d17477212fd940df71affbf"
 DEBUG_BR_DIGEST = "9d8f176a7621f2754604b38acec70672218924663d0d62dc495f63093be6a259"
 VERIFY_DIGEST = "7fd811aa198a40e3630e1fadc001d9f4bdd81dbd8afba4d0ee376ca5bef7c54c"
+# `verify --seeds 200`: as many seeds as the verify-small bench workload runs.
+VERIFY_200_DIGEST = "85efeebb91875440a78182aa74178575fcd819282e21d28568443849a724ee2b"
 
 
 def stdout_digest(capsys, argv: list[str]) -> str:
@@ -82,3 +84,4 @@ def test_debug_br_output_is_pinned(capsys, markets):
 
 def test_verify_output_is_pinned(capsys):
     assert stdout_digest(capsys, ["verify", "--seeds", "24"]) == VERIFY_DIGEST
+    assert stdout_digest(capsys, ["verify", "--seeds", "200"]) == VERIFY_200_DIGEST

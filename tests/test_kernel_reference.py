@@ -22,8 +22,8 @@ from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
 from bidarena.model import Instance, MultiplierProfile, bids_from
 from bidarena.verify import family_instance, standard_specs
 
-from conftest import (all_specs, coprime_profile, instances_with_profiles, off_grid_instance,
-                      seeded_market, small_instances)
+from conftest import (all_specs, column_bids, coprime_profile, instances_with_profiles,
+                      off_grid_instance, seeded_market, small_instances)
 
 F = Fraction
 
@@ -32,7 +32,7 @@ def check_auction(spec, inst, auction, column) -> int:
     """Assert agreement on one bid column; returns the number of comparisons."""
     assert mechanisms.run_auction(spec, inst, auction, column) == \
         ref.run_auction(spec, inst, auction, column)
-    top = mechanisms.standing(spec, inst, auction, column)
+    top = column_bids(spec, inst, auction, column).standings[auction]
     for i in range(inst.num_bidders):
         assert mechanisms.min_winning_bid(spec, inst, auction, i, top) == \
             ref.min_winning_bid(spec, inst, auction, i, column)

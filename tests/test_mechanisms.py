@@ -11,19 +11,20 @@ from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, Bids,
                                  compute_bidder_params, market, mechanism_from_label,
                                  mechanism_label, mechanism_to_json, min_winning_bid,
                                  rightful_winners,
-                                 run_all, run_auction, standing)
+                                 run_all, run_auction)
 from bidarena.model import (Instance, MultiplierProfile, bids_from,
                             optimal_welfare, welfare)
 
-from conftest import all_specs, instances_with_profiles, small_instances
+from conftest import all_specs, column_bids, instances_with_profiles, small_instances
 from reference_mechanisms import threshold
 
 F = Fraction
 
 
-def winning_bid(spec, inst, auction, bidder, bids):
+def winning_bid(spec, inst, auction, bidder, column):
     """`min_winning_bid` read from the standing of one bid column."""
-    return min_winning_bid(spec, inst, auction, bidder, standing(spec, inst, auction, bids))
+    top = column_bids(spec, inst, auction, column).standings[auction]
+    return min_winning_bid(spec, inst, auction, bidder, top)
 
 
 def one_auction(values, costs):
@@ -95,9 +96,9 @@ def test_second_price_threshold_without_rivals_is_zero():
 def test_threshold_rejects_a_bid_column_of_the_wrong_length():
     # A short column used to drop the rival bidding 5 and report threshold 0.
     inst = one_auction([1, 1], [0, 0])
-    with pytest.raises(ValueError, match="expected 2 bids, got 1"):
+    with pytest.raises(ValueError, match="expected 2 bid rows of 1 entries"):
         winning_bid(SecondPrice(), inst, 0, 0, [F(1)])
-    with pytest.raises(ValueError, match="expected 2 bids, got 3"):
+    with pytest.raises(ValueError, match="expected 2 bid rows of 1 entries"):
         winning_bid(SecondPrice(), inst, 0, 0, [F(1), F(5), F(0)])
     with pytest.raises(ValueError, match="expected 2 bids, got 1"):
         run_auction(SecondPrice(), inst, 0, [F(1)])
@@ -305,12 +306,10 @@ def test_auction_out_of_range_is_rejected(auction):
     # Unchecked, auction -1 would be read as the last auction.
     inst = Instance.from_rows([[1, 2, 3], [2, 1, 1]], [[0, 0, 1], [1, 0, 0]])
     column = [F(1), F(2)]
-    top = standing(SecondPrice(), inst, 0, column)
+    top = column_bids(SecondPrice(), inst, 0, column).standings[0]
     for spec in all_specs(inst):
         with pytest.raises(ValueError, match=f"auction {auction} out of range"):
             run_auction(spec, inst, auction, column)
-        with pytest.raises(ValueError, match=f"auction {auction} out of range"):
-            standing(spec, inst, auction, column)
         with pytest.raises(ValueError, match=f"auction {auction} out of range"):
             min_winning_bid(spec, inst, auction, 0, top)
 
@@ -460,11 +459,12 @@ def test_winner_pays_its_threshold_and_clears_it(pair):
     bids = bids_from(profile, inst)
     for spec in all_specs(inst):
         out = run_all(spec, inst, profile)
+        standings = Bids(spec, inst, bids).standings
         for j, winner in enumerate(out.winners):
             if winner is None:
                 continue
             column = [bids[i][j] for i in range(inst.num_bidders)]
-            t = winning_bid(spec, inst, j, winner, column)
+            t = min_winning_bid(spec, inst, j, winner, standings[j])
             assert t.value == out.prices[j]
             assert t.value is not None
             assert t.admits(column[winner])
@@ -477,12 +477,13 @@ def test_losers_fail_their_thresholds(pair):
     bids = bids_from(profile, inst)
     for spec in all_specs(inst):
         out = run_all(spec, inst, profile)
+        standings = Bids(spec, inst, bids).standings
         for j in range(inst.num_auctions):
             column = [bids[i][j] for i in range(inst.num_bidders)]
             for i in range(inst.num_bidders):
                 if out.winners[j] == i:
                     continue
-                t = winning_bid(spec, inst, j, i, column)
+                t = min_winning_bid(spec, inst, j, i, standings[j])
                 assert not t.admits(column[i])
 
 

@@ -47,6 +47,19 @@ def test_format_rational():
     assert format_rational(Fraction(4)) == "4"
 
 
+def test_formats_name_the_integer_text_limit(default_int_text_limit):
+    # Python's own message asks for sys.set_int_max_str_digits(), which no
+    # `arena` option can reach.
+    big = 10 ** 4300
+    for x in (Fraction(big), Fraction(1, big), Fraction(big + 1, big)):
+        for fmt in (format_rational, format_ratio):
+            with pytest.raises(ValueError, match=re.escape(
+                    "cannot print an integer of more than 4300 digits, "
+                    "past sys.get_int_max_str_digits()")):
+                fmt(x)
+    assert format_ratio(Fraction(big - 1, 7)) == f"{big - 1}/7"  # 4300 digits print
+
+
 def test_format_ratio_always_has_denominator():
     assert format_ratio(Fraction(1)) == "1/1"
     assert format_ratio(Fraction(-1, 2)) == "-1/2"
@@ -55,6 +68,11 @@ def test_format_ratio_always_has_denominator():
 def test_decimal_text():
     assert decimal_text(Fraction(1, 4)) == "0.25"
     assert decimal_text(Fraction(1, 3)) == "0.333333333333"
+    # Past the float range the same style, rounded exactly.
+    assert decimal_text(Fraction(10) ** 400) == "1e+400"
+    assert decimal_text(-Fraction(3, 2) * 10 ** 400) == "-1.5e+400"
+    assert decimal_text(Fraction(2) ** 1024) == "1.79769313486e+308"
+    assert decimal_text(Fraction(10 ** 5000, 3)) == "3.33333333333e+4999"
 
 
 def test_as_fraction_conversions():

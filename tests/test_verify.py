@@ -184,6 +184,14 @@ def test_myerson_reports_a_payment_off_the_threshold(first_price):
                for line in stats.violations)
 
 
+def test_myerson_reports_a_winning_bid_below_its_threshold(monkeypatch):
+    monkeypatch.setattr("bidarena.mechanisms.Threshold.admits", lambda self, bid: False)
+    stats = myerson_checks(range(5))
+    assert len(stats.violations) == stats.checks > 0
+    assert all(re.search(r": auction \d+ payment .* vs threshold Threshold\(", line)
+               for line in stats.violations)
+
+
 def test_myerson_reports_a_winner_that_loses_after_raising(monkeypatch):
     monkeypatch.setattr("bidarena.verify.run_auction",
                         lambda *args: AuctionResult(None, F(0)))
