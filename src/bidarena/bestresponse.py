@@ -5,7 +5,7 @@ Dividing by the bidder's value turns each threshold into a multiplier ratio;
 `threshold_table` lists them for the auctions worth contesting, walking only
 the auctions the bidder values (`Instance.valued`; the sweep also skips
 those where its reserve is infinite); `min_winning_bid` reads each in O(1)
-from the int standings of a `Bids` value. The set of auctions
+from the standing of the caller's `Bids`. The set of auctions
 won is a prefix of the ratio order: it only grows as the multiplier climbs.
 The best response lives on candidates (1, each ratio of at least 1, the
 midpoints between consecutive ratios, and one past the largest), and
@@ -88,7 +88,7 @@ def threshold_table(inst: Instance, spec: MechanismSpec, bidder: int,
     _check_bids(inst, spec, bidder, bids)
     table = []
     for j, value in inst.valued[bidder]:
-        t = min_winning_bid(spec, inst, j, bidder, bids.standings[j])
+        t = min_winning_bid(bids, j, bidder)
         if t.den:
             table.append((t.value / value, j, t, value))
     return table
@@ -117,10 +117,9 @@ def best_response_against_bids(inst: Instance, spec: MechanismSpec, bidder: int,
     multiplier."""
     _check_bids(inst, spec, bidder, bids)
     d, w, valued = _sweep_constants(bids, bidder)
-    standings = bids.standings
     found, dens = [], set()
     for j, v, factor in valued:
-        t = min_winning_bid(spec, inst, j, bidder, standings[j])
+        t = min_winning_bid(bids, j, bidder)
         if t.den:
             found.append((t, j, v, factor))
             dens.add(t.den)
@@ -238,17 +237,18 @@ def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int
                                bidder: int, bids: Bids) -> bool:
     """True when bidding the true value maximizes value-minus-payment in one
     auction against the rival bids in `bids`, over a canonical probe set (zero,
-    half value, value, double value, and the win threshold plus/minus 1/1000).
-    Each probe is a kernel pair, resolved by a scan of a copy of the column."""
+    half value, value, double value, the win threshold t and t + 1/1000; a bid
+    below t loses and scores 0, never above truthful). Each probe is a kernel
+    pair, resolved by a scan of a copy of the column."""
     _check_bids(inst, spec, bidder, bids)
-    t = min_winning_bid(spec, inst, auction, bidder, bids.standings[auction])
+    t = min_winning_bid(bids, auction, bidder)
     mk = bids.market
     d, v = mk.scale[auction], mk.values[auction][bidder]
     probes = [(0, 1), (v, 2), (v, 1), (2 * v, 1)]
     if t.den:
-        # t and t +- 1/1000, each (P, Q) over 1000 * t's denominator.
+        # t and t + 1/1000, each (P, Q) over 1000 * t's denominator.
         p, q, step = t.num * 1000 * d, t.den * 1000, t.den * d
-        probes += [(p, q), (p + step, q), (max(p - step, 0), q)]
+        probes += [(p, q), (p + step, q)]
     nums, dens = list(bids.nums[auction]), list(bids.dens[auction])
 
     def utility(bid: tuple[int, int]) -> tuple[int, int]:

@@ -5,9 +5,10 @@ the others only in the reserve and the shift each bidder gets in each
 auction (`market`, the only rule-specific step of an auction). One kernel
 then runs them all: a bidder whose bid reaches its reserve competes with
 score bid - shift, the highest score wins, and the winner pays the smallest
-bid that still wins. All ties break toward the lowest bidder index. The
-tests check the kernel against an independent per-rule derivation
-(`tests/reference_mechanisms.py`).
+bid that still wins. All ties break toward the lowest bidder index. Every
+threshold is read from the `Bids` its standing lives in; `run_auction` is
+the one entry for a `Fraction` column. The tests check the kernel against an
+independent per-rule derivation (`tests/reference_mechanisms.py`).
 """
 
 from __future__ import annotations
@@ -396,25 +397,19 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
     return _priced(mk, auction, top)
 
 
-def min_winning_bid(spec: MechanismSpec, inst: Instance, auction: int, bidder: int,
-                    top: Standing) -> Threshold:
+def min_winning_bid(bids: Bids, auction: int, bidder: int) -> Threshold:
     """Smallest bid with which `bidder` wins `auction`, rivals' bids fixed,
-    read in O(1) from the auction's standing in a `Bids`.
-
-    The bidder's own entry in the standing is skipped. The value is None
-    (infinite) when the bidder can never win; `inclusive` follows the
-    lowest-index tie-break. The `Threshold` holds the kernel's ints as they
-    are: no gcd and no `Fraction`. The instance's kept `Market` is used when
-    it was built for `spec`, and both ranges are checked against it.
-    """
-    mk = inst._market
-    if mk is None or mk.spec is not spec:
-        mk = market(spec, inst)
+    read in O(1) from the auction's standing in `bids` under its `Market`,
+    once both ranges are checked. The bidder's own entry in the standing is
+    skipped. The value is None (infinite) when the bidder can never win;
+    `inclusive` follows the lowest-index tie-break. The `Threshold` holds the
+    kernel's ints as they are: no gcd and no `Fraction`."""
+    mk = bids.market
     if not 0 <= bidder < len(mk.values[0]):
         raise ValueError(f"bidder {bidder} out of range")
     if not 0 <= auction < len(mk.scale):
         raise ValueError(f"auction {auction} out of range")
-    least = _least_bid(mk, auction, bidder, top)
+    least = _least_bid(mk, auction, bidder, bids.standings[auction])
     if least is None:
         return NEVER
     num, q, inclusive = least

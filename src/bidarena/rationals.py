@@ -33,12 +33,8 @@ def parse_rational(text: str) -> Fraction:
     `Fraction` builds 10**exponent in full, so a decimal exponent larger in
     magnitude than `sys.get_int_max_str_digits()`, the bound Python already
     puts on the integers of "p/q" text, is rejected before it is built.
-    Plain ASCII "p" and "p/q" text skips `Fraction`'s pattern match.
     """
     try:
-        p, slash, q = text.partition("/")
-        if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
-            return Fraction(int(p), int(q) if slash else 1)
         _, marker, exponent = text.lower().rpartition("e")
         limit = sys.get_int_max_str_digits()
         if marker and limit and abs(int(exponent)) > limit:

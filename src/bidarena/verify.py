@@ -207,7 +207,7 @@ def myerson_checks(seeds: Iterable[int]) -> CheckStats:
                     if winner is None:
                         continue
                     column = [row[j] for row in rows]
-                    t = min_winning_bid(spec, inst, j, winner, bids.standings[j])
+                    t = min_winning_bid(bids, j, winner)
                     stats.checks += 1
                     if t.value != outcome.prices[j] or not t.admits(column[winner]):
                         stats.violations.append(_describe(

@@ -56,6 +56,9 @@ MUTANTS = [
            "return price, q, bidder < rival", "return price, q, bidder > rival", KERNEL),
     Mutant("priced: the payment drops the score's denominator", MECH,
            "Fraction(pay, q * mk.scale[auction])", "Fraction(pay, mk.scale[auction])", KERNEL),
+    Mutant("threshold: read from auction 0's standing", MECH,
+           "_least_bid(mk, auction, bidder, bids.standings[auction])",
+           "_least_bid(mk, auction, bidder, bids.standings[0])", SWEEP + KERNEL),
     Mutant("threshold: a tie is admitted whether or not it is inclusive", MECH,
            "return mine > theirs or (mine == theirs and self.inclusive)",
            "return mine >= theirs", ("tests/test_mechanisms.py",)),
@@ -91,8 +94,7 @@ MUTANTS = [
     Mutant("oracle: one sample between consecutive ratios", BR,
            "for k in range(1, 4))", "for k in range(2, 3))", SWEEP),
     Mutant("probe: no probe just above the threshold", BR,
-           "probes += [(p, q), (p + step, q), (max(p - step, 0), q)]",
-           "probes += [(p, q), (max(p - step, 0), q)]", SWEEP),
+           "probes += [(p, q), (p + step, q)]", "probes += [(p, q)]", SWEEP),
     Mutant("probe: writes into the Bids it reads", BR,
            "nums, dens = list(bids.nums[auction]), list(bids.dens[auction])",
            "nums, dens = bids.nums[auction], list(bids.dens[auction])",

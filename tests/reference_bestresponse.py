@@ -106,8 +106,7 @@ def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int
     """True when bidding the true value maximizes value-minus-payment in one
     auction against fixed rival bids, over a canonical probe set (zero, half
     value, value, double value, and the win threshold plus/minus 1/1000)."""
-    top = column_bids(spec, inst, auction, list(bids)).standings[auction]
-    t = min_winning_bid(spec, inst, auction, bidder, top)
+    t = min_winning_bid(column_bids(spec, inst, auction, list(bids)), auction, bidder)
     value = inst.values[bidder][auction]
     probes = {ZERO, value / 2, value, 2 * value}
     if t.value is not None:

@@ -46,7 +46,7 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="out of range"):
             best_response_oracle(inst, SecondPrice(), bidder, bids)
         with pytest.raises(ValueError, match="out of range"):
-            min_winning_bid(SecondPrice(), inst, 0, bidder, bids.standings[0])
+            min_winning_bid(bids, 0, bidder)
         with pytest.raises(ValueError, match="out of range"):
             quasilinear_best_bid_check(inst, SecondPrice(), 0, bidder, bids)
     with pytest.raises(ValueError, match="profile has 2 bidders"):

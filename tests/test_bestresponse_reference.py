@@ -37,9 +37,10 @@ def at_thresholds(spec, inst, bid_rows):
     """Each bid replaced by its bidder's threshold against the original
     column, where that threshold is finite."""
     moved = [list(row) for row in bid_rows]
-    for j, top in enumerate(Bids(spec, inst, bid_rows).standings):
+    bids = Bids(spec, inst, bid_rows)
+    for j in range(inst.num_auctions):
         for i in range(inst.num_bidders):
-            t = min_winning_bid(spec, inst, j, i, top)
+            t = min_winning_bid(bids, j, i)
             if t.value is not None:
                 moved[i][j] = t.value
     return moved
@@ -228,7 +229,7 @@ def test_price_at_an_exact_reserve_tie(values, winner, inclusive):
     inst = Instance.from_rows([[v] for v in values], [[1], [1]])
     spec = GlobalCostMultiplier(Fraction(1))
     bids = Bids(spec, inst, inst.values)
-    t = min_winning_bid(spec, inst, 0, winner, bids.standings[0])
+    t = min_winning_bid(bids, 0, winner)
     assert (t.value, t.inclusive) == (1, inclusive)
     assert bids.outcome() == Outcome((winner,), (Fraction(1),))
     column = [Fraction(v) for v in values]
@@ -254,7 +255,7 @@ def test_price_at_a_reserve_tie_against_a_rival_pair_over_two():
     assert top[1] == (0, 2, 1)
     pay, q = mechanisms._price(bids.market, 0, top)
     assert Fraction(pay, q * bids.market.scale[0]) == 1
-    t = min_winning_bid(spec, inst, 0, 0, top)
+    t = min_winning_bid(bids, 0, 0)
     assert (t.value, t.inclusive) == (1, True)
     assert bids.outcome() == Outcome((0,), (Fraction(1),))
     assert best_response_oracle(inst, spec, 0, bids) == ref.best_response_oracle(inst, spec, 0, bids)

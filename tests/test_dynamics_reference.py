@@ -158,9 +158,9 @@ def test_an_auction_the_bidder_can_never_win_is_never_read(monkeypatch):
     assert market(spec, inst).reserves[0] == [1, None]
     reads = []
 
-    def counted(spec, inst, auction, bidder, top):
+    def counted(bids, auction, bidder):
         reads.append((auction, bidder))
-        return read(spec, inst, auction, bidder, top)
+        return read(bids, auction, bidder)
 
     read = bestresponse.min_winning_bid
     monkeypatch.setattr(bestresponse, "min_winning_bid", counted)

@@ -32,9 +32,9 @@ def check_auction(spec, inst, auction, column) -> int:
     """Assert agreement on one bid column; returns the number of comparisons."""
     assert mechanisms.run_auction(spec, inst, auction, column) == \
         ref.run_auction(spec, inst, auction, column)
-    top = column_bids(spec, inst, auction, column).standings[auction]
+    bids = column_bids(spec, inst, auction, column)
     for i in range(inst.num_bidders):
-        assert mechanisms.min_winning_bid(spec, inst, auction, i, top) == \
+        assert mechanisms.min_winning_bid(bids, auction, i) == \
             ref.min_winning_bid(spec, inst, auction, i, column)
     return 1 + inst.num_bidders
 
@@ -162,7 +162,7 @@ def check_bids(spec, inst, bids, rows) -> int:
         want = ref.run_auction(spec, inst, j, column)
         assert (outcome.winners[j], outcome.prices[j]) == (want.winner, want.payment)
         for i in range(n):
-            assert mechanisms.min_winning_bid(spec, inst, j, i, bids.standings[j]) == \
+            assert mechanisms.min_winning_bid(bids, j, i) == \
                 ref.min_winning_bid(spec, inst, j, i, column)
     return inst.num_auctions * (1 + n)
 

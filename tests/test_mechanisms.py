@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from bidarena.bestresponse import quasilinear_best_bid_check
 from bidarena.equilibrium import run_dynamics
 from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, Bids,
                                  GlobalCostMultiplier, SecondPrice,
@@ -22,9 +23,8 @@ F = Fraction
 
 
 def winning_bid(spec, inst, auction, bidder, column):
-    """`min_winning_bid` read from the standing of one bid column."""
-    top = column_bids(spec, inst, auction, column).standings[auction]
-    return min_winning_bid(spec, inst, auction, bidder, top)
+    """`min_winning_bid` read from the `Bids` of one bid column."""
+    return min_winning_bid(column_bids(spec, inst, auction, column), auction, bidder)
 
 
 def one_auction(values, costs):
@@ -303,15 +303,18 @@ def test_bids_reject_rows_of_the_wrong_shape(rows):
 
 @pytest.mark.parametrize("auction", [-1, 3])
 def test_auction_out_of_range_is_rejected(auction):
-    # Unchecked, auction -1 would be read as the last auction.
+    # Unchecked, auction -1 would be read as the last auction, and auction 3
+    # would raise IndexError; both are rejected before a standing is read.
     inst = Instance.from_rows([[1, 2, 3], [2, 1, 1]], [[0, 0, 1], [1, 0, 0]])
     column = [F(1), F(2)]
-    top = column_bids(SecondPrice(), inst, 0, column).standings[0]
     for spec in all_specs(inst):
+        bids = column_bids(spec, inst, 0, column)
         with pytest.raises(ValueError, match=f"auction {auction} out of range"):
             run_auction(spec, inst, auction, column)
         with pytest.raises(ValueError, match=f"auction {auction} out of range"):
-            min_winning_bid(spec, inst, auction, 0, top)
+            min_winning_bid(bids, auction, 0)
+        with pytest.raises(ValueError, match=f"auction {auction} out of range"):
+            quasilinear_best_bid_check(inst, spec, auction, 0, bids)
 
 
 # --- auction-dependent mechanism -------------------------------------------
@@ -459,12 +462,12 @@ def test_winner_pays_its_threshold_and_clears_it(pair):
     bids = bids_from(profile, inst)
     for spec in all_specs(inst):
         out = run_all(spec, inst, profile)
-        standings = Bids(spec, inst, bids).standings
+        kernel_bids = Bids(spec, inst, bids)
         for j, winner in enumerate(out.winners):
             if winner is None:
                 continue
             column = [bids[i][j] for i in range(inst.num_bidders)]
-            t = min_winning_bid(spec, inst, j, winner, standings[j])
+            t = min_winning_bid(kernel_bids, j, winner)
             assert t.value == out.prices[j]
             assert t.value is not None
             assert t.admits(column[winner])
@@ -477,13 +480,13 @@ def test_losers_fail_their_thresholds(pair):
     bids = bids_from(profile, inst)
     for spec in all_specs(inst):
         out = run_all(spec, inst, profile)
-        standings = Bids(spec, inst, bids).standings
+        kernel_bids = Bids(spec, inst, bids)
         for j in range(inst.num_auctions):
             column = [bids[i][j] for i in range(inst.num_bidders)]
             for i in range(inst.num_bidders):
                 if out.winners[j] == i:
                     continue
-                t = min_winning_bid(spec, inst, j, i, standings[j])
+                t = min_winning_bid(kernel_bids, j, i)
                 assert not t.admits(column[i])
 
 

@@ -128,8 +128,8 @@ def digit_texts(draw):
 @example("7" * LIMIT + "/1")
 @example("1/" + "7" * (LIMIT + 1))
 def test_parse_agrees_with_fraction_on_digit_text(text):
-    # The fast path for plain "p" and "p/q" text must give what `Fraction`
-    # gives, or reject what it rejects, with the same message.
+    # Plain "p" and "p/q" text, ASCII or not, parses to what `Fraction`
+    # gives, or is rejected as `Fraction` rejects it, with the one message.
     try:
         want = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
