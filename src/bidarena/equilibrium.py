@@ -15,21 +15,24 @@ replay gives (`tests/reference_dynamics.py` replays every round).
 
 The bids live in one `Bids` value built from truthful bids, which keeps
 every bid as an int pair over the instance's `Market` and every auction's
-top two. A best response reads each threshold from it in O(1); a move walks
-only the auctions the mover values (`Instance.valued`), storing each new bid
-with one int product and, where the mover may win, updating the standing in
-O(1) unless the mover held one of the top two places and fell, which rescans
-that one column. A reply's multiplier pair is compared with the bidder's
+top two, first scanned only over the auction's `Instance.seeds`. A best
+response reads each threshold from it in O(1); a move walks only the
+auctions the mover values (`Instance.valued`), storing each new bid with one
+int product and, where the mover may win, updating the standing in O(1)
+unless the mover held one of the top two places and fell, which rescans that
+one column. A reply's multiplier pair is compared with the bidder's
 multiplier by cross-multiplying and becomes a `Fraction` only on a move. The
-final outcome is priced from the same standings; each bidder's won value and
-payment are summed as ints (`model._net`) and compared with its reply's value
-pair the same way, so `Fraction`s are built only for what the report holds.
+final outcome is priced from the same standings; every bidder's won value and
+payment are summed in one pass as ints over one common denominator and
+compared with its reply's value pair the same way, so `Fraction`s are built
+only for what the report holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bestresponse import ResponseResult, best_response_against_bids
 from .mechanisms import BidderDependent, Bids, MechanismSpec, market
@@ -119,19 +122,22 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     profile = MultiplierProfile(tuple(theta))
     outcome = bids.outcome()
 
-    # Every bidder's won values and prices, in one pass over the outcome;
-    # each bidder's totals are summed as ints and compared by cross-multiplying.
-    won, paid = [[] for _ in range(n)], [[] for _ in range(n)]
-    for j, (w, price) in enumerate(zip(outcome.winners, outcome.prices)):
-        if w is not None:
-            won[w].append(inst.values[w][j])
-            paid[w].append(price)
+    # Every bidder's won value and payment, summed in one pass over the sold
+    # auctions as ints over one denominator, the lcm of every won value's and
+    # price's own, and compared with its reply's value pair by cross-multiplying.
+    sold = [(w, inst.values[w][j].as_integer_ratio(), price.as_integer_ratio())
+            for j, (w, price) in enumerate(zip(outcome.winners, outcome.prices)) if w is not None]
+    scale = lcm(*[q for _, (_, q), _ in sold], *[q for *_, (_, q) in sold])
+    achieved, paid = [0] * n, [0] * n
+    for w, (v, vq), (p, pq) in sold:
+        achieved[w] += v * (scale // vq)
+        paid[w] += p * (scale // pq)
     verified = True
     for i, reply in enumerate(replies):
         if reply is None:
             reply = best_response_against_bids(inst, spec, i, bids)
-        (best, d), (achieved, a), (payment, b) = reply.value_ratio, _net(won[i]), _net(paid[i])
-        if best * a > achieved * d or achieved * b < payment * a:
+        best, d = reply.value_ratio
+        if best * scale > achieved[i] * d or achieved[i] < paid[i]:
             verified = False
             break
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .model import Instance, MultiplierProfile, Outcome, ZERO, bids_from
@@ -331,11 +332,16 @@ Standing = tuple[tuple[int, int, int], ...]
 
 
 def _scan(nums: Sequence[int], dens: Sequence[int], reserves: Sequence[int | None],
-          shifts: Sequence[int | None]) -> Standing:
-    """The one loop over a bid column of (nums[i], dens[i]) pairs."""
+          shifts: Sequence[int | None], index: Sequence[int] | None = None) -> Standing:
+    """The one loop over a bid column of (nums[i], dens[i]) pairs: over every
+    bidder, or only over the bidders of `index`, at least two in increasing
+    order (so `itemgetter` picks a tuple)."""
+    if index is not None:
+        nums, dens, reserves, shifts = map(itemgetter(*index), (nums, dens, reserves, shifts))
     best_a = second_a = second_q = None
     best_q = best_i = second_i = 0
-    for i, p, q, r, s in zip(range(len(nums)), nums, dens, reserves, shifts):
+    for i, p, q, r, s in zip(range(len(nums)) if index is None else index,
+                             nums, dens, reserves, shifts):
         if r is None or (r and p < q * r):
             continue
         a = p - q * s if s else p
@@ -375,12 +381,12 @@ def _price(mk: Market, auction: int, top: Standing) -> tuple[int, int]:
     return _least_bid(mk, auction, top[0][2], top)[:2]
 
 
-def _priced(mk: Market, auction: int, top: Standing) -> AuctionResult:
-    """The winner of a standing and its `_price`."""
+def _priced(mk: Market, auction: int, top: Standing) -> tuple[int | None, Fraction]:
+    """The winner of a standing and its `_price`, (None, 0) when it is empty."""
     if not top:
-        return AuctionResult(None, ZERO)
+        return None, ZERO
     pay, q = _price(mk, auction, top)
-    return AuctionResult(top[0][2], Fraction(pay, q * mk.scale[auction]) if pay else ZERO)
+    return top[0][2], Fraction(pay, q * mk.scale[auction]) if pay else ZERO
 
 
 def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
@@ -394,7 +400,7 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
     d = mk.scale[auction]
     top = _scan([b.numerator * d for b in bids], [b.denominator for b in bids],
                 mk.reserves[auction], mk.shifts[auction])
-    return _priced(mk, auction, top)
+    return AuctionResult(*_priced(mk, auction, top))
 
 
 def min_winning_bid(bids: Bids, auction: int, bidder: int) -> Threshold:
@@ -455,8 +461,10 @@ class Bids:
     auctions the bidder values (`Instance.valued`), since a zero-value bid
     stays zero, and updates each standing where its reserve is finite, in
     O(1) unless the mover held one of the top two places and fell.
-    `sweeps[i]` holds bidder i's best-response sweep constants, which depend
-    only on the `Market`; `bestresponse` fills it on first use.
+    When every row is the instance's own value row, each standing is
+    scanned only over the auction's `Instance.seeds`. `sweeps[i]` holds
+    bidder i's best-response sweep constants, which depend only on the
+    `Market`; `bestresponse` fills it on first use.
     """
 
     __slots__ = ("spec", "inst", "market", "nums", "dens", "standings", "sweeps")
@@ -471,20 +479,28 @@ class Bids:
         # Truthful bids are (V, 1); only other rows are converted entry by entry.
         self.nums = nums = [list(column) for column in mk.values]
         self.dens = dens = [[1] * n for _ in range(m)]
+        seeds = inst.seeds
         for i, (row, values) in enumerate(zip(rows, inst.values)):
             if row is not values:
+                seeds = [None] * m
                 for j, (bid, d) in enumerate(zip(row, mk.scale)):
                     nums[j][i], dens[j][i] = bid.numerator * d, bid.denominator
-        self.standings = [_scan(*c) for c in zip(nums, dens, mk.reserves, mk.shifts)]
+        self.standings = [_scan(*c) for c in zip(nums, dens, mk.reserves, mk.shifts, seeds)]
         self.sweeps: list[tuple | None] = [None] * n
 
+    def _check(self, bidder: int) -> None:
+        if not 0 <= bidder < self.inst.num_bidders:
+            raise ValueError(f"bidder {bidder} out of range")
+
     def __getitem__(self, bidder: int) -> Sequence[Fraction]:
+        self._check(bidder)
         return tuple([Fraction(nums[bidder], dens[bidder] * d)
                       for nums, dens, d in zip(self.nums, self.dens, self.market.scale)])
 
     def move(self, bidder: int, theta: Fraction) -> None:
         """Bidder `bidder` bids `theta` times its value in every auction it
         values; its other entries are left as they are."""
+        self._check(bidder)
         p, q = theta.numerator, theta.denominator
         mk, all_nums, all_dens, standings = self.market, self.nums, self.dens, self.standings
         values, reserves, shifts = mk.values, mk.reserves, mk.shifts
@@ -497,8 +513,9 @@ class Bids:
 
     def outcome(self) -> Outcome:
         """Every auction's winner and price, read from the standings."""
-        results = [_priced(self.market, j, top) for j, top in enumerate(self.standings)]
-        return Outcome(tuple(r.winner for r in results), tuple(r.payment for r in results))
+        winners, prices = zip(*[_priced(self.market, j, top)
+                                for j, top in enumerate(self.standings)])
+        return Outcome(winners, prices)
 
 
 def run_all(spec: MechanismSpec, inst: Instance, profile: MultiplierProfile) -> Outcome:

@@ -45,9 +45,9 @@ def _check_matrix(name: str, rows: Matrix, num_rows: int, num_cols: int) -> None
 class Instance:
     """One market: values[i][j] and costs[i][j] for bidder i, auction j.
 
-    It keeps its views `valued` and `columns` (derived together on the first
-    read of either) and the last `Market` built on it, neither part of
-    equality, hashing or repr."""
+    It keeps its views `valued`, `columns` and `seeds` and its optimal
+    welfare (derived together on the first read of any) and the last
+    `Market` built on it, neither part of equality, hashing or repr."""
 
     values: Matrix
     costs: Matrix
@@ -83,10 +83,20 @@ class Instance:
         """Per auction, its `Column`."""
         return (self._derived or self._derive())[1]
 
+    @property
+    def seeds(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Per auction, the bidders a truthful standing can hold, in index
+        order: every bidder with a nonzero value or cost, and the two
+        lowest-index others. The others all bid 0 against the same reserve and
+        shift, so they tie and only the lowest two can place. None when that
+        list would not be shorter than the column."""
+        return (self._derived or self._derive())[2]
+
     def _derive(self) -> tuple:
-        """Compute and keep (`valued`, `columns`), which no spec changes."""
+        """Compute and keep (`valued`, `columns`, `seeds`, optimal welfare),
+        which no spec changes."""
         valued = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.values)
-        columns = []
+        columns, seeds = [], []
         n = self.num_bidders
         for values, costs in zip(zip(*self.values), zip(*self.costs)):
             pairs = [x.as_integer_ratio() for x in values + costs]
@@ -94,10 +104,17 @@ class Instance:
             ints = [p * (scale // q) for p, q in pairs]  # the values, then the costs, times L
             margins = [v - c for v, c in zip(ints[:n], ints[n:])]
             best = margins.index(max(margins))
-            columns.append((scale, tuple([(i, v) for i, v in enumerate(ints[:n]) if v]),
-                            tuple([(i, c) for i, c in enumerate(ints[n:]) if c]),
-                            Fraction(margins[best], scale), best))
-        derived = (valued, tuple(columns))
+            valued_ints = tuple([(i, v) for i, v in enumerate(ints[:n]) if v])
+            costed_ints = tuple([(i, c) for i, c in enumerate(ints[n:]) if c])
+            columns.append((scale, valued_ints, costed_ints, Fraction(margins[best], scale), best))
+            nonzero = {i for i, _ in valued_ints + costed_ints}
+            if len(nonzero) + 2 < n:
+                nonzero.update([i for i in range(len(nonzero) + 2) if i not in nonzero][:2])
+                seeds.append(tuple(sorted(nonzero)))
+            else:
+                seeds.append(None)
+        opt = Fraction(*_net([best for *_, best, _ in columns if best.numerator > 0]))
+        derived = (valued, tuple(columns), tuple(seeds), opt)
         object.__setattr__(self, "_derived", derived)
         return derived
 
@@ -181,8 +198,8 @@ def welfare(inst: Instance, outcome: Outcome) -> Fraction:
 
 def optimal_welfare(inst: Instance) -> Fraction:
     """Best possible welfare: per auction, the largest value-minus-cost if
-    positive, else leave the auction unallocated."""
-    return Fraction(*_net([best for *_, best, _ in inst.columns if best.numerator > 0]))
+    positive, else leave the auction unallocated. Kept on the instance."""
+    return (inst._derived or inst._derive())[3]
 
 
 def roi_satisfied(inst: Instance, outcome: Outcome, bidder: int) -> bool:

@@ -7,12 +7,18 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
+from hypothesis import Phase, settings
 
 from bidarena import Instance, MultiplierProfile
 from bidarena.mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice,
                                  calibrate_single_bidder, compute_auction_params,
                                  compute_bidder_params)
 from bidarena.verify import family_instance
+
+# `tests/mutate.py` runs each mutant under this profile: a mutant is killed by
+# the first failing example, so the shrink phase only costs time. Tier-1 runs
+# under the default profile.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 # Entries live on the quarter grid like the seeded random family.
 grid_rationals = st.fractions(min_value=0, max_value=3, max_denominator=4)

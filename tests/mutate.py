@@ -4,9 +4,11 @@ Each entry of MUTANTS names one fault: an exact piece of text in one file of
 the package (or of a test reference) and what replaces it. For each mutant in
 turn the script copies `src/`, `tests/` and `pyproject.toml` into a fresh
 temporary directory outside the checkout, writes the mutant into the copy and
-runs `pytest -x` on the mutant's test files there, one process at a time. It
-prints each mutant as killed or survived with its seconds, and exits 1 when a
-mutant survives, when pytest cannot run its files (an error other than a
+runs `pytest -x` on the mutant's test files there, one process at a time,
+under the `mutants` hypothesis profile of `tests/conftest.py`, which does not
+shrink: the first failing example already kills a mutant. It prints each
+mutant as killed or survived with its seconds, and exits 1 when a mutant
+survives, when pytest cannot run its files (an error other than a
 failing test), or when a mutant's old text does not occur exactly once in its
 file, so the table keeps in step with the code. The checkout is only read.
 
@@ -68,6 +70,8 @@ MUTANTS = [
     Mutant("move: walks every auction", MECH,
            "for j, _ in self.inst.valued[bidder]:", "for j in range(len(values)):",
            KERNEL + DYNAMICS),
+    Mutant("seeds: keep one other bidder", "src/bidarena/model.py",
+           "if i not in nonzero][:2]", "if i not in nonzero][:1]", KERNEL),
     # The market's int terms, against their Fraction reference.
     Mutant("market: d_j is the column scale L_j", MECH,
            "d = lcm(scale // gcd(scale, *[v for _, v in valued], *[t[1] for t in terms]),\n"
@@ -104,8 +108,11 @@ MUTANTS = [
            "if p * theta[i].denominator != q * theta[i].numerator:",
            "if (p, q) != theta[i].as_integer_ratio():", ("tests/test_equilibrium.py",) + DYNAMICS),
     Mutant("dynamics: verification ignores ROI", EQ,
-           "if best * a > achieved * d or achieved * b < payment * a:",
-           "if best * a > achieved * d:", ("tests/test_equilibrium.py",) + DYNAMICS),
+           "if best * scale > achieved[i] * d or achieved[i] < paid[i]:",
+           "if best * scale > achieved[i] * d:", ("tests/test_equilibrium.py",) + DYNAMICS),
+    Mutant("dynamics: a bidder's second win replaces its first in the report sums", EQ,
+           "achieved[w] += v * (scale // vq)", "achieved[w] = v * (scale // vq)",
+           ("tests/test_equilibrium.py",) + DYNAMICS),
     Mutant("dynamics: a cycle jumps to its first profile", EQ,
            "at_cap = list(seen)[first + (max_rounds - first) % (rounds_used - first)]",
            "at_cap = list(seen)[first]", DYNAMICS),
@@ -144,7 +151,8 @@ def run(mutant: Mutant) -> tuple[str, float]:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         started = time.perf_counter()
         code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants", *mutant.tests],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
         seconds = time.perf_counter() - started
     verdicts = {0: "survived", 1: "killed"}

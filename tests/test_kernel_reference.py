@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 import reference_mechanisms as ref
 from bidarena import mechanisms
+from bidarena.cli import parse_gamma_grid, sweep_global
 from bidarena.instances import counterexample
 from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated, compute_auction_params,
@@ -292,3 +293,50 @@ def test_a_built_market_leaves_instance_equality_hash_and_repr_alone(inst):
         assert market(spec, inst) is built and built.spec is spec
         assert inst == twin and twin == inst
         assert (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
+
+
+# Seeded standings: a `Bids` of truthful rows scans each column only over
+# `Instance.seeds`. Its standings must equal a `_scan` of the whole column.
+
+
+def full_scans(bids) -> list:
+    mk = bids.market
+    return [mechanisms._scan(*column)
+            for column in zip(bids.nums, bids.dens, mk.reserves, mk.shifts)]
+
+
+def check_seeded(spec, inst) -> int:
+    """Truthful `Bids`, from the value rows and from `bids_from` at the
+    truthful profile, against full scans; returns the number of seeded columns."""
+    bids = Bids(spec, inst, inst.values)
+    assert bids.standings == full_scans(bids)
+    truthful = bids_from(MultiplierProfile.uniform(inst.num_bidders), inst)
+    assert Bids(spec, inst, truthful).standings == bids.standings
+    return sum(seed is not None for seed in inst.seeds)
+
+
+def test_seeded_truthful_standings_match_full_scans():
+    seeded = 0
+    for seed in range(80):
+        for inst in (family_instance(seed), off_grid_instance(seed),
+                     off_grid_instance(seed, zero_share=0.8)):
+            for spec in all_specs(inst):
+                seeded += check_seeded(spec, inst)
+    assert seeded > 300
+
+
+def test_seeded_sweep_points_match_full_scans_and_run_all():
+    grid = parse_gamma_grid("0:2:20")
+    for k in (8, 48):
+        delta = F(1, k)
+        inst = counterexample(delta)
+        assert all(len(seed) == 3 for seed in inst.seeds)
+        gammas = grid + [1 + delta ** i for i in range(1, k + 2)]
+        for spec in [SecondPrice()] + [GlobalCostMultiplier(g) for g in gammas]:
+            check_seeded(spec, inst)
+        # Above delta / (1 - delta) bidder 0's truthful bid misses its reserve
+        # in auction a_1, which the two lowest zero-value, zero-cost bidders hold.
+        spec = GlobalCostMultiplier(2 * delta / (1 - delta))
+        assert [i for *_, i in Bids(spec, inst, inst.values).standings[0]] == [1, 2]
+        for gamma, report in sweep_global(delta, grid):
+            assert report.outcome == run_all(GlobalCostMultiplier(gamma), inst, report.profile)

@@ -317,6 +317,21 @@ def test_auction_out_of_range_is_rejected(auction):
             quasilinear_best_bid_check(inst, spec, auction, 0, bids)
 
 
+@pytest.mark.parametrize("bidder", [-1, 2])
+def test_bids_reject_a_bidder_out_of_range(bidder):
+    # Unchecked, moving bidder -1 would write bidder 1's entries and add a
+    # phantom entry beside bidder 1 in auction 0's standing, so bidder 1's
+    # threshold there would read its own doubled bid, 6, and not 1.
+    inst = Instance.from_rows([[1, 2], [3, 1]], [[0, 0], [0, 0]])
+    bids = Bids(SecondPrice(), inst, inst.values)
+    with pytest.raises(ValueError, match=f"bidder {bidder} out of range"):
+        bids.move(bidder, F(2))
+    with pytest.raises(ValueError, match=f"bidder {bidder} out of range"):
+        bids[bidder]
+    assert bids.standings == Bids(SecondPrice(), inst, inst.values).standings
+    assert min_winning_bid(bids, 0, 1).value == 1
+
+
 # --- auction-dependent mechanism -------------------------------------------
 
 def test_auction_dep_truthful_run():

@@ -167,6 +167,16 @@ def test_optimal_welfare_takes_best_nonnegative_per_auction():
     assert optimal_welfare(inst_2x2()) == 5
 
 
+@given(small_instances(entries=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                                Fraction(1), Fraction(7, 4)])))
+def test_optimal_welfare_sums_each_auctions_positive_best_margin(inst):
+    opt = optimal_welfare(inst)
+    margins = [max(v - c for v, c in zip(values, costs))
+               for values, costs in zip(zip(*inst.values), zip(*inst.costs))]
+    assert opt == sum((best for best in margins if best > 0), Fraction(0))
+    assert optimal_welfare(inst) is opt  # computed once, kept on the instance
+
+
 @given(small_instances())
 def test_optimal_welfare_is_invariant_under_bidder_order(inst):
     flipped = Instance(inst.values[::-1], inst.costs[::-1])
