@@ -4,14 +4,18 @@ Starting from truthful bids (all multipliers 1), bidders update to their
 exact best response in index order. The dynamics converge when a full pass
 changes nobody. Convergence is then re-checked independently (`verified`):
 no bidder's best response may win more value than it achieves, and every
-bidder's ROI constraint must hold in the realized outcome. A reply computed
-since the last move is still the best response to the final bids, so
-verification reuses it and recomputes only the rest. Non-convergence within
-`max_rounds` is reported, never raised. The state of the dynamics at a round
-boundary is the multiplier profile, so once a profile repeats, the rounds
-since its first sighting repeat until the cap: the run then moves every
-bidder to the profile the cap would reach and stops, with the report a full
-replay gives (`tests/reference_dynamics.py` replays every round).
+bidder's ROI constraint must hold in the realized outcome. A reply is kept
+until one of the bidder's `Instance.rivals` moves: it reads bids only in
+the auctions its bidder values and ignores its own row, and a move writes
+bids only in the auctions the mover values. So a round recomputes only the
+replies a rival's move may have changed, the rounds stay what they would be
+with every reply recomputed, and verification after a silent round
+recomputes none. Non-convergence within `max_rounds` is reported, never
+raised. The state of the dynamics at a round boundary is the multiplier
+profile, so once a profile repeats, the rounds since its first sighting
+repeat until the cap: the run then moves every bidder to the profile the cap
+would reach and stops, with the report a full replay gives
+(`tests/reference_dynamics.py` replays every round).
 
 The bids live in one `Bids` value built from truthful bids, which keeps
 every bid as an int pair over the instance's `Market` and every auction's
@@ -23,9 +27,9 @@ unless the mover held one of the top two places and fell, which rescans that
 one column. A reply's multiplier pair is compared with the bidder's
 multiplier by cross-multiplying and becomes a `Fraction` only on a move. The
 final outcome is priced from the same standings; every bidder's won value and
-payment are summed in one pass as ints over one common denominator and
-compared with its reply's value pair the same way, so `Fraction`s are built
-only for what the report holds.
+payment, and the welfare, are summed in one pass as ints over one common
+denominator and compared with its reply's value pair the same way, so
+`Fraction`s are built only for what the report holds.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from math import lcm
 
 from .bestresponse import ResponseResult, best_response_against_bids
 from .mechanisms import BidderDependent, Bids, MechanismSpec, market
-from .model import Instance, MultiplierProfile, Outcome, _net, optimal_welfare, welfare
+from .model import Instance, MultiplierProfile, Outcome, _net, optimal_welfare
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +87,9 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     n = inst.num_bidders
     theta = [Fraction(1)] * n
     bids = Bids(spec, inst, inst.values)
-    # replies[i] is i's best response to the current bids, or None once a
-    # rival has moved since it was computed (a reply ignores its own row).
+    # replies[i] is i's best response to the current bids, or None once one
+    # of its `Instance.rivals` has moved since it was computed.
+    rivals = inst.rivals
     replies: list[ResponseResult | None] = [None] * n
     # The multiplier profile of each round boundary so far as int pairs, by
     # round (round 0 is truthful play); no profile occurs twice.
@@ -95,14 +100,16 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
         rounds_used += 1
         changed = False
         for i in range(n):
-            reply = best_response_against_bids(inst, spec, i, bids)
+            reply = replies[i]
+            if reply is None:
+                reply = replies[i] = best_response_against_bids(inst, spec, i, bids)
             p, q = reply.multiplier_ratio
             if p * theta[i].denominator != q * theta[i].numerator:
                 theta[i] = Fraction(p, q)
                 bids.move(i, theta[i])
-                replies = [None] * n
+                for k in rivals[i]:
+                    replies[k] = None
                 changed = True
-            replies[i] = reply
         if not changed:
             converged = True
             break
@@ -122,15 +129,19 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
     profile = MultiplierProfile(tuple(theta))
     outcome = bids.outcome()
 
-    # Every bidder's won value and payment, summed in one pass over the sold
-    # auctions as ints over one denominator, the lcm of every won value's and
-    # price's own, and compared with its reply's value pair by cross-multiplying.
-    sold = [(w, inst.values[w][j].as_integer_ratio(), price.as_integer_ratio())
+    # Every bidder's won value and payment, and the winners' total cost,
+    # summed in one pass over the sold auctions as ints over one denominator,
+    # the lcm of every won value's, cost's and price's own; each bidder's sums
+    # are compared with its reply's value pair by cross-multiplying.
+    sold = [(w, inst.values[w][j].as_integer_ratio(), inst.costs[w][j].as_integer_ratio(),
+             price.as_integer_ratio())
             for j, (w, price) in enumerate(zip(outcome.winners, outcome.prices)) if w is not None]
-    scale = lcm(*[q for _, (_, q), _ in sold], *[q for *_, (_, q) in sold])
+    scale = lcm(*[q for _, *pairs in sold for _, q in pairs])
     achieved, paid = [0] * n, [0] * n
-    for w, (v, vq), (p, pq) in sold:
+    spent = 0
+    for w, (v, vq), (c, cq), (p, pq) in sold:
         achieved[w] += v * (scale // vq)
+        spent += c * (scale // cq)
         paid[w] += p * (scale // pq)
     verified = True
     for i, reply in enumerate(replies):
@@ -141,7 +152,7 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
             verified = False
             break
 
-    total = welfare(inst, outcome)
+    total = Fraction(sum(achieved) - spent, scale)
     opt = optimal_welfare(inst)
     poa = total / opt if opt > 0 else None
     diag = diagnostics(inst, spec, profile, outcome) if isinstance(spec, BidderDependent) else None

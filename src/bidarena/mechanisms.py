@@ -240,15 +240,18 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
     An infinite alpha makes the reserve infinite on a positive cost. On a
     zero cost it makes the reserve half the rightful winner's value under
     auction-dep, and 0 under the other rules. A calibrated spec must fit the
-    market: auction-dep needs one alpha per auction, bidder-dep one per
-    bidder, and single-bidder a one-bidder market; otherwise ValueError.
+    market: auction-dep needs one alpha and one rightful winner (a bidder of
+    the market, or None) per auction, bidder-dep one alpha and one set of
+    rightful auctions (auctions of the market) per bidder, and single-bidder
+    a one-bidder market; otherwise ValueError.
 
     All zero-cost bidders of an auction get the same terms, so per-entry work
     is done only on the nonzero values and costs of `Instance.columns`, as
     ints over the column's scale L_j: a reserve is the pair (f.numerator * C,
     f.denominator * L_j) reduced by one gcd. No cost counts under second
-    price and global:0. The last market built is kept on the instance, found
-    by spec identity.
+    price and global:0. Each auction is built in one pass over those entries
+    and one over its reserves. The last market built is kept on the
+    instance, found by spec identity.
     """
     kept = inst._market
     if kept is not None and kept.spec is spec:
@@ -270,45 +273,60 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
         if len(spec.rightful_winner) != m or len(spec.cost_multiplier) != m:
             raise ValueError(f"auction-dep spec covers {len(spec.cost_multiplier)} "
                              f"auctions, market has {m}")
+        if any(rw is not None and not 0 <= rw < n for rw in spec.rightful_winner):
+            raise ValueError(f"auction-dep spec names a rightful winner outside "
+                             f"the market's {n} bidders")
         rules = list(enumerate(zip(spec.rightful_winner, spec.cost_multiplier)))
         factors = [(_pair(None if rw is None or a is None else 1 + a),) * n
                    for _, (rw, a) in rules]
         zero_reserves = [None if rw is None else _pair(inst.values[rw][j] / 2) if a is None
                          else (0, 1) for j, (rw, a) in rules]
     elif isinstance(spec, BidderDependent):
-        if len(spec.cost_multiplier) != n:
-            raise ValueError(f"bidder-dep spec covers {len(spec.cost_multiplier)} "
-                             f"bidders, market has {n}")
+        if len(spec.cost_multiplier) != n or len(spec.rightful_auctions) != n:
+            raise ValueError(f"bidder-dep spec covers {len(spec.cost_multiplier)} and "
+                             f"{len(spec.rightful_auctions)} bidders, market has {n}")
+        if any(not 0 <= j < m for owned in spec.rightful_auctions for j in owned):
+            raise ValueError(f"bidder-dep spec names a rightful auction outside "
+                             f"the market's {m} auctions")
         factors = [tuple(_pair(None if a is None else 1 + a) for a in spec.cost_multiplier)] * m
     elif not isinstance(spec, SecondPrice):
         raise TypeError(f"unknown mechanism: {spec!r}")
     shift_is_cost = isinstance(spec, BidderDependent)
     shift_is_reserve = not shift_is_cost and not isinstance(spec, SingleBidderCalibrated)
 
-    columns = []
+    scales, all_values, all_reserves, all_shifts = [], [], [], []
     for (scale, valued, costed, *_), factor, zero in zip(inst.columns, factors, zero_reserves):
+        # d_j is the lcm of the denominators of the values, the costs that
+        # count and the reserves: L_j over the running gcd g of L_j, the
+        # values and those costs, with the running lcm of the reserves' own.
+        g, den = scale, 1 if zero is None else zero[1]
+        for _, v in valued:
+            g = gcd(g, v)
         terms = []  # (bidder, C, reserve numerator or None, reserve denominator)
         for i, c in costed if factor else ():
+            g = gcd(g, c)
             if factor[i] is None:
                 terms.append((i, c, None, 1))
             else:
-                num, den = factor[i][0] * c, factor[i][1] * scale
-                g = gcd(num, den)
-                terms.append((i, c, num // g, den // g))
-        # The lcm of the denominators of the values, the costs that count and the reserves.
-        d = lcm(scale // gcd(scale, *[v for _, v in valued], *[t[1] for t in terms]),
-                1 if zero is None else zero[1], *[t[3] for t in terms])
+                num, q = factor[i][0] * c, factor[i][1] * scale
+                r = gcd(num, q)
+                terms.append((i, c, num // r, q // r))
+                den = lcm(den, q // r)
+        d = lcm(scale // g, den)
         column_values = [0] * n
         for i, v in valued:
             column_values[i] = v * d // scale
         column_reserves = [None if zero is None else zero[0] * (d // zero[1])] * n
         column_shifts = column_reserves if shift_is_reserve else [0] * n
-        for i, c, num, den in terms:
-            column_reserves[i] = None if num is None else num * (d // den)
+        for i, c, num, q in terms:
+            column_reserves[i] = None if num is None else num * (d // q)
             if shift_is_cost:
                 column_shifts[i] = c * (d // scale)
-        columns.append((d, column_values, column_reserves, column_shifts))
-    built = Market(spec, *map(tuple, zip(*columns)))
+        scales.append(d)
+        all_values.append(column_values)
+        all_reserves.append(column_reserves)
+        all_shifts.append(column_shifts)
+    built = Market(spec, tuple(scales), tuple(all_values), tuple(all_reserves), tuple(all_shifts))
     object.__setattr__(inst, "_market", built)
     return built
 
@@ -317,14 +335,15 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 # The auction kernel
 #
 # It runs on the `Market`'s ints. In auction j a bid is a pair (P, Q) meaning
-# P / (Q * d_j): it is eligible when P >= Q * R_i (bids are nonnegative, so a
-# zero reserve admits every bid without a comparison), and its score is the
-# pair (P - Q * S_i, Q). Two scores (A, Q) and (A', Q') compare as A * Q'
-# against A' * Q, with no gcd. Everything an auction decides depends on its
-# top two eligible bidders in rank order, its standing in a `Bids`: the winner,
-# its price and every bidder's threshold, all read from `_least_bid`, the one
-# statement of the price rule. Auctions, the oracle and the truthfulness probes
-# price winners through `_price`; Fractions are built only for payments and bid rows.
+# P / (Q * d_j): it is eligible when P >= Q * R_i (`Bids` and `run_auction`
+# reject a negative bid, so a zero reserve admits every bid without a
+# comparison), and its score is the pair (P - Q * S_i, Q). Two scores (A, Q)
+# and (A', Q') compare as A * Q' against A' * Q, with no gcd. Everything an
+# auction decides depends on its top two eligible bidders in rank order, its
+# standing in a `Bids`: the winner, its price and every bidder's threshold,
+# all read from `_least_bid`, the one statement of the price rule. Auctions,
+# the oracle and the truthfulness probes price winners through `_price`;
+# Fractions are built only for payments and bid rows.
 
 # The best and second-best eligible (A, Q, bidder) entries of one auction in
 # rank order; shorter when fewer than two bidders are eligible.
@@ -398,8 +417,10 @@ def run_auction(spec: MechanismSpec, inst: Instance, auction: int,
     if not 0 <= auction < len(mk.scale):
         raise ValueError(f"auction {auction} out of range")
     d = mk.scale[auction]
-    top = _scan([b.numerator * d for b in bids], [b.denominator for b in bids],
-                mk.reserves[auction], mk.shifts[auction])
+    nums = [b.numerator * d for b in bids]
+    if min(nums) < 0:
+        raise ValueError(f"bids must be nonnegative, got {min(bids)}")
+    top = _scan(nums, [b.denominator for b in bids], mk.reserves[auction], mk.shifts[auction])
     return AuctionResult(*_priced(mk, auction, top))
 
 
@@ -484,6 +505,8 @@ class Bids:
             if row is not values:
                 seeds = [None] * m
                 for j, (bid, d) in enumerate(zip(row, mk.scale)):
+                    if bid.numerator < 0:
+                        raise ValueError(f"bid of bidder {i} in auction {j} is negative: {bid}")
                     nums[j][i], dens[j][i] = bid.numerator * d, bid.denominator
         self.standings = [_scan(*c) for c in zip(nums, dens, mk.reserves, mk.shifts, seeds)]
         self.sweeps: list[tuple | None] = [None] * n
@@ -499,9 +522,12 @@ class Bids:
 
     def move(self, bidder: int, theta: Fraction) -> None:
         """Bidder `bidder` bids `theta` times its value in every auction it
-        values; its other entries are left as they are."""
+        values; its other entries are left as they are. A negative `theta`
+        is a ValueError: the kernel assumes nonnegative bids."""
         self._check(bidder)
         p, q = theta.numerator, theta.denominator
+        if p < 0:
+            raise ValueError(f"multiplier must be nonnegative, got {theta}")
         mk, all_nums, all_dens, standings = self.market, self.nums, self.dens, self.standings
         values, reserves, shifts = mk.values, mk.reserves, mk.shifts
         for j, _ in self.inst.valued[bidder]:

@@ -45,8 +45,8 @@ def _check_matrix(name: str, rows: Matrix, num_rows: int, num_cols: int) -> None
 class Instance:
     """One market: values[i][j] and costs[i][j] for bidder i, auction j.
 
-    It keeps its views `valued`, `columns` and `seeds` and its optimal
-    welfare (derived together on the first read of any) and the last
+    It keeps its views `valued`, `columns`, `seeds` and `rivals` and its
+    optimal welfare (derived together on the first read of any) and the last
     `Market` built on it, neither part of equality, hashing or repr."""
 
     values: Matrix
@@ -92,9 +92,16 @@ class Instance:
         list would not be shorter than the column."""
         return (self._derived or self._derive())[2]
 
+    @property
+    def rivals(self) -> tuple[tuple[int, ...], ...]:
+        """Per bidder, the other bidders that value an auction it values, in
+        index order: the only bidders whose moves can change its best
+        response, since a move changes bids only where its mover has value."""
+        return (self._derived or self._derive())[4]
+
     def _derive(self) -> tuple:
-        """Compute and keep (`valued`, `columns`, `seeds`, optimal welfare),
-        which no spec changes."""
+        """Compute and keep (`valued`, `columns`, `seeds`, optimal welfare,
+        `rivals`), which no spec changes."""
         valued = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in self.values)
         columns, seeds = [], []
         n = self.num_bidders
@@ -114,7 +121,24 @@ class Instance:
             else:
                 seeds.append(None)
         opt = Fraction(*_net([best for *_, best, _ in columns if best.numerator > 0]))
-        derived = (valued, tuple(columns), tuple(seeds), opt)
+        masks = [0] * self.num_auctions  # bit i of masks[j] is set when bidder i values j
+        for i, row in enumerate(valued):
+            bit = 1 << i
+            for j, _ in row:
+                masks[j] |= bit
+        rivals = []
+        for i, row in enumerate(valued):
+            reach = 0
+            for j, _ in row:
+                reach |= masks[j]
+            reach &= ~(1 << i)
+            bidders = []
+            while reach:  # one step per rival, lowest bit first
+                low = reach & -reach
+                bidders.append(low.bit_length() - 1)
+                reach ^= low
+            rivals.append(tuple(bidders))
+        derived = (valued, tuple(columns), tuple(seeds), opt, tuple(rivals))
         object.__setattr__(self, "_derived", derived)
         return derived
 

@@ -1,4 +1,4 @@
-"""Seeded mutants that the tests must kill: `python3 tests/mutate.py`.
+"""Seeded mutants that the tests must kill: `python3 tests/mutate.py [NAME ...]`.
 
 Each entry of MUTANTS names one fault: an exact piece of text in one file of
 the package (or of a test reference) and what replaces it. For each mutant in
@@ -11,6 +11,9 @@ mutant as killed or survived with its seconds, and exits 1 when a mutant
 survives, when pytest cannot run its files (an error other than a
 failing test), or when a mutant's old text does not occur exactly once in its
 file, so the table keeps in step with the code. The checkout is only read.
+Given names, it runs only the mutants whose names contain one of them as a
+substring (`python3 tests/mutate.py reuse: rivals:`), and exits 1 when none
+does; with none, the whole table.
 
 The tests must pass on the unmutated tree, as tier-1 checks first; a mutant
 is killed only by a failing test. Pytest does not collect this file.
@@ -74,9 +77,7 @@ MUTANTS = [
            "if i not in nonzero][:2]", "if i not in nonzero][:1]", KERNEL),
     # The market's int terms, against their Fraction reference.
     Mutant("market: d_j is the column scale L_j", MECH,
-           "d = lcm(scale // gcd(scale, *[v for _, v in valued], *[t[1] for t in terms]),\n"
-           "                1 if zero is None else zero[1], *[t[3] for t in terms])",
-           "d = scale", KERNEL),
+           "d = lcm(scale // g, den)", "d = scale", KERNEL),
     Mutant("market: a zero-cost auction-dep reserve is a third of the value", MECH,
            "_pair(inst.values[rw][j] / 2)", "_pair(inst.values[rw][j] / 3)", KERNEL),
     Mutant("calibration: alpha solves value = (1 + alpha) * cost", MECH,
@@ -113,6 +114,13 @@ MUTANTS = [
     Mutant("dynamics: a bidder's second win replaces its first in the report sums", EQ,
            "achieved[w] += v * (scale // vq)", "achieved[w] = v * (scale // vq)",
            ("tests/test_equilibrium.py",) + DYNAMICS),
+    Mutant("report: the net welfare drops the winner's cost", EQ,
+           "spent += c * (scale // cq)", "spent += 0", DYNAMICS),
+    Mutant("reuse: a move drops only the mover's own reply", EQ,
+           "for k in rivals[i]:", "for k in [i]:", DYNAMICS),
+    Mutant("rivals: a bidder's set misses its last valued auction", "src/bidarena/model.py",
+           "for j, _ in row:\n                reach |= masks[j]",
+           "for j, _ in row[:-1]:\n                reach |= masks[j]", DYNAMICS),
     Mutant("dynamics: a cycle jumps to its first profile", EQ,
            "at_cap = list(seen)[first + (max_rounds - first) % (rounds_used - first)]",
            "at_cap = list(seen)[first]", DYNAMICS),
@@ -159,17 +167,21 @@ def run(mutant: Mutant) -> tuple[str, float]:
     return verdicts.get(code, f"pytest exited {code}"), seconds
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or any(name in m.name for name in names)]
+    if not chosen:
+        print(f"no mutant name contains any of {names}")
+        return 1
     failures = 0
     started = time.perf_counter()
-    for mutant in MUTANTS:
+    for mutant in chosen:
         verdict, seconds = run(mutant)
         failures += verdict != "killed"
         print(f"{verdict:>9}  {seconds:6.1f} s  {mutant.name}", flush=True)
-    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed "
+    print(f"{len(chosen) - failures} of {len(chosen)} mutants killed "
           f"in {time.perf_counter() - started:.1f} s")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,13 +1,14 @@
 """Slow reference for `bidarena.equilibrium.run_dynamics`.
 
 The round-robin loop over plain bid rows, with every threshold recomputed
-from scratch: each best response builds its table from
-`reference_mechanisms.min_winning_bid` on the full bid column and picks its
-multiplier with the candidate x auction loop of `reference_bestresponse`,
-and the final outcome comes from `reference_mechanisms.run_auction`. No
-standing is kept between calls, so a standing the package failed to update
-after a move shows up as a different report. Welfare, the optimum and the
-bidder-dependent accounting are plain `Fraction` sums, one addition at a
+from scratch: every reply of every round is computed anew, from a table
+built by `reference_mechanisms.min_winning_bid` on the full bid columns,
+and picks its multiplier with the candidate x auction loop of
+`reference_bestresponse`; the final outcome comes from
+`reference_mechanisms.run_auction`. No standing or reply is kept between
+calls, so a standing the package failed to update after a move, or a reply
+it kept too long, shows up as a different report. Welfare, the optimum and
+the bidder-dependent accounting are plain `Fraction` sums, one addition at a
 time. The tests compare the two; the package never imports this.
 """
 
@@ -37,6 +38,12 @@ class Report:
     # Bidder-dep only: (core auctions, aggressive, conservative, core
     # welfare, payment surplus), as in `bidarena.equilibrium.Diagnostics`.
     diagnostics: tuple | None
+    # Up to convergence, the best responses a run computes when it keeps each
+    # reply until another bidder that values one of the same auctions moves,
+    # and how many kept replies it reuses although some other bidder moved
+    # since they were computed. A converged run verifies on kept replies.
+    computed: int
+    reused_past_a_move: int
 
 
 def best_response(inst: Instance, spec: MechanismSpec, bidder: int,
@@ -58,6 +65,11 @@ def run_dynamics(inst: Instance, spec: MechanismSpec, max_rounds: int = 50) -> R
     theta = [Fraction(1)] * n
     bid_rows = [list(row) for row in inst.values]
     replies: list[ResponseResult | None] = [None] * n
+    # shares[i][k]: bidders i and k differ and value some auction in common.
+    shares = [[i != k and any(v and w for v, w in zip(inst.values[i], inst.values[k]))
+               for k in range(n)] for i in range(n)]
+    kept, moved_since = [False] * n, [False] * n
+    computed = reused_past_a_move = 0
     converged = False
     rounds_used = 0
     for _ in range(max_rounds):
@@ -65,11 +77,19 @@ def run_dynamics(inst: Instance, spec: MechanismSpec, max_rounds: int = 50) -> R
         changed = False
         for i in range(n):
             reply = best_response(inst, spec, i, bid_rows)
+            if kept[i]:
+                reused_past_a_move += moved_since[i]
+            else:
+                computed += 1
+                kept[i], moved_since[i] = True, False
             if reply.multiplier != theta[i]:
                 theta[i] = reply.multiplier
                 bid_rows[i] = [theta[i] * v for v in inst.values[i]]
                 replies = [None] * n
                 changed = True
+                for k in range(n):
+                    moved_since[k] = moved_since[k] or k != i
+                    kept[k] = kept[k] and not shares[k][i]
             replies[i] = reply
         if not changed:
             converged = True
@@ -99,7 +119,7 @@ def run_dynamics(inst: Instance, spec: MechanismSpec, max_rounds: int = 50) -> R
     diag = diagnostics(inst, spec, theta, winners, prices) \
         if isinstance(spec, BidderDependent) else None
     return Report(tuple(theta), rounds_used, converged, verified, winners, prices, total, opt,
-                  total / opt if opt > 0 else None, diag)
+                  total / opt if opt > 0 else None, diag, computed, reused_past_a_move)
 
 
 def diagnostics(inst: Instance, spec: BidderDependent, theta: list[Fraction],

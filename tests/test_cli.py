@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bidarena import verify
+from bidarena import equilibrium, verify
 from bidarena.cli import main, parse_gamma_grid, sweep_global, sweep_to_csv, CSV_HEADER
 from bidarena.equilibrium import run_dynamics
 from bidarena.instances import counterexample, load, save
@@ -132,6 +132,24 @@ def test_sweep_peak_matches_closed_form():
     # dynamics kept standings between best responses).
     assert hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest() == \
         "f4202f6b69d8bdf987cc96b7f6c2c869c0d01fee381f0ecaa2bebec5499651ac"
+
+
+def test_a_sweep_point_computes_one_reply_per_bidder(monkeypatch):
+    # No bidder of the worst-case family values another bidder's auctions,
+    # so no move drops a reply: each point computes one best response per
+    # bidder, and its silent round and verification reuse them all.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return best_response(*args)
+
+    best_response = equilibrium.best_response_against_bids
+    monkeypatch.setattr(equilibrium, "best_response_against_bids", counted)
+    rows = sweep_global(F(1, 48), parse_gamma_grid("0:2:20"))
+    assert calls == 3360 == len(rows) * 48
+    assert max(report.rounds_used for _, report in rows) == 2
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

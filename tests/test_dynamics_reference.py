@@ -11,6 +11,7 @@ The reference replays every round up to the cap, where `run_dynamics`
 jumps ahead once its profile repeats.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,8 +33,10 @@ F = Fraction
 
 
 def same_report(inst, spec, max_rounds) -> bool:
-    report = run_dynamics(inst, spec, max_rounds)
-    expected = ref.run_dynamics(inst, spec, max_rounds)
+    return agree(run_dynamics(inst, spec, max_rounds), ref.run_dynamics(inst, spec, max_rounds))
+
+
+def agree(report, expected) -> bool:
     diag = report.diagnostics
     return (report.profile.multipliers, report.rounds_used, report.converged,
             report.verified, report.outcome.winners, report.outcome.prices,
@@ -110,6 +113,50 @@ def test_dynamics_match_reference_on_a_sparse_market():
     for gamma in (F(0), F(1, 2), 1 + delta, 1 + delta ** 3, 1 + delta ** 12, F(2)):
         for rounds in (1, 2, 50):
             assert same_report(inst, GlobalCostMultiplier(gamma), rounds), (gamma, rounds)
+
+
+def two_block_market(seed: int) -> Instance:
+    """Bidders 0-2 value only auctions 0-3, and bidders 3-5 only auctions
+    4-7, on the quarter grid; auction 8, the last, couples the blocks:
+    bidders 2 and 3 value it. Costs fall anywhere, a third of them zero."""
+    rng = random.Random(seed)
+    values = [[F(0)] * 9 for _ in range(6)]
+    for i in range(6):
+        for j in range(4 * (i // 3), 4 * (i // 3) + 4):
+            values[i][j] = F(rng.randrange(0, 13), 4)
+    values[2][8], values[3][8] = F(rng.randrange(1, 13), 4), F(rng.randrange(1, 13), 4)
+    costs = [[F(0) if rng.random() < 1 / 3 else F(rng.randrange(1, 9), 4) for _ in range(9)]
+             for _ in range(6)]
+    return Instance(tuple(map(tuple, values)), tuple(map(tuple, costs)))
+
+
+def test_dynamics_match_reference_when_bidders_share_some_auctions(monkeypatch):
+    # A move keeps the replies of the bidders that value none of the mover's
+    # auctions; each run computes exactly the replies the reference's replay
+    # counts, and some kept replies outlive another bidder's move.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return best_response(*args)
+
+    best_response = equilibrium.best_response_against_bids
+    monkeypatch.setattr(equilibrium, "best_response_against_bids", counted)
+    mismatches, reused = [], 0
+    for seed in range(12):
+        inst = two_block_market(seed)
+        assert inst.rivals[2] == (0, 1, 3) and inst.rivals[3] == (2, 4, 5)
+        for spec in standard_specs(inst):
+            for rounds in (1, 2, 50):
+                calls = 0
+                report = run_dynamics(inst, spec, rounds)
+                expected = ref.run_dynamics(inst, spec, rounds)
+                if not agree(report, expected) or report.converged and calls != expected.computed:
+                    mismatches.append((seed, spec, rounds))
+                reused += expected.reused_past_a_move
+    assert mismatches == []
+    assert reused > 0
 
 
 def test_dynamics_match_reference_past_a_cycle():

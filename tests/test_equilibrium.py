@@ -14,6 +14,7 @@ from bidarena.model import (Instance, MultiplierProfile, bids_from, optimal_welf
                             roi_satisfied, welfare)
 from bidarena.verify import family_instance, standard_specs
 
+import reference_dynamics as ref
 from conftest import all_specs, small_instances
 
 F = Fraction
@@ -167,7 +168,11 @@ def test_converged_run_verifies_without_extra_best_responses(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(equilibrium, "best_response_against_bids", counted)
-    checked = 0
+    # A converged run computes exactly the replies the reference's replay
+    # counts: a bidder recomputes only once another bidder that values one of
+    # the same auctions (read from `inst.values`) has moved since its last
+    # reply, and verification recomputes none.
+    checked = reused = 0
     for seed in range(40):
         inst = family_instance(seed)
         for spec in standard_specs(inst):
@@ -175,8 +180,10 @@ def test_converged_run_verifies_without_extra_best_responses(monkeypatch):
             report = run_dynamics(inst, spec)
             if report.converged:
                 checked += 1
-                assert calls == report.rounds_used * inst.num_bidders
+                assert calls == ref.run_dynamics(inst, spec).computed
+                reused += report.rounds_used * inst.num_bidders - calls
     assert checked > 100
+    assert reused > 50  # of the replies a run recomputing every one would compute
 
 
 def test_optimum_follows_the_instance_when_two_alternate():

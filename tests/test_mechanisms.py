@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from bidarena.bestresponse import quasilinear_best_bid_check
 from bidarena.equilibrium import run_dynamics
-from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, Bids,
+from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, BidderDependent, Bids,
                                  GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated, Threshold,
                                  calibrate_single_bidder, compute_auction_params,
@@ -13,7 +13,7 @@ from bidarena.mechanisms import (NEVER, AuctionDependent, AuctionResult, Bids,
                                  mechanism_label, mechanism_to_json, min_winning_bid,
                                  rightful_winners,
                                  run_all, run_auction)
-from bidarena.model import (Instance, MultiplierProfile, bids_from,
+from bidarena.model import (Instance, MultiplierProfile, Outcome, bids_from,
                             optimal_welfare, welfare)
 
 from conftest import all_specs, column_bids, instances_with_profiles, small_instances
@@ -280,6 +280,45 @@ def test_spec_that_does_not_fit_the_market_is_rejected(spec, inst):
         run_all(spec, inst, MultiplierProfile.uniform(inst.num_bidders))
     with pytest.raises(ValueError, match="market has"):
         run_dynamics(inst, spec)
+
+
+# Hand-built specs naming a bidder or auction the market lacks; each used to
+# fail with an IndexError, or not at all, somewhere past `market`.
+STRAYS = [
+    pytest.param(AuctionDependent((3, None), (None, None)), id="auction-dep-winner-3"),
+    pytest.param(AuctionDependent((-1, None), (F(1), None)), id="auction-dep-winner-minus-1"),
+    pytest.param(BidderDependent((frozenset({5}),), (F(1),)), id="bidder-dep-auction-5"),
+    pytest.param(BidderDependent((), (F(1),)), id="bidder-dep-no-rightful-sets"),
+]
+
+
+@pytest.mark.parametrize("spec", STRAYS)
+def test_spec_naming_a_bidder_or_auction_outside_the_market_is_rejected(spec):
+    inst = Instance.from_rows([[2, 1]], [[1, 1]])
+    with pytest.raises(ValueError, match="market"):
+        market(spec, inst)
+    with pytest.raises(ValueError, match="market"):
+        run_auction(spec, inst, 0, [F(1)])
+    with pytest.raises(ValueError, match="market"):
+        run_dynamics(inst, spec)
+
+
+def test_negative_bids_are_rejected():
+    # A bid of -2 is below the zero reserve, yet a zero reserve admits a bid
+    # without a comparison: the kernel needs every bid nonnegative.
+    inst = Instance.from_rows([[2, 1]], [[1, 1]])
+    bids = Bids(SecondPrice(), inst, inst.values)
+    with pytest.raises(ValueError, match="multiplier must be nonnegative, got -1"):
+        bids.move(0, F(-1))
+    assert bids[0] == inst.values[0]
+    with pytest.raises(ValueError, match="bid of bidder 0 in auction 0 is negative: -2"):
+        Bids(SecondPrice(), inst, [[F(-2), F(1)]])
+    with pytest.raises(ValueError, match="bids must be nonnegative, got -2"):
+        run_auction(SecondPrice(), inst, 0, [F(-2)])
+    # Zero is a bid like any other.
+    bids.move(0, F(0))
+    assert bids.outcome() == Outcome((0, 0), (F(0), F(0)))
+    assert run_auction(SecondPrice(), inst, 0, [F(0)]) == AuctionResult(0, F(0))
 
 
 def test_unknown_spec_is_rejected():

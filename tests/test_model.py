@@ -66,7 +66,8 @@ def test_instance_rejects_floats():
 
 
 def dense_views(inst):
-    """`valued` and `columns` recomputed from every entry of the matrices."""
+    """`valued`, `columns` and `rivals` recomputed from every entry of the
+    matrices."""
     n, m = inst.num_bidders, inst.num_auctions
     valued = tuple(tuple((j, inst.values[i][j]) for j in range(m) if inst.values[i][j] != 0)
                    for i in range(n))
@@ -81,7 +82,11 @@ def dense_views(inst):
                         tuple((i, int(v * scale)) for i, v in enumerate(values) if v != 0),
                         tuple((i, int(c * scale)) for i, c in enumerate(costs) if c != 0),
                         best, margins.index(best)))
-    return valued, tuple(columns)
+    rivals = tuple(tuple(k for k in range(n)
+                         if k != i and any(inst.values[i][j] != 0 and inst.values[k][j] != 0
+                                           for j in range(m)))
+                   for i in range(n))
+    return valued, tuple(columns), rivals
 
 
 # Entries from {0, 1/2, 1} make zero values, zero costs and tied best margins
@@ -95,7 +100,7 @@ def dense_views(inst):
 @example(Instance.from_rows([[1]], [["1/3"]]))
 def test_instance_views_match_a_dense_recomputation(inst):
     valued = inst.valued
-    assert (valued, inst.columns) == dense_views(inst)
+    assert (valued, inst.columns, inst.rivals) == dense_views(inst)
     # Both views come from one derivation, kept for every later read.
     assert inst.valued is valued
     assert inst.columns is inst.columns
