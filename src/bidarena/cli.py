@@ -28,7 +28,7 @@ from .instances import counterexample, instance_to_json, load, random_instance, 
     RandomFamilyParams
 from .mechanisms import Bids, GlobalCostMultiplier, mechanism_from_label, mechanism_label, \
     mechanism_to_json
-from .model import MultiplierProfile, bids_from
+from .model import MultiplierProfile
 from .rationals import decimal_text, format_ratio, parse_rational
 from .verify import run_verify_suite
 
@@ -165,7 +165,7 @@ def cmd_debug_br(args: argparse.Namespace) -> int:
     """Print the threshold table behind one bidder's best response."""
     inst = load(args.instance)
     mechanism = mechanism_from_label(args.mechanism, inst)
-    bids = Bids(mechanism, inst, bids_from(MultiplierProfile.of(args.profile.split(",")), inst))
+    bids = Bids(mechanism, inst, MultiplierProfile.of(args.profile.split(",")))
     table = threshold_table(inst, mechanism, args.bidder, bids)
     reply = best_response_against_bids(inst, mechanism, args.bidder, bids)
 

@@ -17,7 +17,7 @@ repeat until the cap: the run then moves every bidder to the profile the cap
 would reach and stops, with the report a full replay gives
 (`tests/reference_dynamics.py` replays every round).
 
-The bids live in one `Bids` value built from truthful bids, which keeps
+The bids live in one `Bids` value of the truthful profile, which keeps
 every bid as an int pair over the instance's `Market` and every auction's
 top two, first scanned only over the auction's `Instance.seeds`. A best
 response reads each threshold from it in O(1); a move walks only the
@@ -86,7 +86,7 @@ def run_dynamics(inst: Instance, spec: MechanismSpec,
         raise ValueError("max_rounds must be >= 1")
     n = inst.num_bidders
     theta = [Fraction(1)] * n
-    bids = Bids(spec, inst, inst.values)
+    bids = Bids(spec, inst, MultiplierProfile.uniform(n))
     # replies[i] is i's best response to the current bids, or None once one
     # of its `Instance.rivals` has moved since it was computed.
     rivals = inst.rivals

@@ -64,6 +64,7 @@ class RandomFamilyParams:
     def __post_init__(self) -> None:
         if self.num_bidders < 1 or self.num_auctions < 1:
             raise ValueError("need at least one bidder and one auction")
+        object.__setattr__(self, "zero_cost_probability", as_fraction(self.zero_cost_probability))
         if not 0 <= self.zero_cost_probability <= 1:
             raise ValueError("zero-cost probability must lie in [0, 1]")
 

@@ -6,8 +6,8 @@ auction (`market`, the only rule-specific step of an auction). One kernel
 then runs them all: a bidder whose bid reaches its reserve competes with
 score bid - shift, the highest score wins, and the winner pays the smallest
 bid that still wins. All ties break toward the lowest bidder index. Every
-threshold is read from the `Bids` its standing lives in; `run_auction` is
-the one entry for a `Fraction` column. The tests check the kernel against an
+threshold is read from the `Bids` its standing lives in, and every `Bids`
+is built from a multiplier profile. The tests check the kernel against an
 independent per-rule derivation (`tests/reference_mechanisms.py`).
 """
 
@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .model import Instance, MultiplierProfile, Outcome, ZERO, bids_from
+from .model import Instance, MultiplierProfile, Outcome, ZERO
 from .rationals import format_ratio, format_rational, parse_rational
 
 
@@ -335,15 +335,15 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 # The auction kernel
 #
 # It runs on the `Market`'s ints. In auction j a bid is a pair (P, Q) meaning
-# P / (Q * d_j): it is eligible when P >= Q * R_i (`Bids` and `run_auction`
-# reject a negative bid, so a zero reserve admits every bid without a
-# comparison), and its score is the pair (P - Q * S_i, Q). Two scores (A, Q)
-# and (A', Q') compare as A * Q' against A' * Q, with no gcd. Everything an
+# P / (Q * d_j): it is eligible when P >= Q * R_i (every bid is nonnegative,
+# so a zero reserve admits it without a comparison), and its score is the
+# pair (P - Q * S_i, Q). Two scores (A, Q) and (A', Q') compare as A * Q'
+# against A' * Q, with no gcd. Everything an
 # auction decides depends on its top two eligible bidders in rank order, its
 # standing in a `Bids`: the winner, its price and every bidder's threshold,
 # all read from `_least_bid`, the one statement of the price rule. Auctions,
 # the oracle and the truthfulness probes price winners through `_price`;
-# Fractions are built only for payments and bid rows.
+# Fractions are built only for payments and for `Bids[i]`.
 
 # The best and second-best eligible (A, Q, bidder) entries of one auction in
 # rank order; shorter when fewer than two bidders are eligible.
@@ -478,38 +478,34 @@ class Bids:
 
     Bidder i's bid in auction j is the kernel's pair (`nums[j][i]`,
     `dens[j][i]`). `bids[i]` builds bidder i's row of Fractions from them.
-    `move` sets a bidder to a new uniform multiplier: it walks only the
-    auctions the bidder values (`Instance.valued`), since a zero-value bid
-    stays zero, and updates each standing where its reserve is finite, in
-    O(1) unless the mover held one of the top two places and fell.
-    When every row is the instance's own value row, each standing is
-    scanned only over the auction's `Instance.seeds`. `sweeps[i]` holds
-    bidder i's best-response sweep constants, which depend only on the
-    `Market`; `bestresponse` fills it on first use.
+    It starts from truthful bids (V, 1), each standing scanned only over the
+    auction's `Instance.seeds`, and moves in each multiplier of its profile
+    other than 1. `move`, the only code that writes a bid, sets a bidder to
+    a new uniform multiplier: it walks only the auctions the bidder values
+    (`Instance.valued`), since a zero-value bid stays zero, and updates each
+    standing where its reserve is finite, in O(1) unless the mover held one
+    of the top two places and fell (a profile, all multipliers >= 1, never
+    makes a bidder fall). `sweeps[i]` holds bidder i's best-response sweep
+    constants, which depend only on the `Market`; `bestresponse` fills it on
+    first use.
     """
 
     __slots__ = ("spec", "inst", "market", "nums", "dens", "standings", "sweeps")
 
     def __init__(self, spec: MechanismSpec, inst: Instance,
-                 rows: Sequence[Sequence[Fraction]]) -> None:
-        n, m = inst.num_bidders, inst.num_auctions
-        if len(rows) != n or any(len(row) != m for row in rows):
-            raise ValueError(f"expected {n} bid rows of {m} entries")
+                 profile: MultiplierProfile) -> None:
+        n, k = inst.num_bidders, len(profile.multipliers)
+        if k != n:
+            raise ValueError(f"profile has {k} bidders, instance has {n}")
         self.spec, self.inst = spec, inst
         self.market = mk = market(spec, inst)
-        # Truthful bids are (V, 1); only other rows are converted entry by entry.
         self.nums = nums = [list(column) for column in mk.values]
-        self.dens = dens = [[1] * n for _ in range(m)]
-        seeds = inst.seeds
-        for i, (row, values) in enumerate(zip(rows, inst.values)):
-            if row is not values:
-                seeds = [None] * m
-                for j, (bid, d) in enumerate(zip(row, mk.scale)):
-                    if bid.numerator < 0:
-                        raise ValueError(f"bid of bidder {i} in auction {j} is negative: {bid}")
-                    nums[j][i], dens[j][i] = bid.numerator * d, bid.denominator
-        self.standings = [_scan(*c) for c in zip(nums, dens, mk.reserves, mk.shifts, seeds)]
+        self.dens = dens = [[1] * n for _ in mk.scale]
+        self.standings = [_scan(*c) for c in zip(nums, dens, mk.reserves, mk.shifts, inst.seeds)]
         self.sweeps: list[tuple | None] = [None] * n
+        for i, theta in enumerate(profile.multipliers):
+            if theta != 1:
+                self.move(i, theta)
 
     def _check(self, bidder: int) -> None:
         if not 0 <= bidder < self.inst.num_bidders:
@@ -545,9 +541,9 @@ class Bids:
 
 
 def run_all(spec: MechanismSpec, inst: Instance, profile: MultiplierProfile) -> Outcome:
-    """Run every auction under uniform bids derived from `profile`, priced
-    from the standings of one `Bids`."""
-    return Bids(spec, inst, bids_from(profile, inst)).outcome()
+    """Run every auction under the uniform bids of `profile`, priced from
+    the standings of one `Bids`."""
+    return Bids(spec, inst, profile).outcome()
 
 
 # ---------------------------------------------------------------------------

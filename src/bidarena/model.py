@@ -85,11 +85,11 @@ class Instance:
 
     @property
     def seeds(self) -> tuple[tuple[int, ...] | None, ...]:
-        """Per auction, the bidders a truthful standing can hold, in index
-        order: every bidder with a nonzero value or cost, and the two
-        lowest-index others. The others all bid 0 against the same reserve and
-        shift, so they tie and only the lowest two can place. None when that
-        list would not be shorter than the column."""
+        """Per auction, the bidders a standing of uniform bids can hold, in
+        index order: every bidder with a nonzero value or cost, and the two
+        lowest-index others. The others all bid 0 under any multiplier, against
+        the same reserve and shift, so only the lowest two can place. None
+        when that list would not be shorter than the column."""
         return (self._derived or self._derive())[2]
 
     @property

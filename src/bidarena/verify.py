@@ -16,12 +16,11 @@ from .bestresponse import (best_response_against_bids, best_response_oracle,
                            quasilinear_best_bid_check)
 from .equilibrium import EquilibriumReport, core_auctions, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, instance_to_json, random_instance
-from .mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice,
+from .mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice, _scan,
                          compute_auction_params, compute_bidder_params,
                          calibrate_single_bidder, mechanism_from_label, mechanism_label,
-                         min_winning_bid, run_all, run_auction)
-from .model import (Instance, MultiplierProfile, ZERO, bids_from, optimal_welfare,
-                    welfare)
+                         min_winning_bid, run_all)
+from .model import Instance, MultiplierProfile, ZERO, optimal_welfare, welfare
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -173,11 +172,11 @@ def truthfulness_probes(seeds: Iterable[int], *, single_bidder: bool = False) ->
     stats = CheckStats()
     for seed in seeds:
         inst = family_instance(seed, num_bidders=1 if single_bidder else None)
-        rows = bids_from(probe_profile(seed, inst.num_bidders), inst)
+        profile = probe_profile(seed, inst.num_bidders)
         specs = ([calibrate_single_bidder(inst)] if single_bidder
                  else standard_specs(inst))
         for spec in specs:
-            bids = Bids(spec, inst, rows)
+            bids = Bids(spec, inst, profile)
             for j in range(inst.num_auctions):
                 for i in range(inst.num_bidders):
                     stats.checks += 1
@@ -190,39 +189,39 @@ def truthfulness_probes(seeds: Iterable[int], *, single_bidder: bool = False) ->
 
 
 def myerson_checks(seeds: Iterable[int]) -> CheckStats:
-    """Winner's payment must equal the threshold value, the winning bid must
-    clear the threshold, and raising a winning bid must keep winning."""
+    """Winner's payment must equal the threshold value, the winning bid b must
+    clear the threshold, and b + 1 and 2b + 1 must win in a copy of its column."""
     stats = CheckStats()
     for seed in seeds:
         inst = family_instance(seed)
+        profiles = (MultiplierProfile.uniform(inst.num_bidders),
+                    probe_profile(seed, inst.num_bidders))
         # Specs outside: an instance keeps only the last `Market` built on it.
-        profiles = [bids_from(profile, inst)
-                    for profile in (MultiplierProfile.uniform(inst.num_bidders),
-                                    probe_profile(seed, inst.num_bidders))]
         for spec in standard_specs(inst):
-            for rows in profiles:
-                bids = Bids(spec, inst, rows)
-                outcome = bids.outcome()
+            for profile in profiles:
+                bids = Bids(spec, inst, profile)
+                mk, outcome = bids.market, bids.outcome()
                 for j, winner in enumerate(outcome.winners):
                     if winner is None:
                         continue
-                    column = [row[j] for row in rows]
+                    nums, dens = list(bids.nums[j]), list(bids.dens[j])
+                    p, q, d = nums[winner], dens[winner], mk.scale[j]
                     t = min_winning_bid(bids, j, winner)
                     stats.checks += 1
-                    if t.value != outcome.prices[j] or not t.admits(column[winner]):
+                    if t.value != outcome.prices[j] or not t.admits(Fraction(p, q * d)):
                         stats.violations.append(_describe(
                             seed, inst,
                             f"{mechanism_label(spec)}: auction {j} payment "
                             f"{outcome.prices[j]} vs threshold {t}"))
                         continue
-                    for raised in (column[winner] + 1, 2 * column[winner] + 1):
-                        bumped = list(column)
-                        bumped[winner] = raised
-                        if run_auction(spec, inst, j, bumped).winner != winner:
+                    for raised in (p + q * d, 2 * p + q * d):
+                        nums[winner] = raised
+                        top = _scan(nums, dens, mk.reserves[j], mk.shifts[j])
+                        if not top or top[0][2] != winner:
                             stats.violations.append(_describe(
                                 seed, inst,
                                 f"{mechanism_label(spec)}: auction {j} winner {winner} "
-                                f"lost after raising its bid to {raised}"))
+                                f"lost after raising its bid to {Fraction(raised, q * d)}"))
                             break
     return stats
 
@@ -233,10 +232,10 @@ def oracle_agreement(seeds: Iterable[int]) -> CheckStats:
     stats = CheckStats()
     for seed in seeds:
         inst = family_instance(seed)
-        rows = bids_from(probe_profile(seed, inst.num_bidders), inst)
+        profile = probe_profile(seed, inst.num_bidders)
         bidder = seed % inst.num_bidders
         for spec in standard_specs(inst):
-            bids = Bids(spec, inst, rows)
+            bids = Bids(spec, inst, profile)
             exact = best_response_against_bids(inst, spec, bidder, bids)
             sampled = best_response_oracle(inst, spec, bidder, bids)
             stats.checks += 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, settings
 
 from bidarena import Instance, MultiplierProfile
-from bidarena.mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice,
+from bidarena.mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice, _scan,
                                  calibrate_single_bidder, compute_auction_params,
                                  compute_bidder_params)
 from bidarena.verify import family_instance
@@ -56,6 +56,24 @@ def all_specs(inst: Instance) -> list[MechanismSpec]:
     return specs
 
 
+def row_bids(spec: MechanismSpec, inst: Instance, rows) -> Bids:
+    """The `Bids` in which bidder i bids rows[i][j] in auction j, for rows no
+    multiplier profile writes: built from the truthful profile, with every
+    entry then overwritten and every standing scanned again over the whole
+    column, since `Instance.seeds` hold only for uniform bids."""
+    n, m = inst.num_bidders, inst.num_auctions
+    if len(rows) != n or any(len(row) != m for row in rows):
+        raise ValueError(f"expected {n} bid rows of {m} entries")
+    bids = Bids(spec, inst, MultiplierProfile.uniform(n))
+    mk = bids.market
+    for i, row in enumerate(rows):
+        for j, bid in enumerate(row):
+            bids.nums[j][i], bids.dens[j][i] = bid.numerator * mk.scale[j], bid.denominator
+    bids.standings = [_scan(*column)
+                      for column in zip(bids.nums, bids.dens, mk.reserves, mk.shifts)]
+    return bids
+
+
 def column_bids(spec: MechanismSpec, inst: Instance, auction: int,
                 column: list[Fraction]) -> Bids:
     """The `Bids` of one bid column: each bidder bids its entry of `column` in
@@ -63,7 +81,7 @@ def column_bids(spec: MechanismSpec, inst: Instance, auction: int,
     rows = [[Fraction(0)] * inst.num_auctions for _ in column]
     for row, bid in zip(rows, column):
         row[auction] = bid
-    return Bids(spec, inst, rows)
+    return row_bids(spec, inst, rows)
 
 
 def seeded_market(seed: int) -> tuple[Instance, list[list[Fraction]]]:

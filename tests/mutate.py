@@ -70,6 +70,9 @@ MUTANTS = [
     Mutant("moved: a placed entry takes ties from lower indices", MECH,
            "if mine > theirs or (mine == theirs and bidder < rival):",
            "if mine > theirs or (mine == theirs and bidder > rival):", KERNEL + DYNAMICS),
+    Mutant("bids: the constructor skips the last bidder's multiplier", MECH,
+           "for i, theta in enumerate(profile.multipliers):",
+           "for i, theta in enumerate(profile.multipliers[:-1]):", KERNEL),
     Mutant("move: walks every auction", MECH,
            "for j, _ in self.inst.valued[bidder]:", "for j in range(len(values)):",
            KERNEL + DYNAMICS),
@@ -135,8 +138,11 @@ MUTANTS = [
            "= d, 1 + spike", "= d, spike", ("tests/test_instances.py",)),
     # `arena verify`'s payment check and the report's text.
     Mutant("verify: the winning bid need not clear its threshold", "src/bidarena/verify.py",
-           "if t.value != outcome.prices[j] or not t.admits(column[winner]):",
+           "if t.value != outcome.prices[j] or not t.admits(Fraction(p, q * d)):",
            "if t.value != outcome.prices[j]:", ("tests/test_verify.py",)),
+    Mutant("myerson: raises the winner's bid in the Bids it reads", "src/bidarena/verify.py",
+           "nums, dens = list(bids.nums[j]), list(bids.dens[j])",
+           "nums, dens = bids.nums[j], list(bids.dens[j])", ("tests/test_verify.py",)),
     Mutant("decimal text: past the float range, trailing zeros are kept",
            "src/bidarena/rationals.py", "{exact.normalize():.12g}", "{exact:.12g}",
            ("tests/test_rationals.py",)),

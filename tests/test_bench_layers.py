@@ -17,7 +17,7 @@ import tracing  # noqa: E402
 
 from bidarena import bestresponse, equilibrium  # noqa: E402
 from bidarena.mechanisms import Bids, compute_bidder_params  # noqa: E402
-from bidarena.model import Instance, MultiplierProfile, bids_from  # noqa: E402
+from bidarena.model import Instance, MultiplierProfile  # noqa: E402
 
 
 @pytest.mark.parametrize("layer", sorted(tracing.LAYERS))
@@ -29,7 +29,7 @@ def test_every_traced_layer_resolves(layer):
 def test_thresholds_are_traced_under_the_best_response():
     inst = Instance.from_rows([[4, 1, 2], [2, 3, 2]], [[1, 1, 0], [1, 1, 1]])
     spec = compute_bidder_params(inst)
-    bid_rows = Bids(spec, inst, bids_from(MultiplierProfile.of([Fraction(3, 2), 1]), inst))
+    bid_rows = Bids(spec, inst, MultiplierProfile.of([Fraction(3, 2), 1]))
     tracer = tracing.Tracer()
     with tracer.active():
         bestresponse.best_response_against_bids(inst, spec, 0, bid_rows)

@@ -11,7 +11,8 @@ from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
                                  min_winning_bid, run_all)
 from bidarena.model import Instance, MultiplierProfile, bids_from
 
-from conftest import all_specs, instances_with_profiles, off_grid_instance, seeded_market
+from conftest import (all_specs, instances_with_profiles, off_grid_instance, row_bids,
+                      seeded_market)
 from reference_mechanisms import threshold
 
 F = Fraction
@@ -19,7 +20,7 @@ F = Fraction
 
 def respond(inst, spec, bidder, profile):
     return best_response_against_bids(inst, spec, bidder,
-                                      Bids(spec, inst, bids_from(profile, inst)))
+                                      Bids(spec, inst, profile))
 
 
 def play(inst, spec, profile, bidder, theta):
@@ -37,7 +38,7 @@ def play(inst, spec, profile, bidder, theta):
 
 def test_problem_validation():
     inst = Instance.from_rows([[1]], [[0]])
-    bids = Bids(SecondPrice(), inst, bids_from(MultiplierProfile.uniform(1), inst))
+    bids = Bids(SecondPrice(), inst, MultiplierProfile.uniform(1))
     for bidder in (1, -1):
         with pytest.raises(ValueError, match="out of range"):
             threshold_table(inst, SecondPrice(), bidder, bids)
@@ -52,15 +53,15 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="profile has 2 bidders"):
         bids_from(MultiplierProfile.uniform(2), inst)
     other = Instance.from_rows([[2]], [[0]])
-    for wrong in (Bids(GlobalCostMultiplier(F(1)), inst, inst.values),
-                  Bids(SecondPrice(), other, other.values)):
+    for wrong in (Bids(GlobalCostMultiplier(F(1)), inst, MultiplierProfile.uniform(1)),
+                  Bids(SecondPrice(), other, MultiplierProfile.uniform(1))):
         for respond in (threshold_table, best_response_against_bids, best_response_oracle):
             with pytest.raises(ValueError, match="another mechanism or instance"):
                 respond(inst, SecondPrice(), 0, wrong)
         with pytest.raises(ValueError, match="another mechanism or instance"):
             quasilinear_best_bid_check(inst, SecondPrice(), 0, 0, wrong)
     # Bids built for an equal spec and an equal instance are accepted.
-    same = Bids(SecondPrice(), Instance(inst.values, inst.costs), inst.values)
+    same = Bids(SecondPrice(), Instance(inst.values, inst.costs), MultiplierProfile.uniform(1))
     assert best_response_against_bids(inst, SecondPrice(), 0, same) == \
         best_response_against_bids(inst, SecondPrice(), 0, bids)
 
@@ -68,7 +69,7 @@ def test_problem_validation():
 def test_thresholds_against_calibrated_reserves():
     inst = Instance.from_rows([[2, 1, 1]], [[1, 1, 2]])
     spec = calibrate_single_bidder(inst)
-    bids = Bids(spec, inst, bids_from(MultiplierProfile.uniform(1), inst))
+    bids = Bids(spec, inst, MultiplierProfile.uniform(1))
     assert threshold_table(inst, spec, 0, bids) == [
         (F(3, 4), 0, threshold(F(3, 2), True), F(2)),
         (F(3, 2), 1, threshold(F(3, 2), True), F(1)),
@@ -144,7 +145,7 @@ def test_replies_build_no_fraction_until_read(monkeypatch):
         inst = off_grid_instance(seed)
         profile = MultiplierProfile(tuple(F(3 + i, 3) for i in range(inst.num_bidders)))
         for spec in all_specs(inst):
-            bids = Bids(spec, inst, bids_from(profile, inst))
+            bids = Bids(spec, inst, profile)
             for bidder in range(inst.num_bidders):
                 replies.append(best_response_against_bids(inst, spec, bidder, bids))
                 replies.append(best_response_oracle(inst, spec, bidder, bids))
@@ -173,8 +174,8 @@ def test_best_response_against_bids_ignores_own_row():
     rows_a = [[F(0), F(0)], [F(1), F(4)]]
     rows_b = [[F(99), F(99)], [F(1), F(4)]]
     spec = SecondPrice()
-    assert best_response_against_bids(inst, spec, 0, Bids(spec, inst, rows_a)) == \
-        best_response_against_bids(inst, spec, 0, Bids(spec, inst, rows_b))
+    assert best_response_against_bids(inst, spec, 0, row_bids(spec, inst, rows_a)) == \
+        best_response_against_bids(inst, spec, 0, row_bids(spec, inst, rows_b))
 
 
 def test_best_response_prefers_smallest_multiplier_on_ties():
@@ -222,7 +223,7 @@ def test_best_response_beats_truthful_bidding(pair):
 def test_best_response_agrees_with_brute_force(pair):
     inst, profile = pair
     for spec in all_specs(inst):
-        bids = Bids(spec, inst, bids_from(profile, inst))
+        bids = Bids(spec, inst, profile)
         for bidder in range(inst.num_bidders):
             exact = best_response_against_bids(inst, spec, bidder, bids)
             sampled = best_response_oracle(inst, spec, bidder, bids)
@@ -232,7 +233,7 @@ def test_best_response_agrees_with_brute_force(pair):
 def test_quasilinear_probe_accepts_truthful_second_price():
     inst = Instance.from_rows([[5, 2], [3, 4]], [[1, 0], [2, 1]])
     for spec in all_specs(inst):
-        bids = Bids(spec, inst, bids_from(MultiplierProfile.uniform(2), inst))
+        bids = Bids(spec, inst, MultiplierProfile.uniform(2))
         for j in range(inst.num_auctions):
             for i in range(2):
                 assert quasilinear_best_bid_check(inst, spec, j, i, bids)
@@ -246,7 +247,7 @@ def test_quasilinear_probe_leaves_the_bids_it_reads_unchanged():
     for seed in range(20):
         inst, rows = seeded_market(seed)
         for spec in all_specs(inst):
-            bids = Bids(spec, inst, rows)
+            bids = row_bids(spec, inst, rows)
             before = ([list(c) for c in bids.nums], [list(c) for c in bids.dens],
                       list(bids.standings))
             for j in range(inst.num_auctions):

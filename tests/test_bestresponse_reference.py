@@ -30,14 +30,14 @@ from bidarena.mechanisms import (AuctionResult, Bids, GlobalCostMultiplier, Seco
 from bidarena.model import Instance, MultiplierProfile, Outcome, bids_from
 from bidarena.verify import probe_profile, standard_specs
 
-from conftest import all_specs, instances_with_profiles, seeded_market
+from conftest import all_specs, instances_with_profiles, row_bids, seeded_market
 
 
 def at_thresholds(spec, inst, bid_rows):
     """Each bid replaced by its bidder's threshold against the original
     column, where that threshold is finite."""
     moved = [list(row) for row in bid_rows]
-    bids = Bids(spec, inst, bid_rows)
+    bids = row_bids(spec, inst, bid_rows)
     for j in range(inst.num_auctions):
         for i in range(inst.num_bidders):
             t = min_winning_bid(bids, j, i)
@@ -64,7 +64,7 @@ def test_sweep_matches_reference_loop():
         inst, bids = seeded_market(seed)
         for spec in standard_specs(inst):
             for rows in (bids, at_thresholds(spec, inst, bids)):
-                bid_rows = Bids(spec, inst, rows)
+                bid_rows = row_bids(spec, inst, rows)
                 for bidder in range(inst.num_bidders):
                     assert best_response_against_bids(inst, spec, bidder, bid_rows) == \
                         ref.best_response_against_bids(inst, spec, bidder, bid_rows)
@@ -90,7 +90,7 @@ def test_sweep_stops_at_the_first_infeasible_candidate():
     # stops there with auction 2 unread, and the reply wins auction 0 alone.
     inst = Instance.from_rows([[2, 1, 1], [1, 3, "7/2"]], [[0, 0, 0], [0, 0, 0]])
     spec = SecondPrice()
-    bids = Bids(spec, inst, inst.values)
+    bids = Bids(spec, inst, MultiplierProfile.uniform(2))
     table = threshold_table(inst, spec, 0, bids)
     assert [r for r, _, _, _ in table] == [Fraction(1, 2), 3, Fraction(7, 2)]
     assert stops_with_rows_left(table)
@@ -101,8 +101,8 @@ def test_sweep_stops_at_the_first_infeasible_candidate():
 
 def off_grid_market(seed):
     """Values and costs p/q with q <= 9 (about a fifth of them zero), and
-    uniform bids whose multipliers have pairwise coprime denominators of 10
-    to 20 digits."""
+    a profile whose multipliers have pairwise coprime denominators of 10 to
+    20 digits."""
     rng = random.Random(seed)
     n, m = rng.randint(1, 5), rng.randint(1, 8)
 
@@ -117,17 +117,17 @@ def off_grid_market(seed):
         den = rng.randrange(10 ** 9, 10 ** rng.randint(10, 20))
         if all(gcd(den, other) == 1 for other in dens):
             dens.append(den)
-    profile = MultiplierProfile(tuple(1 + Fraction(rng.randrange(den), den) for den in dens))
-    return inst, bids_from(profile, inst)
+    return inst, MultiplierProfile(tuple(1 + Fraction(rng.randrange(den), den) for den in dens))
 
 
 def test_integer_sweep_matches_reference_off_the_grid():
     problems = long_b = scaled_d = scaled_w = tied = 0
     for seed in range(120):
-        inst, bids = off_grid_market(seed)
+        inst, profile = off_grid_market(seed)
+        rows = bids_from(profile, inst)
         for spec in all_specs(inst):
-            for rows in (bids, at_thresholds(spec, inst, bids)):
-                bid_rows = Bids(spec, inst, rows)
+            for bid_rows in (Bids(spec, inst, profile),
+                             row_bids(spec, inst, at_thresholds(spec, inst, rows))):
                 for bidder in range(inst.num_bidders):
                     got = best_response_against_bids(inst, spec, bidder, bid_rows)
                     want = ref.best_response_against_bids(inst, spec, bidder, bid_rows)
@@ -162,8 +162,8 @@ def oracle_cases(seeds):
     for seed in seeds:
         inst, random_rows = seeded_market(seed)
         for spec in all_specs(inst):
-            for rows in (bids_from(probe_profile(seed, inst.num_bidders), inst), random_rows):
-                bids = Bids(spec, inst, rows)
+            for bids in (Bids(spec, inst, probe_profile(seed, inst.num_bidders)),
+                         row_bids(spec, inst, random_rows)):
                 for bidder in range(inst.num_bidders):
                     yield inst, spec, bidder, bids
 
@@ -187,7 +187,7 @@ def test_integer_oracle_matches_reference_oracle():
 def test_integer_oracle_matches_reference_on_small_instances(pair):
     inst, profile = pair
     for spec in all_specs(inst):
-        bids = Bids(spec, inst, bids_from(profile, inst))
+        bids = Bids(spec, inst, profile)
         for bidder in range(inst.num_bidders):
             got = best_response_oracle(inst, spec, bidder, bids)
             want = ref.best_response_oracle(inst, spec, bidder, bids)
@@ -204,10 +204,12 @@ def test_integer_probe_matches_reference_probe(pricing, request):
     columns = rejected = 0
     for seed in range(60):
         inst, random_rows = seeded_market(seed)
+        probe = probe_profile(seed, inst.num_bidders)
         for spec in all_specs(inst):
-            for rows in (bids_from(probe_profile(seed, inst.num_bidders), inst), random_rows,
-                         at_thresholds(spec, inst, random_rows)):
-                bids = Bids(spec, inst, rows)
+            cases = [(Bids(spec, inst, probe), bids_from(probe, inst))]
+            cases += [(row_bids(spec, inst, rows), rows)
+                      for rows in (random_rows, at_thresholds(spec, inst, random_rows))]
+            for bids, rows in cases:
                 for j in range(inst.num_auctions):
                     column = [rows[i][j] for i in range(inst.num_bidders)]
                     columns += 1
@@ -228,7 +230,7 @@ def test_price_at_an_exact_reserve_tie(values, winner, inclusive):
     # score, so it wins only for the lower index.
     inst = Instance.from_rows([[v] for v in values], [[1], [1]])
     spec = GlobalCostMultiplier(Fraction(1))
-    bids = Bids(spec, inst, inst.values)
+    bids = Bids(spec, inst, MultiplierProfile.uniform(2))
     t = min_winning_bid(bids, 0, winner)
     assert (t.value, t.inclusive) == (1, inclusive)
     assert bids.outcome() == Outcome((winner,), (Fraction(1),))
@@ -249,7 +251,7 @@ def test_price_at_a_reserve_tie_against_a_rival_pair_over_two():
     # The winner's price still reads 1, now from the rival side of the rule.
     inst = Instance.from_rows([[3], ["2/3"]], [[1], [1]])
     spec = GlobalCostMultiplier(Fraction(1))
-    bids = Bids(spec, inst, inst.values)
+    bids = Bids(spec, inst, MultiplierProfile.uniform(2))
     bids.move(1, Fraction(3, 2))
     top = bids.standings[0]
     assert top[1] == (0, 2, 1)

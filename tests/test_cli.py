@@ -305,6 +305,16 @@ def test_debug_br_rejects_a_bidder_out_of_range(two_bidder_market, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("profile, bidders", [("1", 1), ("1,3/2,2", 3)])
+def test_debug_br_rejects_a_profile_of_the_wrong_length(two_bidder_market, capsys,
+                                                        profile, bidders):
+    assert main(["debug-br", two_bidder_market, "--mechanism", "auction-dep",
+                 "--bidder", "0", "--profile", profile]) == 2
+    captured = capsys.readouterr()
+    assert f"profile has {bidders} bidders, instance has 2" in captured.err
+    assert captured.out == ""
+
+
 def test_module_entry_point_runs():
     # Run from the package's parent directory so the child imports the same
     # bidarena as this test, installed or not.

@@ -24,10 +24,10 @@ from bidarena.equilibrium import run_dynamics
 from bidarena.instances import RandomFamilyParams, counterexample, random_instance
 from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice, compute_auction_params,
                                  market, mechanism_from_label)
-from bidarena.model import Instance
+from bidarena.model import Instance, MultiplierProfile
 from bidarena.verify import FAMILY_ZERO_COST, family_instance, standard_specs
 
-from conftest import off_grid_instance, seeded_market
+from conftest import off_grid_instance, row_bids, seeded_market
 
 F = Fraction
 
@@ -213,13 +213,13 @@ def test_an_auction_the_bidder_can_never_win_is_never_read(monkeypatch):
     monkeypatch.setattr(bestresponse, "min_winning_bid", counted)
     for rows in (inst.values, [[F(3), F(1)], [F(1), F(5)]]):
         reads.clear()
-        reply = best_response_against_bids(inst, spec, 1, Bids(spec, inst, rows))
+        reply = best_response_against_bids(inst, spec, 1, row_bids(spec, inst, rows))
         assert reads == [(1, 1)]
         assert reply == ref.best_response(inst, spec, 1, [list(row) for row in rows])
     # A move still stores the bid where the mover can never win, and leaves
     # every standing as a fresh scan of the moved rows finds it.
-    bids = Bids(spec, inst, inst.values)
+    bids = Bids(spec, inst, MultiplierProfile.uniform(2))
     bids.move(1, F(7, 3))
     moved = [inst.values[0], tuple(F(7, 3) * v for v in inst.values[1])]
     assert bids[1] == moved[1]
-    assert bids.standings == Bids(spec, inst, moved).standings
+    assert bids.standings == row_bids(spec, inst, moved).standings

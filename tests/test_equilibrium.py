@@ -10,8 +10,8 @@ from bidarena.equilibrium import Diagnostics, diagnostics, run_dynamics
 from bidarena.mechanisms import (Bids, SecondPrice, calibrate_single_bidder,
                                  compute_auction_params, compute_bidder_params,
                                  run_all)
-from bidarena.model import (Instance, MultiplierProfile, bids_from, optimal_welfare,
-                            roi_satisfied, welfare)
+from bidarena.model import (Instance, MultiplierProfile, optimal_welfare, roi_satisfied,
+                            welfare)
 from bidarena.verify import family_instance, standard_specs
 
 import reference_dynamics as ref
@@ -137,7 +137,7 @@ def independently_verified(inst, spec, report) -> bool:
     for i in range(inst.num_bidders):
         achieved = sum((inst.values[i][j] for j, w in enumerate(report.outcome.winners)
                         if w == i), F(0))
-        bids = Bids(spec, inst, bids_from(report.profile, inst))
+        bids = Bids(spec, inst, report.profile)
         reply = best_response_against_bids(inst, spec, i, bids)
         if reply.total_value > achieved or not roi_satisfied(inst, report.outcome, i):
             return False

@@ -98,6 +98,19 @@ def test_random_family_params_validation():
                            zero_cost_probability=F(9, 8))
 
 
+def test_random_family_params_take_an_exact_zero_cost_probability():
+    # A float would pass the range check and fail later, in `random_instance`.
+    with pytest.raises(TypeError, match="exact rational required, got float"):
+        RandomFamilyParams(2, 2, 0, 0.5)
+    for exact in (0, 1, F(1, 2)):
+        params = RandomFamilyParams(2, 2, 0, exact)
+        assert params.zero_cost_probability == exact
+        assert isinstance(params.zero_cost_probability, F)
+        random_instance(params)
+    assert random_instance(RandomFamilyParams(2, 2, 0, 1)) == \
+        random_instance(RandomFamilyParams(2, 2, 0, F(1)))
+
+
 def test_json_round_trip_exact():
     inst = Instance.from_rows([[F(1, 3), 2], [0, F(7, 5)]], [[1, 0], [F(2, 3), 3]])
     assert instance_from_json(instance_to_json(inst)) == inst

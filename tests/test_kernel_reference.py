@@ -21,10 +21,10 @@ from bidarena.mechanisms import (Bids, GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated, compute_auction_params,
                                  compute_bidder_params, market, run_all)
 from bidarena.model import Instance, MultiplierProfile, bids_from
-from bidarena.verify import family_instance, standard_specs
+from bidarena.verify import family_instance, probe_profile, standard_specs
 
 from conftest import (all_specs, column_bids, coprime_profile, instances_with_profiles,
-                      off_grid_instance, seeded_market, small_instances)
+                      off_grid_instance, row_bids, seeded_market, small_instances)
 
 F = Fraction
 
@@ -74,6 +74,7 @@ def test_kernel_matches_reference_on_profile_bids(pair):
     bids = bids_from(profile, inst)
     for spec in all_specs(inst):
         check_market(spec, inst, bids)
+        check_bids(spec, inst, Bids(spec, inst, profile), bids)
 
 
 def test_kernel_matches_reference_on_seeded_random_bids():
@@ -179,13 +180,14 @@ def unequal_dens_in_a_column(bids) -> bool:
 
 
 def moved_through(spec, inst, profiles, start=None) -> int:
-    """`Bids` from the rows `start` (truthful by default) whose bidders move,
+    """`Bids` from the rows `start` (the truthful profile by default) whose bidders move,
     one at a time, to each profile in turn, checked against the reference
     after every move. A move sets the mover's bids on the auctions it values
     and keeps its bids on the others. From truthful rows, `run_all` on each
     full profile too. Returns the number of comparisons."""
     rows = [list(row) for row in (start or inst.values)]
-    bids = Bids(spec, inst, start or inst.values)
+    bids = row_bids(spec, inst, start) if start else \
+        Bids(spec, inst, MultiplierProfile.uniform(inst.num_bidders))
     cases = check_bids(spec, inst, bids, rows)
     for profile in profiles:
         for i, theta in enumerate(profile.multipliers):
@@ -209,7 +211,7 @@ def test_bids_match_reference_on_rows_with_mixed_denominators():
         inst = off_grid_instance(seed)
         rows = mixed_rows(random.Random(seed), inst)
         for spec in all_specs(inst):
-            bids = Bids(spec, inst, rows)
+            bids = row_bids(spec, inst, rows)
             cases += check_bids(spec, inst, bids, rows) + check_market(spec, inst, rows)
             unequal += unequal_dens_in_a_column(bids)
     assert cases > 25000
@@ -227,7 +229,7 @@ def test_moves_match_reference_under_long_coprime_multipliers():
         for spec in all_specs(inst):
             cases += moved_through(spec, inst, profiles)
             cases += moved_through(spec, inst, profiles, start)
-            bids = Bids(spec, inst, bids_from(profiles[0], inst))
+            bids = Bids(spec, inst, profiles[0])
             unequal += unequal_dens_in_a_column(bids)
             long_scale += any(q * d > 10 ** 20 for dens, d in zip(bids.dens, bids.market.scale)
                               for q in dens)
@@ -253,7 +255,7 @@ def test_sparse_counterexample_markets_match_reference():
             spec = GlobalCostMultiplier(gamma)
             cases += moved_through(spec, inst, profiles)
             rows = mixed_rows(rng, inst)
-            cases += check_bids(spec, inst, Bids(spec, inst, rows), rows)
+            cases += check_bids(spec, inst, row_bids(spec, inst, rows), rows)
     assert cases > 100000
 
 
@@ -276,7 +278,7 @@ def test_auction_dep_half_value_reserves_and_closed_auctions_match_reference():
         cases += moved_through(spec, inst, profiles)
         rows = mixed_rows(rng, inst)
         cases += moved_through(spec, inst, profiles, rows)
-        cases += check_bids(spec, inst, Bids(spec, inst, rows), rows)
+        cases += check_bids(spec, inst, row_bids(spec, inst, rows), rows)
         cases += check_market(spec, inst, rows)
     assert cases > 15000
     assert half_value > 150
@@ -295,8 +297,9 @@ def test_a_built_market_leaves_instance_equality_hash_and_repr_alone(inst):
         assert (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
 
 
-# Seeded standings: a `Bids` of truthful rows scans each column only over
-# `Instance.seeds`. Its standings must equal a `_scan` of the whole column.
+# Seeded standings: a `Bids` scans each column of truthful bids only over
+# `Instance.seeds`, then moves in its profile. Its standings must equal a
+# `_scan` of the whole column.
 
 
 def full_scans(bids) -> list:
@@ -305,14 +308,13 @@ def full_scans(bids) -> list:
             for column in zip(bids.nums, bids.dens, mk.reserves, mk.shifts)]
 
 
-def check_seeded(spec, inst) -> int:
-    """Truthful `Bids`, from the value rows and from `bids_from` at the
-    truthful profile, against full scans; returns the number of seeded columns."""
-    bids = Bids(spec, inst, inst.values)
-    assert bids.standings == full_scans(bids)
-    truthful = bids_from(MultiplierProfile.uniform(inst.num_bidders), inst)
-    assert Bids(spec, inst, truthful).standings == bids.standings
-    return sum(seed is not None for seed in inst.seeds)
+def check_seeded(spec, inst, profiles=()) -> int:
+    """The `Bids` of the truthful profile and of each of `profiles` against
+    full scans; returns the number of seeded columns checked."""
+    for profile in (MultiplierProfile.uniform(inst.num_bidders), *profiles):
+        bids = Bids(spec, inst, profile)
+        assert bids.standings == full_scans(bids)
+    return (1 + len(profiles)) * sum(seed is not None for seed in inst.seeds)
 
 
 def test_seeded_truthful_standings_match_full_scans():
@@ -323,6 +325,33 @@ def test_seeded_truthful_standings_match_full_scans():
             for spec in all_specs(inst):
                 seeded += check_seeded(spec, inst)
     assert seeded > 300
+
+
+def test_seeded_standings_of_other_profiles_match_full_scans():
+    # A bidder outside an auction's seeds has no value or cost there, so it
+    # bids 0 under any multiplier: the seeds hold for every profile.
+    built = seeded = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        for inst in (family_instance(seed), off_grid_instance(seed),
+                     off_grid_instance(seed, zero_share=0.8)):
+            profiles = (probe_profile(seed, inst.num_bidders),
+                        coprime_profile(rng, inst.num_bidders))
+            for spec in all_specs(inst):
+                seeded += check_seeded(spec, inst, profiles)
+                built += 1 + len(profiles)
+    for k in (4, 8, 12, 48):
+        delta = F(1, k)
+        inst = counterexample(delta)
+        n = inst.num_bidders
+        rng = random.Random(k)
+        profiles = (probe_profile(k, n), coprime_profile(rng, n),
+                    MultiplierProfile(tuple(1 + delta ** rng.randint(1, n) for _ in range(n))))
+        for gamma in (F(0), F(1), 1 + delta, 1 + delta ** 2):
+            seeded += check_seeded(GlobalCostMultiplier(gamma), inst, profiles)
+            built += 1 + len(profiles)
+    assert built > 4000
+    assert seeded > 3000
 
 
 def test_seeded_sweep_points_match_full_scans_and_run_all():
@@ -337,6 +366,7 @@ def test_seeded_sweep_points_match_full_scans_and_run_all():
         # Above delta / (1 - delta) bidder 0's truthful bid misses its reserve
         # in auction a_1, which the two lowest zero-value, zero-cost bidders hold.
         spec = GlobalCostMultiplier(2 * delta / (1 - delta))
-        assert [i for *_, i in Bids(spec, inst, inst.values).standings[0]] == [1, 2]
+        assert [i for *_, i in Bids(spec, inst, MultiplierProfile.uniform(inst.num_bidders))
+                .standings[0]] == [1, 2]
         for gamma, report in sweep_global(delta, grid):
             assert report.outcome == run_all(GlobalCostMultiplier(gamma), inst, report.profile)

@@ -307,12 +307,13 @@ def test_negative_bids_are_rejected():
     # A bid of -2 is below the zero reserve, yet a zero reserve admits a bid
     # without a comparison: the kernel needs every bid nonnegative.
     inst = Instance.from_rows([[2, 1]], [[1, 1]])
-    bids = Bids(SecondPrice(), inst, inst.values)
+    bids = Bids(SecondPrice(), inst, MultiplierProfile.uniform(1))
     with pytest.raises(ValueError, match="multiplier must be nonnegative, got -1"):
         bids.move(0, F(-1))
     assert bids[0] == inst.values[0]
-    with pytest.raises(ValueError, match="bid of bidder 0 in auction 0 is negative: -2"):
-        Bids(SecondPrice(), inst, [[F(-2), F(1)]])
+    # A `Bids` is built from a profile, and a profile holds no multiplier below 1.
+    with pytest.raises(ValueError, match="multiplier 0 is -2, must be >= 1"):
+        Bids(SecondPrice(), inst, MultiplierProfile((F(-2),)))
     with pytest.raises(ValueError, match="bids must be nonnegative, got -2"):
         run_auction(SecondPrice(), inst, 0, [F(-2)])
     # Zero is a bid like any other.
@@ -329,15 +330,14 @@ def test_unknown_spec_is_rejected():
         mechanism_to_json("first-price")
 
 
-@pytest.mark.parametrize("rows", [
-    pytest.param([[F(1), F(2)]], id="too-few-rows"),
-    pytest.param([[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]], id="too-many-rows"),
-    pytest.param([[F(1), F(2)], [F(3)]], id="ragged-row"),
+@pytest.mark.parametrize("bidders", [
+    pytest.param(1, id="too-few-bidders"),
+    pytest.param(3, id="too-many-bidders"),
 ])
-def test_bids_reject_rows_of_the_wrong_shape(rows):
+def test_bids_reject_a_profile_of_the_wrong_length(bidders):
     inst = Instance.from_rows([[1, 2], [3, 4]], [[0, 0], [0, 0]])
-    with pytest.raises(ValueError, match="expected 2 bid rows of 2 entries"):
-        Bids(SecondPrice(), inst, rows)
+    with pytest.raises(ValueError, match=f"profile has {bidders} bidders, instance has 2"):
+        Bids(SecondPrice(), inst, MultiplierProfile.uniform(bidders))
 
 
 @pytest.mark.parametrize("auction", [-1, 3])
@@ -362,12 +362,12 @@ def test_bids_reject_a_bidder_out_of_range(bidder):
     # phantom entry beside bidder 1 in auction 0's standing, so bidder 1's
     # threshold there would read its own doubled bid, 6, and not 1.
     inst = Instance.from_rows([[1, 2], [3, 1]], [[0, 0], [0, 0]])
-    bids = Bids(SecondPrice(), inst, inst.values)
+    bids = Bids(SecondPrice(), inst, MultiplierProfile.uniform(2))
     with pytest.raises(ValueError, match=f"bidder {bidder} out of range"):
         bids.move(bidder, F(2))
     with pytest.raises(ValueError, match=f"bidder {bidder} out of range"):
         bids[bidder]
-    assert bids.standings == Bids(SecondPrice(), inst, inst.values).standings
+    assert bids.standings == Bids(SecondPrice(), inst, MultiplierProfile.uniform(2)).standings
     assert min_winning_bid(bids, 0, 1).value == 1
 
 
@@ -516,7 +516,7 @@ def test_winner_pays_its_threshold_and_clears_it(pair):
     bids = bids_from(profile, inst)
     for spec in all_specs(inst):
         out = run_all(spec, inst, profile)
-        kernel_bids = Bids(spec, inst, bids)
+        kernel_bids = Bids(spec, inst, profile)
         for j, winner in enumerate(out.winners):
             if winner is None:
                 continue
@@ -534,7 +534,7 @@ def test_losers_fail_their_thresholds(pair):
     bids = bids_from(profile, inst)
     for spec in all_specs(inst):
         out = run_all(spec, inst, profile)
-        kernel_bids = Bids(spec, inst, bids)
+        kernel_bids = Bids(spec, inst, profile)
         for j in range(inst.num_auctions):
             column = [bids[i][j] for i in range(inst.num_bidders)]
             for i in range(inst.num_bidders):

@@ -9,7 +9,7 @@ import bidarena.verify
 
 from bidarena.bestresponse import ResponseResult
 from bidarena.instances import instance_from_json
-from bidarena.mechanisms import (AuctionDependent, AuctionResult, BidderDependent,
+from bidarena.mechanisms import (AuctionDependent, BidderDependent, Bids,
                                  GlobalCostMultiplier, SecondPrice,
                                  SingleBidderCalibrated)
 from bidarena.model import MultiplierProfile
@@ -193,10 +193,28 @@ def test_myerson_reports_a_winning_bid_below_its_threshold(monkeypatch):
 
 
 def test_myerson_reports_a_winner_that_loses_after_raising(monkeypatch):
-    monkeypatch.setattr("bidarena.verify.run_auction",
-                        lambda *args: AuctionResult(None, F(0)))
+    # Every scan of a raised column finds nobody eligible.
+    monkeypatch.setattr("bidarena.verify._scan", lambda *args: ())
     stats = myerson_checks(range(5))
     # One report per checked winner: the first raise already loses.
     assert len(stats.violations) == stats.checks > 0
     assert all(re.search(r": auction \d+ winner \d+ lost after raising its bid to ", line)
                for line in stats.violations)
+
+
+def test_myerson_leaves_the_bids_it_reads_unchanged(monkeypatch):
+    # The raised bids go into a copy of the winner's column; every `Bids` the
+    # check builds keeps the bids and standings it was built with.
+    built = []
+
+    class Recorded(Bids):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self, [list(c) for c in self.nums], [list(c) for c in self.dens],
+                          list(self.standings)))
+
+    monkeypatch.setattr("bidarena.verify.Bids", Recorded)
+    stats = myerson_checks(range(10))
+    assert stats.violations == [] and stats.checks > 0 and len(built) > 50
+    for bids, nums, dens, standings in built:
+        assert (bids.nums, bids.dens, bids.standings) == (nums, dens, standings)
