@@ -138,7 +138,10 @@ def cmd_sweep_global(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    summary = run_verify_suite(args.seeds)
+    try:
+        summary = run_verify_suite(args.seeds)
+    except RuntimeError as exc:  # too few positive-optimum seeds; exit 2 as for bad input
+        raise ValueError(exc) from exc
     for line in summary.lines:
         print(line)
     if summary.violations:

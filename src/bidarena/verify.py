@@ -1,8 +1,12 @@
 """Seeded property checks shared by the CLI verifier and the test suite.
 
-Every check here is exact: violations compare Fractions, never floats. Each
-function returns counts plus a list of violation strings that embed the seed
-and instance JSON, so any failure can be replayed directly.
+Every check here is exact: violations compare Fractions, never floats. A
+check group states its checks as a generator `check(seed, inst)` that yields
+one item per check: None for a pass, or the failure's text. The driver
+`_checked` builds each seed's family instance once, counts every item, and
+writes each failure as a line with the seed and the instance JSON, so that it
+can be replayed directly. The equilibrium families keep their own loops: they
+count runs and floor checks, and the single-bidder family skips seeds.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .bestresponse import (best_response_against_bids, best_response_oracle,
                            quasilinear_best_bid_check)
@@ -25,7 +29,7 @@ from .model import Instance, MultiplierProfile, ZERO, optimal_welfare, welfare
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 FAMILY_ZERO_COST = Fraction(1, 8)
-SEED_LIMIT = 100000  # seeds single_bidder_family tries before giving up
+SEED_LIMIT = 100000  # zero-optimum seeds single_bidder_family skips before giving up
 
 
 def family_instance(seed: int, *, zero_cost_probability: Fraction = FAMILY_ZERO_COST,
@@ -101,7 +105,7 @@ def single_bidder_family(count: int, *, start_seed: int = 0) -> FamilyStats:
     stats = FamilyStats()
     seed = start_seed
     while stats.runs < count:
-        if seed >= start_seed + SEED_LIMIT:
+        if seed - start_seed - stats.runs >= SEED_LIMIT:
             raise RuntimeError("could not find enough positive-optimum seeds")
         inst = family_instance(seed, num_bidders=1)
         seed += 1
@@ -123,6 +127,19 @@ class CheckStats:
     violations: list[str] = field(default_factory=list)
 
 
+def _checked(seeds: Iterable[int], check: Callable[[int, Instance], Iterator[str | None]],
+             *, num_bidders: int | None = None) -> CheckStats:
+    """Count every item `check(seed, inst)` yields on each seed's family instance."""
+    stats = CheckStats()
+    for seed in seeds:
+        inst = family_instance(seed, num_bidders=num_bidders)
+        for failure in check(seed, inst):
+            stats.checks += 1
+            if failure is not None:
+                stats.violations.append(_describe(seed, inst, failure))
+    return stats
+
+
 def accounting_checks(seeds: Iterable[int]) -> CheckStats:
     """Bidder-dependent welfare accounting on seeded instances.
 
@@ -133,9 +150,7 @@ def accounting_checks(seeds: Iterable[int]) -> CheckStats:
     ROI-feasible: no truthful winner pays more than its value, and
     verification includes every bidder's ROI constraint.
     """
-    stats = CheckStats()
-    for seed in seeds:
-        inst = family_instance(seed)
+    def check(seed: int, inst: Instance) -> Iterator[str | None]:
         spec = compute_bidder_params(inst)
 
         for i, core in enumerate(core_auctions(inst, spec)):
@@ -143,10 +158,8 @@ def accounting_checks(seeds: Iterable[int]) -> CheckStats:
                        for j in spec.rightful_auctions[i]}
             core_total = sum((margins[j] for j in core), ZERO)
             full_total = sum(margins.values(), ZERO)
-            stats.checks += 1
-            if 2 * core_total < full_total:
-                stats.violations.append(_describe(
-                    seed, inst, f"bidder {i}: core value {core_total} < half of {full_total}"))
+            yield (f"bidder {i}: core value {core_total} < half of {full_total}"
+                   if 2 * core_total < full_total else None)
 
         truthful = MultiplierProfile.uniform(inst.num_bidders)
         outcome = run_all(spec, inst, truthful)
@@ -156,22 +169,18 @@ def accounting_checks(seeds: Iterable[int]) -> CheckStats:
         if report.converged and report.verified:
             evaluated.append((report.profile, report.diagnostics, report.welfare))
         for profile, diag, realized in evaluated:
-            stats.checks += 1
-            if diag.core_welfare > realized or diag.payment_surplus > realized:
-                stats.violations.append(_describe(
-                    seed, inst,
-                    f"profile {[str(t) for t in profile.multipliers]}: "
-                    f"bounds ({diag.core_welfare}, {diag.payment_surplus}) "
-                    f"exceed welfare {realized}"))
-    return stats
+            yield (f"profile {[str(t) for t in profile.multipliers]}: "
+                   f"bounds ({diag.core_welfare}, {diag.payment_surplus}) "
+                   f"exceed welfare {realized}"
+                   if diag.core_welfare > realized or diag.payment_surplus > realized
+                   else None)
+    return _checked(seeds, check)
 
 
 def truthfulness_probes(seeds: Iterable[int], *, single_bidder: bool = False) -> CheckStats:
     """Bidding the true value must be a per-auction quasilinear best response
     against fixed rival bids, for every mechanism and every probe."""
-    stats = CheckStats()
-    for seed in seeds:
-        inst = family_instance(seed, num_bidders=1 if single_bidder else None)
+    def check(seed: int, inst: Instance) -> Iterator[str | None]:
         profile = probe_profile(seed, inst.num_bidders)
         specs = ([calibrate_single_bidder(inst)] if single_bidder
                  else standard_specs(inst))
@@ -179,21 +188,16 @@ def truthfulness_probes(seeds: Iterable[int], *, single_bidder: bool = False) ->
             bids = Bids(spec, inst, profile)
             for j in range(inst.num_auctions):
                 for i in range(inst.num_bidders):
-                    stats.checks += 1
-                    if not quasilinear_best_bid_check(inst, spec, j, i, bids):
-                        stats.violations.append(_describe(
-                            seed, inst,
-                            f"{mechanism_label(spec)}: auction {j} bidder {i} "
-                            f"prefers deviating from its value"))
-    return stats
+                    yield (f"{mechanism_label(spec)}: auction {j} bidder {i} "
+                           f"prefers deviating from its value"
+                           if not quasilinear_best_bid_check(inst, spec, j, i, bids) else None)
+    return _checked(seeds, check, num_bidders=1 if single_bidder else None)
 
 
 def myerson_checks(seeds: Iterable[int]) -> CheckStats:
     """Winner's payment must equal the threshold value, the winning bid b must
     clear the threshold, and b + 1 and 2b + 1 must win in a copy of its column."""
-    stats = CheckStats()
-    for seed in seeds:
-        inst = family_instance(seed)
+    def check(seed: int, inst: Instance) -> Iterator[str | None]:
         profiles = (MultiplierProfile.uniform(inst.num_bidders),
                     probe_profile(seed, inst.num_bidders))
         # Specs outside: an instance keeps only the last `Market` built on it.
@@ -207,62 +211,49 @@ def myerson_checks(seeds: Iterable[int]) -> CheckStats:
                     nums, dens = list(bids.nums[j]), list(bids.dens[j])
                     p, q, d = nums[winner], dens[winner], mk.scale[j]
                     t = min_winning_bid(bids, j, winner)
-                    stats.checks += 1
                     if t.value != outcome.prices[j] or not t.admits(Fraction(p, q * d)):
-                        stats.violations.append(_describe(
-                            seed, inst,
-                            f"{mechanism_label(spec)}: auction {j} payment "
-                            f"{outcome.prices[j]} vs threshold {t}"))
+                        yield (f"{mechanism_label(spec)}: auction {j} payment "
+                               f"{outcome.prices[j]} vs threshold {t}")
                         continue
                     for raised in (p + q * d, 2 * p + q * d):
                         nums[winner] = raised
                         top = _scan(nums, dens, mk.reserves[j], mk.shifts[j])
                         if not top or top[0][2] != winner:
-                            stats.violations.append(_describe(
-                                seed, inst,
-                                f"{mechanism_label(spec)}: auction {j} winner {winner} "
-                                f"lost after raising its bid to {Fraction(raised, q * d)}"))
+                            yield (f"{mechanism_label(spec)}: auction {j} winner {winner} "
+                                   f"lost after raising its bid to {Fraction(raised, q * d)}")
                             break
-    return stats
+                    else:
+                        yield None
+    return _checked(seeds, check)
 
 
 def oracle_agreement(seeds: Iterable[int]) -> CheckStats:
     """The exact best response and the brute-force oracle must attain the
     same total value (the chosen multipliers may differ)."""
-    stats = CheckStats()
-    for seed in seeds:
-        inst = family_instance(seed)
+    def check(seed: int, inst: Instance) -> Iterator[str | None]:
         profile = probe_profile(seed, inst.num_bidders)
         bidder = seed % inst.num_bidders
         for spec in standard_specs(inst):
             bids = Bids(spec, inst, profile)
             exact = best_response_against_bids(inst, spec, bidder, bids)
             sampled = best_response_oracle(inst, spec, bidder, bids)
-            stats.checks += 1
-            if exact.total_value != sampled.total_value:
-                stats.violations.append(_describe(
-                    seed, inst,
-                    f"{mechanism_label(spec)}: bidder {bidder} exact value "
-                    f"{exact.total_value} (theta {exact.multiplier}) vs sampled "
-                    f"{sampled.total_value} (theta {sampled.multiplier})"))
-    return stats
+            yield (f"{mechanism_label(spec)}: bidder {bidder} exact value "
+                   f"{exact.total_value} (theta {exact.multiplier}) vs sampled "
+                   f"{sampled.total_value} (theta {sampled.multiplier})"
+                   if exact.total_value != sampled.total_value else None)
+    return _checked(seeds, check)
 
 
 def welfare_cap_checks(seeds: Iterable[int]) -> CheckStats:
     """No outcome may exceed the optimal welfare."""
-    stats = CheckStats()
-    for seed in seeds:
-        inst = family_instance(seed)
+    def check(seed: int, inst: Instance) -> Iterator[str | None]:
         cap = optimal_welfare(inst)
         for spec in standard_specs(inst):
             for profile in (MultiplierProfile.uniform(inst.num_bidders),
                             probe_profile(seed, inst.num_bidders)):
-                outcome = run_all(spec, inst, profile)
-                stats.checks += 1
-                if welfare(inst, outcome) > cap:
-                    stats.violations.append(_describe(
-                        seed, inst, f"{mechanism_label(spec)}: welfare exceeds optimum"))
-    return stats
+                yield (f"{mechanism_label(spec)}: welfare exceeds optimum"
+                       if welfare(inst, run_all(spec, inst, profile)) > cap else None)
+    return _checked(seeds, check)
 
 
 # Floored equilibrium families of `arena verify`: (label, kind, floor, zero-cost probability).

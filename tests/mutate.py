@@ -143,6 +143,14 @@ MUTANTS = [
     Mutant("myerson: raises the winner's bid in the Bids it reads", "src/bidarena/verify.py",
            "nums, dens = list(bids.nums[j]), list(bids.dens[j])",
            "nums, dens = bids.nums[j], list(bids.dens[j])", ("tests/test_verify.py",)),
+    # `arena verify`'s driver: how it counts and describes the checks.
+    Mutant("verify: a failure is described with the next seed", "src/bidarena/verify.py",
+           "_describe(seed, inst, failure)", "_describe(seed + 1, inst, failure)",
+           ("tests/test_verify.py",)),
+    Mutant("verify: only failing checks are counted", "src/bidarena/verify.py",
+           "stats.checks += 1\n            if failure is not None:\n",
+           "if failure is not None:\n                stats.checks += 1\n",
+           ("tests/test_verify.py",)),
     Mutant("decimal text: past the float range, trailing zeros are kept",
            "src/bidarena/rationals.py", "{exact.normalize():.12g}", "{exact:.12g}",
            ("tests/test_rationals.py",)),

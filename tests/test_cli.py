@@ -279,6 +279,15 @@ def test_verify_cli_fails_and_lists_the_first_twenty_violations(monkeypatch, cap
     assert err[1:] == [f"  violation {k}" for k in range(20)]
 
 
+def test_verify_cli_reports_too_few_positive_optimum_seeds(monkeypatch, capsys):
+    monkeypatch.setattr("bidarena.verify.SEED_LIMIT", 5)
+    monkeypatch.setattr("bidarena.verify.optimal_welfare", lambda inst: Fraction(0))
+    assert main(["verify", "--seeds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "arena: could not find enough positive-optimum seeds\n"
+    assert "all checks passed" not in captured.out
+
+
 def test_debug_br_prints_threshold_table(balanced_market, capsys):
     assert main(["debug-br", balanced_market, "--mechanism", "single-bidder",
                  "--bidder", "0", "--profile", "1"]) == 0

@@ -7,11 +7,12 @@ import pytest
 
 import bidarena.verify
 
-from bidarena.bestresponse import ResponseResult
+from bidarena.bestresponse import ResponseResult, best_response_oracle
+from bidarena.equilibrium import diagnostics, run_dynamics
 from bidarena.instances import instance_from_json
 from bidarena.mechanisms import (AuctionDependent, BidderDependent, Bids,
                                  GlobalCostMultiplier, SecondPrice,
-                                 SingleBidderCalibrated)
+                                 SingleBidderCalibrated, compute_bidder_params, run_all)
 from bidarena.model import MultiplierProfile
 from bidarena.verify import (equilibrium_family, family_instance,
                              accounting_checks, myerson_checks, oracle_agreement,
@@ -70,14 +71,76 @@ def test_property_checks_smoke():
     assert welfare_cap_checks(range(10)).violations == []
 
 
-def test_violations_replay_to_their_seeded_instance(monkeypatch):
-    monkeypatch.setattr("bidarena.verify.welfare", lambda inst, outcome: F(10**9))
-    stats = welfare_cap_checks(range(3))
-    assert len(stats.violations) == stats.checks > 0
+def _overstated_oracle(*args):
+    result = best_response_oracle(*args)
+    return ResponseResult(result.multiplier, result.won_auctions, result.total_value + 1,
+                          result.total_payment)
+
+
+def _inflated_diagnostics(*args):
+    diag = diagnostics(*args)
+    return dataclasses.replace(diag, core_welfare=diag.core_welfare + 10 ** 6)
+
+
+# Each group call, a patch that makes its checks fail, and its failure text.
+FAILING_GROUPS = {
+    "truthfulness": (truthfulness_probes, "bidarena.verify.quasilinear_best_bid_check",
+                     lambda *args: False, "prefers deviating from its value"),
+    "single-bidder-truthfulness": (lambda seeds: truthfulness_probes(seeds, single_bidder=True),
+                                   "bidarena.verify.quasilinear_best_bid_check",
+                                   lambda *args: False, "prefers deviating from its value"),
+    "payment-threshold": (myerson_checks, "bidarena.mechanisms.Threshold.admits",
+                            lambda self, bid: False, " vs threshold Threshold("),
+    "oracle-agreement": (oracle_agreement, "bidarena.verify.best_response_oracle",
+                         _overstated_oracle, "exact value"),
+    "welfare-accounting": (accounting_checks, "bidarena.verify.diagnostics",
+                           _inflated_diagnostics, "exceed welfare"),
+    "welfare-cap": (welfare_cap_checks, "bidarena.verify.welfare",
+                    lambda inst, outcome: F(10**9), "welfare exceeds optimum"),
+}
+
+
+@pytest.mark.parametrize("group", FAILING_GROUPS)
+def test_violations_replay_to_their_seeded_instance(group, monkeypatch):
+    call, target, patch, text = FAILING_GROUPS[group]
+    monkeypatch.setattr(target, patch)
+    stats = call(range(3))
+    # Only the truthful profile's diagnostics come through the patched name.
+    assert len(stats.violations) == (3 if group == "welfare-accounting" else stats.checks) > 0
+    num_bidders = 1 if group == "single-bidder-truthfulness" else None
     for line in stats.violations:
         match = re.fullmatch(r"seed=(\d+) (.*) instance=(\{.*\})", line)
-        assert match and "welfare exceeds optimum" in match[2]
-        assert instance_from_json(json.loads(match[3])) == family_instance(int(match[1]))
+        assert match and text in match[2]
+        assert instance_from_json(json.loads(match[3])) == family_instance(
+            int(match[1]), num_bidders=num_bidders)
+
+
+def test_each_group_counts_its_checks_by_definition():
+    seeds = range(12)
+    expected = dict.fromkeys(("accounting", "truthfulness", "single-bidder truthfulness",
+                              "myerson", "oracle", "welfare cap"), 0)
+    for seed in seeds:
+        inst = family_instance(seed)
+        n, m, specs = inst.num_bidders, inst.num_auctions, standard_specs(inst)
+        report = run_dynamics(inst, compute_bidder_params(inst))
+        expected["accounting"] += n + 1 + (report.converged and report.verified)
+        expected["truthfulness"] += len(specs) * m * n
+        expected["single-bidder truthfulness"] += family_instance(
+            seed, num_bidders=1).num_auctions
+        expected["myerson"] += sum(  # one check per sold auction
+            winner is not None for spec in specs
+            for profile in (MultiplierProfile.uniform(n), probe_profile(seed, n))
+            for winner in run_all(spec, inst, profile).winners)
+        expected["oracle"] += len(specs)
+        expected["welfare cap"] += 2 * len(specs)
+    assert {
+        "accounting": accounting_checks(seeds).checks,
+        "truthfulness": truthfulness_probes(seeds).checks,
+        "single-bidder truthfulness": truthfulness_probes(seeds, single_bidder=True).checks,
+        "myerson": myerson_checks(seeds).checks,
+        "oracle": oracle_agreement(seeds).checks,
+        "welfare cap": welfare_cap_checks(seeds).checks,
+    } == expected
 
 
 def test_truthfulness_reports_a_first_price_rule(first_price):
@@ -149,6 +212,16 @@ def test_single_bidder_family_gives_up_past_its_seed_limit(monkeypatch):
     monkeypatch.setattr("bidarena.verify.optimal_welfare", lambda inst: F(0))
     with pytest.raises(RuntimeError, match="could not find enough positive-optimum seeds"):
         single_bidder_family(1)
+
+
+def test_single_bidder_family_limits_the_seeds_it_skips(monkeypatch):
+    # Seeds 1-4 have a zero optimum: four skips stay within a limit of five.
+    monkeypatch.setattr("bidarena.verify.SEED_LIMIT", 5)
+    dynamics, ran = bidarena.verify.run_dynamics, []
+    monkeypatch.setattr("bidarena.verify.run_dynamics",
+                        lambda inst, spec: ran.append(inst) or dynamics(inst, spec))
+    assert single_bidder_family(6).runs == 6
+    assert ran == [family_instance(seed, num_bidders=1) for seed in (0, 5, 6, 7, 8, 9)]
 
 
 def test_accounting_reports_a_core_below_half_its_rightful_value(monkeypatch):
