@@ -19,7 +19,7 @@ reply keeps its multiplier and totals as int pairs. One call costs a sort
 of the bidder's valued auctions, and no bid column is scanned.
 
 `best_response_oracle` and `quasilinear_best_bid_check` answer the same
-questions by brute force on the ints of a `Bids`; `arena verify` and the tests
+questions by brute force, with `Bids.trials`; `arena verify` and the tests
 check them against the exact route, and neither feeds the dynamics.
 """
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
-from .mechanisms import Bids, MechanismSpec, Threshold, _price, _scan, min_winning_bid
+from .mechanisms import Bids, MechanismSpec, Threshold, min_winning_bid
 from .model import Instance, ONE
 
 ORACLE_GRID = 40  # evenly spaced steps of `best_response_oracle`'s multiplier grid
@@ -193,10 +193,10 @@ def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
     ratio + 1], plus each ratio of at least 1 and the quarter points between
     consecutive ones, so every constant-won-set interval gets a sample. Over
     den = 4 * ORACLE_GRID * lcm(ratio denominators) every sample is an
-    integer P / den. Each sample resolves every auction by a scan of its bid
-    column with the bidder's entry set to the kernel pair (P * V_j, den), and
-    sums won value and payment as ints over one common denominator. Returns
-    the best feasible sample (highest value, then smallest multiplier).
+    integer P / den. Each valued auction prices every sample's kernel pair
+    (P * V_j, den) in one `Bids.trials` pass (a zero bid pays 0), and each
+    sample sums won value and payment as ints over one common denominator.
+    Returns the best feasible sample (highest value, then smallest multiplier).
     """
     ratios = {r for r, _, _, _ in threshold_table(inst, spec, bidder, bids) if r >= 1} | {ONE}
     den = 4 * ORACLE_GRID * lcm(*[r.denominator for r in ratios])
@@ -208,25 +208,21 @@ def best_response_oracle(inst: Instance, spec: MechanismSpec, bidder: int,
         points.update(low + (high - low) // 4 * k for k in range(1, 4))
 
     mk = bids.market
-    columns = [(list(nums), list(dens)) for nums, dens in zip(bids.nums, bids.dens)]
     # Every value V / d_j and payment P / (Q * d_j) the bidder can meet is an
     # integer over c, since Q is 1 or a rival's denominator.
     c = lcm(*[d * lcm(*dens[:bidder], *dens[bidder + 1:])
-              for d, (_, dens) in zip(mk.scale, columns)])
+              for d, dens in zip(mk.scale, bids.dens)])
+    points = sorted(points)
+    totals = [[0, 0, []] for _ in points]  # per point: value, payment, auctions won
+    for j, _ in inst.valued[bidder]:
+        v, d = mk.values[j][bidder], mk.scale[j]
+        for total, price in zip(totals, bids.trials(j, bidder, [(p * v, den) for p in points])):
+            if price is not None:
+                total[0] += v * (c // d)
+                total[1] += price[0] * (c // (price[1] * d))
+                total[2].append(j)
     best = None
-    for point in sorted(points):
-        value = payment = 0
-        won = []
-        for j, (nums, dens) in enumerate(columns):
-            v, d = mk.values[j][bidder], mk.scale[j]
-            nums[bidder], dens[bidder] = point * v, den
-            top = _scan(nums, dens, mk.reserves[j], mk.shifts[j])
-            if top and top[0][2] == bidder:
-                pay, q = _price(mk, j, top)
-                payment += pay * (c // (q * d))
-                if v:
-                    value += v * (c // d)
-                    won.append(j)
+    for point, (value, payment, won) in zip(points, totals):
         if payment <= value and (best is None or value > best[0]):
             best = (value, payment, point, won)
     value, payment, point, won = best
@@ -239,26 +235,18 @@ def quasilinear_best_bid_check(inst: Instance, spec: MechanismSpec, auction: int
     auction against the rival bids in `bids`, over a canonical probe set (zero,
     half value, value, double value, the win threshold t and t + 1/1000; a bid
     below t loses and scores 0, never above truthful). Each probe is a kernel
-    pair, resolved by a scan of a copy of the column."""
+    pair, and all are priced in one `Bids.trials` pass."""
     _check_bids(inst, spec, bidder, bids)
     t = min_winning_bid(bids, auction, bidder)
     mk = bids.market
     d, v = mk.scale[auction], mk.values[auction][bidder]
-    probes = [(0, 1), (v, 2), (v, 1), (2 * v, 1)]
+    probes = [(v, 1), (0, 1), (v, 2), (2 * v, 1)]  # the truthful bid first
     if t.den:
         # t and t + 1/1000, each (P, Q) over 1000 * t's denominator.
         p, q, step = t.num * 1000 * d, t.den * 1000, t.den * d
         probes += [(p, q), (p + step, q)]
-    nums, dens = list(bids.nums[auction]), list(bids.dens[auction])
-
-    def utility(bid: tuple[int, int]) -> tuple[int, int]:
-        """Value minus payment as a pair (U, Q), meaning U / (Q * d)."""
-        nums[bidder], dens[bidder] = bid
-        top = _scan(nums, dens, mk.reserves[auction], mk.shifts[auction])
-        if not top or top[0][2] != bidder:
-            return 0, 1
-        pay, q = _price(mk, auction, top)
-        return v * q - pay, q
-
-    truthful, truthful_q = utility((v, 1))
-    return all(truthful * q >= u * truthful_q for u, q in map(utility, probes))
+    # Each bid's value minus payment as a pair (U, Q), meaning U / (Q * d).
+    utilities = ((0, 1) if price is None else (v * price[1] - price[0], price[1])
+                 for price in bids.trials(auction, bidder, probes))
+    truthful, truthful_q = next(utilities)
+    return all(truthful * q >= u * truthful_q for u, q in utilities)

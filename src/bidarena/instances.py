@@ -153,6 +153,8 @@ def load(path: str | Path) -> Instance:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     except ValueError as exc:  # a number literal parse_rational rejects
         raise ValueError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import Instance, MultiplierProfile, Outcome, ZERO
 from .rationals import format_ratio, format_rational, parse_rational
@@ -341,9 +341,9 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 # against A' * Q, with no gcd. Everything an
 # auction decides depends on its top two eligible bidders in rank order, its
 # standing in a `Bids`: the winner, its price and every bidder's threshold,
-# all read from `_least_bid`, the one statement of the price rule. Auctions,
-# the oracle and the truthfulness probes price winners through `_price`;
-# Fractions are built only for payments and for `Bids[i]`.
+# all read from `_least_bid`, the one statement of the price rule. Auctions and
+# the what-ifs of `Bids.trials` price winners through `_price`; Fractions are
+# built only for payments and for `Bids[i]`.
 
 # The best and second-best eligible (A, Q, bidder) entries of one auction in
 # rank order; shorter when fewer than two bidders are eligible.
@@ -532,6 +532,16 @@ class Bids:
             dens[bidder] = q
             if reserves[j][bidder] is not None:  # else the bidder never enters the standing
                 standings[j] = _moved(standings[j], bidder, nums, dens, reserves[j], shifts[j])
+
+    def trials(self, auction: int, bidder: int,
+               bids: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int] | None]:
+        """Per kernel pair (P, Q) in `bids`, the `_price` `bidder` pays bidding it
+        in `auction`, or None if it loses; all on one copy of the column."""
+        mk = self.market
+        nums, dens = list(self.nums[auction]), list(self.dens[auction])
+        for nums[bidder], dens[bidder] in bids:
+            top = _scan(nums, dens, mk.reserves[auction], mk.shifts[auction])
+            yield _price(mk, auction, top) if top and top[0][2] == bidder else None
 
     def outcome(self) -> Outcome:
         """Every auction's winner and price, read from the standings."""

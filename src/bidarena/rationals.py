@@ -10,7 +10,7 @@ rounding error can never masquerade as a tie-break.
 from __future__ import annotations
 
 import sys
-from decimal import MAX_EMAX, Context
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
 
@@ -68,9 +68,9 @@ def format_ratio(x: Fraction) -> str:
 
 def decimal_text(x: Fraction) -> str:
     """12-significant-digit decimal for plotting tools; never used internally.
-    Past the float range it is rounded exactly, in the same style (1e+400)."""
-    try:
+    Outside the normal float range it is rounded exactly (1e+400, 1e-400)."""
+    log2 = x.numerator.bit_length() - x.denominator.bit_length()  # log2 |x|, give or take 1
+    if sys.float_info.min_exp <= log2 < sys.float_info.max_exp - 1 or not x:
         return f"{float(x):.12g}"
-    except OverflowError:
-        exact = Context(prec=12, Emax=MAX_EMAX).divide(x.numerator, x.denominator)
-        return f"{exact.normalize():.12g}"
+    exact = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN).divide(x.numerator, x.denominator)
+    return f"{exact.normalize():.12g}"

@@ -4,9 +4,10 @@ Every check here is exact: violations compare Fractions, never floats. A
 check group states its checks as a generator `check(seed, inst)` that yields
 one item per check: None for a pass, or the failure's text. The driver
 `_checked` builds each seed's family instance once, counts every item, and
-writes each failure as a line with the seed and the instance JSON, so that it
-can be replayed directly. The equilibrium families keep their own loops: they
-count runs and floor checks, and the single-bidder family skips seeds.
+writes each failure as a line with the seed and the instance JSON, to be
+replayed directly. Trial bids are priced by `Bids.trials`, so no check reads
+a standing. The equilibrium families keep their own loops: they count runs
+and floor checks, and the single-bidder family skips seeds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .bestresponse import (best_response_against_bids, best_response_oracle,
                            quasilinear_best_bid_check)
 from .equilibrium import EquilibriumReport, core_auctions, diagnostics, run_dynamics
 from .instances import RandomFamilyParams, instance_to_json, random_instance
-from .mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice, _scan,
+from .mechanisms import (Bids, GlobalCostMultiplier, MechanismSpec, SecondPrice,
                          compute_auction_params, compute_bidder_params,
                          calibrate_single_bidder, mechanism_from_label, mechanism_label,
                          min_winning_bid, run_all)
@@ -196,7 +197,7 @@ def truthfulness_probes(seeds: Iterable[int], *, single_bidder: bool = False) ->
 
 def myerson_checks(seeds: Iterable[int]) -> CheckStats:
     """Winner's payment must equal the threshold value, the winning bid b must
-    clear the threshold, and b + 1 and 2b + 1 must win in a copy of its column."""
+    clear the threshold, and b + 1 and 2b + 1 must win, priced by `Bids.trials`."""
     def check(seed: int, inst: Instance) -> Iterator[str | None]:
         profiles = (MultiplierProfile.uniform(inst.num_bidders),
                     probe_profile(seed, inst.num_bidders))
@@ -208,19 +209,17 @@ def myerson_checks(seeds: Iterable[int]) -> CheckStats:
                 for j, winner in enumerate(outcome.winners):
                     if winner is None:
                         continue
-                    nums, dens = list(bids.nums[j]), list(bids.dens[j])
-                    p, q, d = nums[winner], dens[winner], mk.scale[j]
+                    p, q, d = bids.nums[j][winner], bids.dens[j][winner], mk.scale[j]
                     t = min_winning_bid(bids, j, winner)
                     if t.value != outcome.prices[j] or not t.admits(Fraction(p, q * d)):
                         yield (f"{mechanism_label(spec)}: auction {j} payment "
                                f"{outcome.prices[j]} vs threshold {t}")
                         continue
-                    for raised in (p + q * d, 2 * p + q * d):
-                        nums[winner] = raised
-                        top = _scan(nums, dens, mk.reserves[j], mk.shifts[j])
-                        if not top or top[0][2] != winner:
+                    raised = [(p + q * d, q), (2 * p + q * d, q)]
+                    for (bid, _), price in zip(raised, bids.trials(j, winner, raised)):
+                        if price is None:
                             yield (f"{mechanism_label(spec)}: auction {j} winner {winner} "
-                                   f"lost after raising its bid to {Fraction(raised, q * d)}")
+                                   f"lost after raising its bid to {Fraction(bid, q * d)}")
                             break
                     else:
                         yield None

@@ -122,13 +122,12 @@ def coprime_profile(rng: random.Random, num_bidders: int) -> MultiplierProfile:
 @pytest.fixture
 def first_price(monkeypatch):
     """Every winner pays its own bid (its score plus its shift) in place of
-    the kernel's `_price`, in every module that prices through it."""
+    the kernel's `_price`, which auctions and `Bids.trials` both price through."""
     def price(mk, auction, top):
         a, q, winner = top[0]
         return a + mk.shifts[auction][winner] * q, q
 
-    for module in ("bidarena.mechanisms", "bidarena.bestresponse"):
-        monkeypatch.setattr(f"{module}._price", price)
+    monkeypatch.setattr("bidarena.mechanisms._price", price)
 
 
 @pytest.fixture

@@ -78,6 +78,17 @@ MUTANTS = [
            KERNEL + DYNAMICS),
     Mutant("seeds: keep one other bidder", "src/bidarena/model.py",
            "if i not in nonzero][:2]", "if i not in nonzero][:1]", KERNEL),
+    # What-ifs on a copy of one column: the oracle's samples, the truthfulness
+    # probe's bids and the Myerson check's raised bids.
+    Mutant("trials: writes into the Bids it reads", MECH,
+           "nums, dens = list(self.nums[auction]), list(self.dens[auction])",
+           "nums, dens = self.nums[auction], list(self.dens[auction])",
+           ("tests/test_bestresponse.py", "tests/test_verify.py")),
+    Mutant("trials: a probe tied with a lower-index rival wins", MECH,
+           "if top and top[0][2] == bidder else None",
+           "if top and (top[0][2] == bidder or top[-1][2] == bidder\n"
+           "                                               and top[-1][0] * top[0][1] == "
+           "top[0][0] * top[-1][1]) else None", KERNEL),
     # The market's int terms, against their Fraction reference.
     Mutant("market: d_j is the column scale L_j", MECH,
            "d = lcm(scale // g, den)", "d = scale", KERNEL),
@@ -103,10 +114,6 @@ MUTANTS = [
            "for k in range(1, 4))", "for k in range(2, 3))", SWEEP),
     Mutant("probe: no probe just above the threshold", BR,
            "probes += [(p, q), (p + step, q)]", "probes += [(p, q)]", SWEEP),
-    Mutant("probe: writes into the Bids it reads", BR,
-           "nums, dens = list(bids.nums[auction]), list(bids.dens[auction])",
-           "nums, dens = bids.nums[auction], list(bids.dens[auction])",
-           ("tests/test_bestresponse.py",)),
     # The dynamics, against `tests/reference_dynamics.py`.
     Mutant("dynamics: the raw reply pair is compared with theta's own pair", EQ,
            "if p * theta[i].denominator != q * theta[i].numerator:",
@@ -140,9 +147,6 @@ MUTANTS = [
     Mutant("verify: the winning bid need not clear its threshold", "src/bidarena/verify.py",
            "if t.value != outcome.prices[j] or not t.admits(Fraction(p, q * d)):",
            "if t.value != outcome.prices[j]:", ("tests/test_verify.py",)),
-    Mutant("myerson: raises the winner's bid in the Bids it reads", "src/bidarena/verify.py",
-           "nums, dens = list(bids.nums[j]), list(bids.dens[j])",
-           "nums, dens = bids.nums[j], list(bids.dens[j])", ("tests/test_verify.py",)),
     # `arena verify`'s driver: how it counts and describes the checks.
     Mutant("verify: a failure is described with the next seed", "src/bidarena/verify.py",
            "_describe(seed, inst, failure)", "_describe(seed + 1, inst, failure)",

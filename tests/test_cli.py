@@ -104,6 +104,20 @@ def test_run_rejects_missing_file(capsys):
     assert "arena:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--mechanism", "second-price"],
+                                     ["debug-br", "--mechanism", "second-price",
+                                      "--bidder", "0", "--profile", "1"]])
+def test_deeply_nested_instance_file_is_rejected(command, tmp_path, capsys):
+    # The JSON decoder recurses once per level; past the recursion limit it
+    # used to end `arena` with a RecursionError traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"arena: {path}: not valid JSON (nested too deeply)\n"
+
+
 def test_gamma_grid_is_exact():
     assert parse_gamma_grid("0:2:4") == [F(0), F(1, 2), F(1), F(3, 2), F(2)]
     assert parse_gamma_grid("1/2:1:2") == [F(1, 2), F(3, 4), F(1)]

@@ -10,6 +10,7 @@ import ast
 import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 
@@ -370,3 +371,67 @@ def test_seeded_sweep_points_match_full_scans_and_run_all():
                 .standings[0]] == [1, 2]
         for gamma, report in sweep_global(delta, grid):
             assert report.outcome == run_all(GlobalCostMultiplier(gamma), inst, report.profile)
+
+
+# `Bids.trials` prices one bidder's trial bids in one auction, on a copy of
+# the column. Each yield must agree with the reference auction run on the
+# Fraction column with that bid written in, and the `Bids` must not change.
+
+
+def check_trials(spec, inst, rows) -> tuple[int, int]:
+    """Every bidder's trials in every auction of `row_bids(spec, inst, rows)`:
+    0, its exact threshold, one kernel unit above it, and its raised bids
+    b + 1 and 2b + 1. Returns (trials, trials lost at an exact threshold)."""
+    bids = row_bids(spec, inst, rows)
+    before = ([list(c) for c in bids.nums], [list(c) for c in bids.dens], list(bids.standings))
+    cases = tied = 0
+    for j, d in enumerate(bids.market.scale):
+        column = [row[j] for row in rows]
+        for i, bid in enumerate(column):
+            trial = [F(0), bid + 1, 2 * bid + 1]
+            t = ref.min_winning_bid(spec, inst, j, i, column)
+            if t.value is not None:
+                trial += [t.value, t.value + F(1, t.value.denominator * d)]
+            got = list(bids.trials(j, i, [(b.numerator * d, b.denominator) for b in trial]))
+            assert len(got) == len(trial)
+            for b, price in zip(trial, got):
+                want = ref.run_auction(spec, inst, j, column[:i] + [b] + column[i + 1:])
+                if want.winner == i:
+                    assert price is not None and F(price[0], price[1] * d) == want.payment
+                else:
+                    assert price is None
+                tied += b == t.value and not t.inclusive
+            cases += len(trial)
+    assert (bids.nums, bids.dens, bids.standings) == before
+    return cases, tied
+
+
+def test_trials_match_reference_auctions():
+    cases = tied = 0
+    for seed in range(60):
+        corpus = [seeded_market(seed)]
+        inst = off_grid_instance(seed)
+        corpus.append((inst, mixed_rows(random.Random(seed), inst)))
+        for inst, rows in corpus:
+            for spec in all_specs(inst):
+                counted = check_trials(spec, inst, rows)
+                cases, tied = cases + counted[0], tied + counted[1]
+    assert cases > 25000
+    assert tied > 1500
+
+
+def test_only_the_kernel_names_its_standing_helpers():
+    # They read a standing's layout; every other module goes through `Bids`,
+    # `min_winning_bid` and `Bids.trials`.
+    helpers = {"_scan", "_price", "_least_bid", "_moved"}
+    named = {}
+    for path in sorted(Path(mechanisms.__file__).parent.glob("*.py")):
+        named[path.name] = {
+            name for node in ast.walk(ast.parse(path.read_text()))
+            for name in ([alias.name for alias in node.names]
+                         if isinstance(node, (ast.Import, ast.ImportFrom))
+                         else [node.id] if isinstance(node, ast.Name)
+                         else [node.attr] if isinstance(node, ast.Attribute) else [])
+        } & helpers
+    assert named.pop("mechanisms.py") == helpers
+    assert len(named) >= 8 and not any(named.values()), named

@@ -75,6 +75,21 @@ def test_decimal_text():
     assert decimal_text(Fraction(10 ** 5000, 3)) == "3.33333333333e+4999"
 
 
+def test_decimal_text_below_the_normal_float_range():
+    # A float rounds these to 0, or to a subnormal with fewer than 12 digits.
+    assert decimal_text(Fraction(1, 10 ** 400)) == "1e-400"
+    assert decimal_text(Fraction(-1, 10 ** 400)) == "-1e-400"
+    assert decimal_text(Fraction(123456789012345, 10 ** 334)) == "1.23456789012e-320"
+    assert decimal_text(Fraction(0)) == "0"
+    # Just above and just below the least normal float, 2**-1022.
+    tiny = Fraction(sys.float_info.min)
+    assert decimal_text(tiny) == "2.22507385851e-308"
+    assert decimal_text(tiny * (1 + Fraction(1, 10 ** 9))) == "2.22507386073e-308"
+    assert decimal_text(tiny * (1 - Fraction(1, 10 ** 9))) == "2.22507385628e-308"
+    assert decimal_text(-tiny * (1 - Fraction(1, 10 ** 9))) == "-2.22507385628e-308"
+    assert decimal_text(tiny * Fraction(999, 1000)) == "2.22284878465e-308"
+
+
 def test_as_fraction_conversions():
     assert as_fraction(2) == Fraction(2)
     assert as_fraction("5/3") == Fraction(5, 3)

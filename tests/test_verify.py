@@ -266,8 +266,9 @@ def test_myerson_reports_a_winning_bid_below_its_threshold(monkeypatch):
 
 
 def test_myerson_reports_a_winner_that_loses_after_raising(monkeypatch):
-    # Every scan of a raised column finds nobody eligible.
-    monkeypatch.setattr("bidarena.verify._scan", lambda *args: ())
+    # Every trial bid loses.
+    monkeypatch.setattr("bidarena.mechanisms.Bids.trials",
+                        lambda self, auction, bidder, bids: (None for _ in bids))
     stats = myerson_checks(range(5))
     # One report per checked winner: the first raise already loses.
     assert len(stats.violations) == stats.checks > 0
