@@ -342,8 +342,9 @@ def market(spec: MechanismSpec, inst: Instance) -> Market:
 # auction decides depends on its top two eligible bidders in rank order, its
 # standing in a `Bids`: the winner, its price and every bidder's threshold,
 # all read from `_least_bid`, the one statement of the price rule. Auctions and
-# the what-ifs of `Bids.trials` price winners through `_price`; Fractions are
-# built only for payments and for `Bids[i]`.
+# the what-ifs of `Bids.trials` price winners through `_price`; a what-if's
+# standing is its trial entry and the best rival of one rivals-only scan.
+# Fractions are built only for payments and for `Bids[i]`.
 
 # The best and second-best eligible (A, Q, bidder) entries of one auction in
 # rank order; shorter when fewer than two bidders are eligible.
@@ -536,12 +537,32 @@ class Bids:
     def trials(self, auction: int, bidder: int,
                bids: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int] | None]:
         """Per kernel pair (P, Q) in `bids`, the `_price` `bidder` pays bidding it
-        in `auction`, or None if it loses; all on one copy of the column."""
+        in `auction`, or None if it loses, once both ranges are checked. One
+        scan ranks the rivals (on a copy of the reserves, the bidder's made
+        infinite); each trial is then decided in O(1): it must reach its
+        reserve and outscore the best rival, a tie going to the lower index,
+        and a winner is priced on the standing (trial, best rival). The `Bids`
+        and its `Market` are left unchanged."""
+        self._check(bidder)
         mk = self.market
-        nums, dens = list(self.nums[auction]), list(self.dens[auction])
-        for nums[bidder], dens[bidder] in bids:
-            top = _scan(nums, dens, mk.reserves[auction], mk.shifts[auction])
-            yield _price(mk, auction, top) if top and top[0][2] == bidder else None
+        if not 0 <= auction < len(mk.scale):
+            raise ValueError(f"auction {auction} out of range")
+        own, shift = mk.reserves[auction][bidder], mk.shifts[auction][bidder]
+        rivals = list(mk.reserves[auction])
+        rivals[bidder] = None
+        best = _scan(self.nums[auction], self.dens[auction], rivals, mk.shifts[auction])[:1]
+        for p, q in bids:
+            if own is None or (own and p < q * own):
+                yield None
+                continue
+            a = p - q * shift if shift else p
+            if best:
+                rival_a, rival_q, rival = best[0]
+                lead = a * rival_q - rival_a * q  # the trial's score over the rival's
+                if lead < 0 or not lead and rival < bidder:
+                    yield None
+                    continue
+            yield _price(mk, auction, ((a, q, bidder),) + best)
 
     def outcome(self) -> Outcome:
         """Every auction's winner and price, read from the standings."""

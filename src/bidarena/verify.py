@@ -6,7 +6,8 @@ one item per check: None for a pass, or the failure's text. The driver
 `_checked` builds each seed's family instance once, counts every item, and
 writes each failure as a line with the seed and the instance JSON, to be
 replayed directly. Trial bids are priced by `Bids.trials`, so no check reads
-a standing. The equilibrium families keep their own loops: they count runs
+a standing: it scans a column's rivals once per call and decides each trial
+bid in O(1). The equilibrium families keep their own loops: they count runs
 and floor checks, and the single-bidder family skips seeds.
 """
 

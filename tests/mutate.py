@@ -78,17 +78,14 @@ MUTANTS = [
            KERNEL + DYNAMICS),
     Mutant("seeds: keep one other bidder", "src/bidarena/model.py",
            "if i not in nonzero][:2]", "if i not in nonzero][:1]", KERNEL),
-    # What-ifs on a copy of one column: the oracle's samples, the truthfulness
-    # probe's bids and the Myerson check's raised bids.
-    Mutant("trials: writes into the Bids it reads", MECH,
-           "nums, dens = list(self.nums[auction]), list(self.dens[auction])",
-           "nums, dens = self.nums[auction], list(self.dens[auction])",
-           ("tests/test_bestresponse.py", "tests/test_verify.py")),
+    # What-ifs against one scan of a column's rivals: the oracle's samples,
+    # the truthfulness probe's bids and the Myerson check's raised bids.
+    Mutant("trials: masks the bidder in the Market's own reserve list", MECH,
+           "rivals = list(mk.reserves[auction])", "rivals = mk.reserves[auction]", KERNEL),
     Mutant("trials: a probe tied with a lower-index rival wins", MECH,
-           "if top and top[0][2] == bidder else None",
-           "if top and (top[0][2] == bidder or top[-1][2] == bidder\n"
-           "                                               and top[-1][0] * top[0][1] == "
-           "top[0][0] * top[-1][1]) else None", KERNEL),
+           "if lead < 0 or not lead and rival < bidder:", "if lead < 0:", KERNEL),
+    Mutant("trials: the rivals' scan keeps the bidder's stored entry", MECH,
+           "        rivals[bidder] = None\n", "", KERNEL),
     # The market's int terms, against their Fraction reference.
     Mutant("market: d_j is the column scale L_j", MECH,
            "d = lcm(scale // g, den)", "d = scale", KERNEL),

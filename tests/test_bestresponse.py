@@ -240,9 +240,10 @@ def test_quasilinear_probe_accepts_truthful_second_price():
 
 
 def test_quasilinear_probe_leaves_the_bids_it_reads_unchanged():
-    # The probe sets the bidder's entry of the column it scans; that column
-    # is a copy, so later probes and best responses on the same `Bids` see
-    # the bids it was built from.
+    # The probe's bids are priced against one scan of the bidder's rivals,
+    # which masks the bidder in a copy of the reserves and writes no bid, so
+    # later probes and best responses on the same `Bids` see the bids it was
+    # built from.
     checked = 0
     for seed in range(20):
         inst, rows = seeded_market(seed)

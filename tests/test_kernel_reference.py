@@ -373,26 +373,40 @@ def test_seeded_sweep_points_match_full_scans_and_run_all():
             assert report.outcome == run_all(GlobalCostMultiplier(gamma), inst, report.profile)
 
 
-# `Bids.trials` prices one bidder's trial bids in one auction, on a copy of
-# the column. Each yield must agree with the reference auction run on the
-# Fraction column with that bid written in, and the `Bids` must not change.
+# `Bids.trials` prices one bidder's trial bids in one auction against one
+# scan of its rivals. Each yield must agree with the reference auction run on
+# the Fraction column with that bid written in, and neither the `Bids` nor its
+# `Market` may change.
 
 
-def check_trials(spec, inst, rows) -> tuple[int, int]:
+def crowded_market(seed: int) -> tuple[Instance, list[list[Fraction]]]:
+    """A 6-8 bidder `verify` family market with bids on the half grid up to 3,
+    so the bidders holding a column's two places often tie a rival's score."""
+    inst = family_instance(seed, num_bidders=6 + seed % 3)
+    rng = random.Random(seed)
+    return inst, [[F(rng.randrange(0, 7), 2) for _ in range(inst.num_auctions)]
+                  for _ in range(inst.num_bidders)]
+
+
+def check_trials(spec, inst, rows) -> tuple[int, int, int]:
     """Every bidder's trials in every auction of `row_bids(spec, inst, rows)`:
     0, its exact threshold, one kernel unit above it, and its raised bids
-    b + 1 and 2b + 1. Returns (trials, trials lost at an exact threshold)."""
+    b + 1 and 2b + 1. Returns (trials, trials lost at an exact threshold,
+    those among them by a bidder holding one of the column's two places)."""
     bids = row_bids(spec, inst, rows)
     before = ([list(c) for c in bids.nums], [list(c) for c in bids.dens], list(bids.standings))
-    cases = tied = 0
+    reserves = [list(c) for c in bids.market.reserves]
+    cases = tied = held = 0
     for j, d in enumerate(bids.market.scale):
         column = [row[j] for row in rows]
+        places = [i for *_, i in bids.standings[j]]
         for i, bid in enumerate(column):
             trial = [F(0), bid + 1, 2 * bid + 1]
             t = ref.min_winning_bid(spec, inst, j, i, column)
             if t.value is not None:
                 trial += [t.value, t.value + F(1, t.value.denominator * d)]
             got = list(bids.trials(j, i, [(b.numerator * d, b.denominator) for b in trial]))
+            assert list(map(list, bids.market.reserves)) == reserves
             assert len(got) == len(trial)
             for b, price in zip(trial, got):
                 want = ref.run_auction(spec, inst, j, column[:i] + [b] + column[i + 1:])
@@ -400,24 +414,51 @@ def check_trials(spec, inst, rows) -> tuple[int, int]:
                     assert price is not None and F(price[0], price[1] * d) == want.payment
                 else:
                     assert price is None
-                tied += b == t.value and not t.inclusive
+                lost_tie = b == t.value and not t.inclusive
+                tied += lost_tie
+                held += lost_tie and i in places
             cases += len(trial)
     assert (bids.nums, bids.dens, bids.standings) == before
-    return cases, tied
+    return cases, tied, held
 
 
 def test_trials_match_reference_auctions():
-    cases = tied = 0
+    cases = tied = held = 0
     for seed in range(60):
-        corpus = [seeded_market(seed)]
+        corpus = [seeded_market(seed), crowded_market(seed)]
         inst = off_grid_instance(seed)
         corpus.append((inst, mixed_rows(random.Random(seed), inst)))
         for inst, rows in corpus:
             for spec in all_specs(inst):
                 counted = check_trials(spec, inst, rows)
-                cases, tied = cases + counted[0], tied + counted[1]
-    assert cases > 25000
-    assert tied > 1500
+                cases, tied, held = (a + b for a, b in zip((cases, tied, held), counted))
+    # The crowded markets add about 29,400 trials and 3,200 lost ties, 800 of
+    # those by a bidder holding one of its column's two places.
+    assert cases > 53000
+    assert tied > 4500
+    assert held > 1800
+
+
+def test_trials_scan_the_column_once(monkeypatch):
+    # However many trial bids a call gets, and wherever its bidder stands in
+    # the stored standing, the column is scanned once, over the rivals.
+    scans = []
+    scan = mechanisms._scan
+    monkeypatch.setattr(mechanisms, "_scan", lambda *column: scans.append(column) or scan(*column))
+    stood = set()
+    for seed in range(6):
+        inst, rows = crowded_market(seed)
+        for spec in all_specs(inst):
+            bids = row_bids(spec, inst, rows)
+            for j, top in enumerate(bids.standings):
+                places = [i for *_, i in top]
+                for i in range(inst.num_bidders):
+                    stood.add(places.index(i) if i in places else None)
+                    for count in (1, 50):
+                        scans.clear()
+                        list(bids.trials(j, i, [(k, 2) for k in range(count)]))
+                        assert len(scans) == 1
+    assert stood == {0, 1, None}
 
 
 def test_only_the_kernel_names_its_standing_helpers():

@@ -354,19 +354,25 @@ def test_auction_out_of_range_is_rejected(auction):
             min_winning_bid(bids, auction, 0)
         with pytest.raises(ValueError, match=f"auction {auction} out of range"):
             quasilinear_best_bid_check(inst, spec, auction, 0, bids)
+        with pytest.raises(ValueError, match=f"auction {auction} out of range"):
+            list(bids.trials(auction, 0, [(1, 1)]))
 
 
 @pytest.mark.parametrize("bidder", [-1, 2])
 def test_bids_reject_a_bidder_out_of_range(bidder):
     # Unchecked, moving bidder -1 would write bidder 1's entries and add a
     # phantom entry beside bidder 1 in auction 0's standing, so bidder 1's
-    # threshold there would read its own doubled bid, 6, and not 1.
+    # threshold there would read its own doubled bid, 6, and not 1. A trial
+    # bid of bidder -1 would be bidder 1's, which wins, yet be reported lost.
     inst = Instance.from_rows([[1, 2], [3, 1]], [[0, 0], [0, 0]])
     bids = Bids(SecondPrice(), inst, MultiplierProfile.uniform(2))
     with pytest.raises(ValueError, match=f"bidder {bidder} out of range"):
         bids.move(bidder, F(2))
     with pytest.raises(ValueError, match=f"bidder {bidder} out of range"):
         bids[bidder]
+    with pytest.raises(ValueError, match=f"bidder {bidder} out of range"):
+        list(bids.trials(0, bidder, [(5, 1)]))
+    assert list(bids.trials(0, 1, [(5, 1)])) == [(1, 1)]
     assert bids.standings == Bids(SecondPrice(), inst, MultiplierProfile.uniform(2)).standings
     assert min_winning_bid(bids, 0, 1).value == 1
 

@@ -277,8 +277,9 @@ def test_myerson_reports_a_winner_that_loses_after_raising(monkeypatch):
 
 
 def test_myerson_leaves_the_bids_it_reads_unchanged(monkeypatch):
-    # The raised bids go into a copy of the winner's column; every `Bids` the
-    # check builds keeps the bids and standings it was built with.
+    # The raised bids are priced against a scan of the winner's rivals and
+    # written nowhere; every `Bids` the check builds keeps the bids and
+    # standings it was built with.
     built = []
 
     class Recorded(Bids):
